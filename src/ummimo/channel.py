@@ -10,13 +10,15 @@ correlation beta * sinc(2 d / lambda).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularityError
 from .geometry import ArrayGeometry
-from .numerics import QuadratureGrid, RngStream, complex_gaussian, hemisphere_grid
+from .numerics import (QuadratureGrid, RngStream, complex_gaussian, hemisphere_grid,
+                       hermitian_eig)
 
 __all__ = [
     "ScatteringProfile",
@@ -69,6 +71,24 @@ class SpatialCorrelation:
     @property
     def num_antennas(self) -> int:
         return self.R.shape[0]
+
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues descending, eigenvectors) of R, computed once.
+
+        Read-only, because every later caller shares the same arrays.
+        """
+        w, U = hermitian_eig(self.R)
+        w.flags.writeable = U.flags.writeable = False
+        return w, U
+
+
+def _as_correlation(corr: SpatialCorrelation | np.ndarray) -> SpatialCorrelation:
+    """Wrap a bare matrix R, giving it the average gain trace(R) / M."""
+    if isinstance(corr, SpatialCorrelation):
+        return corr
+    R = np.asarray(corr)
+    return SpatialCorrelation(R, float(np.trace(R).real) / R.shape[0])
 
 
 def isotropic_profile(beta: float = 1.0) -> ScatteringProfile:
@@ -213,14 +233,15 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
 def sample_rayleigh(corr: SpatialCorrelation | np.ndarray, stream: RngStream) -> np.ndarray:
     """Draw h = R^{1/2} w, w ~ CN(0, I), via the eigendecomposition of R.
 
-    Small negative eigenvalues from quadrature are clamped at zero; an
-    eigenvalue below -1e-8 * trace violates the PSD contract.
+    A SpatialCorrelation computes that eigendecomposition once and reuses it
+    on every draw.  Small negative eigenvalues from quadrature are clamped at
+    zero; an eigenvalue below -1e-8 * trace violates the PSD contract.
     """
-    R = corr.R if isinstance(corr, SpatialCorrelation) else np.asarray(corr)
-    w, U = np.linalg.eigh(0.5 * (R + R.conj().T))
-    tr = float(np.trace(R).real)
+    corr = _as_correlation(corr)
+    w, U = corr.eig
+    tr = float(np.trace(corr.R).real)
     if tr > 0 and w.min() < -1e-8 * tr:
         raise ContractError(f"correlation matrix has eigenvalue {w.min():.3e} < -1e-8 tr")
     root = U * np.sqrt(np.clip(w, 0.0, None))
-    noise = complex_gaussian(R.shape[0], stream)
+    noise = complex_gaussian(corr.num_antennas, stream)
     return root @ (U.conj().T @ noise)

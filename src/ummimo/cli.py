@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import __version__
 from .errors import ConfigError, ContractError, DomainError
@@ -239,33 +240,24 @@ def run_beam(cfg, seed, run_dir, svg):
 
 
 def _numeric_beamdepth(F: float, d_f: float) -> float:
-    """Bisection half-power search on depth_gain around the focus."""
-    def gain(z):
-        return depth_gain(F, z, d_f)
+    """Half-power search (brentq) on depth_gain on each side of the focus.
 
-    lo = F
-    while lo > 1e-9 * F and gain(lo) > 0.5:
-        lo *= 0.5
-    near = _bisect(gain, lo, F, 0.5)
+    The root tolerance is relative to F: brentq's default is 2e-12 m absolute.
+    """
+    def excess(z):
+        return depth_gain(F, z, d_f) - 0.5
+
     z = F
-    while gain(z) > 0.5:
+    while excess(z) > 0:
         z *= 2.0
         if z > 1e7 * max(F, d_f):
             return np.inf
-    far = _bisect(gain, F, z, 0.5)
+    far = brentq(excess, F, z, xtol=1e-15 * F)
+    lo = F
+    while lo > 1e-9 * F and excess(lo) > 0:
+        lo *= 0.5
+    near = brentq(excess, lo, F, xtol=1e-15 * F)
     return far - near
-
-
-def _bisect(f, lo, hi, target, iters=200):
-    flo = f(lo) - target
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) - target) * flo > 0:
-            lo = mid
-            flo = f(lo) - target
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def run_fig4(cfg, seed, run_dir, svg):
@@ -398,11 +390,6 @@ def run_fig6_upa(cfg, seed, run_dir, svg):
     return ["eigenvalues.csv", "dof_summary.csv"], []
 
 
-def _numerical_rank(R: np.ndarray, tol: float = 1e-6) -> int:
-    w = np.linalg.eigvalsh(R)
-    return int(np.sum(w > tol * w.max()))
-
-
 def run_fig9(cfg, seed, run_dir, svg):
     lam = cfg["wavelength"]
     n = int(cfg["n"])
@@ -428,7 +415,8 @@ def run_fig9(cfg, seed, run_dir, svg):
                              stream=stream.split(100 + 10 * pi + ei),
                              corr=corr, pilot_stream=stream.split(7))
             rows.extend((r.tau, est, r.nmse, r.stderr, name) for r in res)
-        rank = _numerical_rank(corr.R)
+        w = corr.eig[0]
+        rank = int(np.sum(w > 1e-6 * w[0]))
         res = nmse_sweep("mmse", [rank], power=p, noise_power=sigma2, trials=trials,
                          stream=stream.split(100 + 10 * pi + 5), corr=corr)
         rows.append((rank, "mmse-at-rank", res[0].nmse, res[0].stderr, name))
@@ -492,8 +480,6 @@ def _sparse_sampler(geom, dictionary, sparsity, on_grid, angle_limit):
     grid = dictionary.grid
     lim = np.sin(angle_limit)
     atoms = dictionary.atoms
-    kappa = 2.0 * np.pi / geom.wavelength
-    x, y = geom.positions[:, 0], geom.positions[:, 1]
     ok = np.where((np.abs(grid[:, 0]) <= lim) & (np.abs(grid[:, 1]) <= lim))[0]
 
     def sampler(stream: RngStream) -> np.ndarray:
@@ -506,10 +492,7 @@ def _sparse_sampler(geom, dictionary, sparsity, on_grid, angle_limit):
         else:
             az = g.uniform(-angle_limit, angle_limit, sparsity)
             el = g.uniform(-angle_limit, angle_limit, sparsity)
-            psi = np.sin(az) * np.cos(el)
-            om = np.sin(el)
-            steer = np.exp(-1j * kappa *
-                           (x[:, None] * psi[None, :] + y[:, None] * om[None, :]))
+            steer = steering_matrix(geom, az, el).T
         return steer @ gains
 
     return sampler

@@ -14,7 +14,10 @@ import numpy as np
 from .errors import ConfigError, ContractError, DomainError
 from .geometry import ArrayGeometry
 from .numerics import QuadratureGrid, RngStream, complex_gaussian
-from .channel import SpatialCorrelation, correlation_matrix, isotropic_profile, sample_rayleigh
+from .channel import (SpatialCorrelation, _as_correlation, correlation_matrix,
+                      isotropic_profile, sample_rayleigh)
+from .dof import effective_rank
+from .mux import waterfill_powers
 
 __all__ = [
     "PilotMatrix",
@@ -145,7 +148,7 @@ def mmse_estimate(y: np.ndarray, pilot: PilotMatrix,
     MSE = tr(R) - tr(p R phi^H (p phi R phi^H + sigma^2 I)^{-1} phi R).
     Returns (estimate, analytic_mse).
     """
-    R = corr.R if isinstance(corr, SpatialCorrelation) else np.asarray(corr)
+    R = _as_correlation(corr).R
     W = _mmse_gain(R, pilot)
     mse = float(np.trace(R).real
                 - np.sqrt(pilot.power) * np.trace(W @ pilot.phi @ R).real)
@@ -157,39 +160,22 @@ def mmse_pilot_design(corr: SpatialCorrelation | np.ndarray, power: float,
     """MSE-optimal pilot phi = D U^H with water-filling power allocation.
 
     U holds the eigenvectors of R (eigenvalues descending); the tau_p
-    strongest directions receive powers max(0, mu - sigma^2 / (p lambda_m))
-    with the water level mu chosen so the powers sum to tau_p.
+    strongest directions receive the powers mux.waterfill_powers assigns to
+    the gains p lambda_m / sigma^2 under the budget tau_p.  At zero noise
+    every direction with energy has infinite gain and an equal share.
     """
-    R = corr.R if isinstance(corr, SpatialCorrelation) else np.asarray(corr)
-    m = R.shape[0]
-    if tau > m:
+    corr = _as_correlation(corr)
+    if tau > corr.num_antennas:
         raise ContractError("tau_p must not exceed the antenna count")
-    w, U = np.linalg.eigh(0.5 * (R + R.conj().T))
-    w, U = w[::-1], U[:, ::-1]
+    w, U = corr.eig
     lam = np.clip(w[:tau], 0.0, None)
     if np.all(lam <= 0):
         raise ContractError("correlation matrix has no energy to sound")
-    with np.errstate(divide="ignore"):
-        floor = np.where(lam > 0, noise_power / (power * lam), np.inf)
-
-    def allocated(mu):
-        return float(np.sum(np.clip(mu - floor, 0.0, None)))
-
-    lo, hi = 0.0, float(np.min(floor) + tau)
-    while allocated(hi) < tau:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if allocated(mid) < tau:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * tau / max(1.0, tau):
-            break
-    mu = 0.5 * (lo + hi)
-    d = np.sqrt(np.clip(mu - floor, 0.0, None))
-    # exact trace normalization (bisection leaves ~1e-12 slack)
-    d *= np.sqrt(tau / np.sum(d ** 2))
+    if noise_power > 0:
+        gains = power * lam / noise_power
+    else:
+        gains = np.where(lam > 0, np.inf, 0.0)
+    d = np.sqrt(waterfill_powers(gains, tau))
     phi = d[:, None] * U[:, :tau].conj().T
     return PilotMatrix(phi, power, noise_power)
 
@@ -241,11 +227,8 @@ def isotropic_subspace(geom: ArrayGeometry, capture: float = 0.9999,
                        grid: QuadratureGrid | None = None) -> np.ndarray:
     """Eigenvectors of the isotropic correlation matrix capturing the given
     trace fraction: the array-dependent worst-case channel subspace."""
-    corr = correlation_matrix(geom, isotropic_profile(), grid)
-    w, U = np.linalg.eigh(corr.R)
-    w, U = np.clip(w[::-1], 0.0, None), U[:, ::-1]
-    cum = np.cumsum(w)
-    r = int(np.searchsorted(cum, capture * cum[-1] - 1e-15 * cum[-1]) + 1)
+    w, U = correlation_matrix(geom, isotropic_profile(), grid).eig
+    r = effective_rank(np.clip(w, 0.0, None), capture)
     return U[:, :r]
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "aperture_gain_subdivided",
     "isotropic_area",
     "dipole_field",
+    "dipole_transform",
     "array_field",
 ]
 

@@ -12,6 +12,7 @@ from .errors import ContractError, DomainError
 __all__ = [
     "UplinkScenario",
     "lmmse_combiner",
+    "lmmse_combiners",
     "uplink_se",
     "uplink_se_bound",
     "su_capacity",

@@ -5,9 +5,11 @@ from ummimo.errors import DomainError
 from ummimo.beam import (angular_taper, array_gain, beamdepth_3db, beamwidth_3db,
                          depth_gain, focus_phases, _depth_profile)
 from ummimo.geometry import build_upa, fraunhofer_square
-from ummimo.numerics import fresnel_cs
 
 LAM = 0.01
+
+# depth-gain series about x = 0: A(x) = 1 + c2 x^2 + c4 x^4 + c6 x^6 + O(x^8)
+A_SERIES = (1.0, -0.4386490844928604, 0.08933461611583998, -0.01107570291036017)
 
 
 class TestFocusAndGain:
@@ -112,11 +114,20 @@ class TestDepthGain:
         assert depth_gain(5.0, 9.0, d_f) == depth_gain(9.0, 5.0, d_f)
 
     def test_series_matches_integral_branch(self):
-        # series and Fresnel-integral branches agree around the switchover
-        for x in [5e-4, 9e-4, 1.1e-3, 2e-3]:
-            c, s = fresnel_cs(np.sqrt(x))
-            direct = (c * c + s * s) ** 2 / (x * x)
-            assert abs(_depth_profile(x) - direct) < 1e-9
+        # the direct Fresnel formula agrees with the series about x = 0
+        c0, c2, c4, c6 = A_SERIES
+        for x in [1e-8, 5e-4, 9e-4, 1.1e-3, 2e-3]:
+            series = c0 + c2 * x ** 2 + c4 * x ** 4 + c6 * x ** 6
+            assert abs(_depth_profile(x) - series) < 1e-9
+        assert _depth_profile(0.0) == 1.0
+
+    @pytest.mark.parametrize("x", [901.0, 1e4, 1e6])
+    def test_tail_against_mpmath(self, x):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            t = mp.sqrt(x)
+            ref = float(((mp.fresnelc(t) ** 2 + mp.fresnels(t) ** 2) / x) ** 2)
+        assert abs(_depth_profile(x) - ref) <= 1e-12 * ref
 
     def test_unimodal_with_peak_at_focus(self):
         d_f = 500.0

@@ -183,3 +183,19 @@ class TestSampleRayleigh:
         R = np.diag([1.0, -0.5])
         with pytest.raises(ContractError):
             sample_rayleigh(R, RngStream(0))
+
+    def test_non_hermitian_rejected(self):
+        R = np.array([[1.0, 0.5], [0.4, 1.0]])
+        with pytest.raises(ContractError):
+            sample_rayleigh(R, RngStream(0))
+
+    def test_eigendecomposition_cached(self):
+        corr = correlation_matrix(build_ula(6, LAM / 2, LAM), isotropic_profile())
+        w, U = corr.eig
+        assert corr.eig is corr.eig
+        assert not (w.flags.writeable or U.flags.writeable)
+        assert np.all(np.diff(w) <= 0)
+        assert np.allclose((U * w) @ U.conj().T, corr.R, atol=1e-12)
+        # a bare matrix draws the same channel as its SpatialCorrelation
+        assert np.array_equal(sample_rayleigh(corr, RngStream(5)),
+                              sample_rayleigh(corr.R, RngStream(5)))

@@ -116,6 +116,14 @@ class TestRunArtifacts:
         assert np.isfinite(float(row[3]))
         assert abs(float(row[3]) - interval.depth) < 0.02 * interval.depth
 
+    def test_beamdepth_far_focus_is_infinite(self, tmp_path):
+        # at 1e9 d_F the near half-power point lies below the search floor
+        # 1e-9 F; the beam extends to infinity, so the depth is inf
+        d = run("beamdepth", seed=0, out=tmp_path,
+                config={"F": "1e9dF", "points": 11})
+        header, rows = _read_csv(d / "beam_depth.csv")
+        assert np.isinf(float(rows[0][3]))
+
     def test_svg_emission(self, tmp_path):
         d = run("nf-factor", seed=0, out=tmp_path, svg=True,
                 config={"points": 9})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,27 @@ class TestWaterfilling:
     def test_zero_prior_rejected(self):
         with pytest.raises(ContractError):
             mmse_pilot_design(np.zeros((4, 4)), 1.0, 0.5, 2)
+
+    def test_two_level_closed_form(self):
+        # floors sigma^2 / (p lambda) = (0.5, 2); (mu - 0.5) + (mu - 2) = 2
+        # gives mu = 2.25 and powers (1.75, 0.25)
+        pilot = mmse_pilot_design(np.diag([4.0, 1.0]), 1.0, 2.0, 2)
+        d2 = np.sum(np.abs(pilot.phi) ** 2, axis=1)
+        assert np.allclose(d2, [1.75, 0.25], rtol=0, atol=1e-12)
+
+    def test_zero_noise_splits_evenly_without_warning(self):
+        # sigma^2 = 0: every direction with energy has infinite gain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pilot = mmse_pilot_design(np.diag([3.0, 2.0, 1.0, 0.0]), 1.0, 0.0, 4)
+        d2 = np.sum(np.abs(pilot.phi) ** 2, axis=1)
+        assert np.allclose(d2, [4 / 3, 4 / 3, 4 / 3, 0.0], rtol=0, atol=1e-12)
+
+    def test_non_hermitian_rejected(self):
+        R = _rand_psd(4, 71)
+        R[0, 1] += 1e-3
+        with pytest.raises(ContractError):
+            mmse_pilot_design(R, 1.0, 0.5, 2)
 
 
 class TestRsLs:

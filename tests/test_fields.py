@@ -28,8 +28,10 @@ class TestNearFieldFactor:
         assert abs(near_field_factor(z, LAM) - 1.0) < 1e-12
 
     def test_monotone_approach(self):
-        for z in np.linspace(2 * LAM, 50 * LAM, 50):
-            assert abs(near_field_factor(z, LAM) - 1.0) <= 0.01
+        f = np.array([near_field_factor(z, LAM)
+                      for z in np.linspace(2 * LAM, 50 * LAM, 50)])
+        assert np.all(np.abs(f - 1.0) <= 0.01)
+        assert np.all(np.diff(f) > 0)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.special import fresnel as scipy_fresnel
 
 from ummimo.errors import ContractError, DomainError
 from ummimo.numerics import (QuadratureGrid, RngStream, complex_gaussian,
@@ -19,8 +18,10 @@ class TestFresnel:
 
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 1.118, 2.0, 3.7, 8.0, 20.0])
     def test_against_series_oracle(self, x):
-        # scipy's series/rational implementation is an independent route
-        s_ref, c_ref = scipy_fresnel(x)
+        # mpmath's arbitrary-precision series is independent of scipy's
+        # rational approximations behind fresnel_cs
+        mp = pytest.importorskip("mpmath")
+        c_ref, s_ref = float(mp.fresnelc(x)), float(mp.fresnels(x))
         c, s = fresnel_cs(x)
         assert abs(c - c_ref) <= 1e-10
         assert abs(s - s_ref) <= 1e-10
