@@ -82,6 +82,17 @@ class SpatialCorrelation:
         w.flags.writeable = U.flags.writeable = False
         return w, U
 
+    @cached_property
+    def _rayleigh_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R^{1/2} = U sqrt(w), U^H) for sample_rayleigh, checked PSD, read-only."""
+        w, U = self.eig
+        tr = float(np.trace(self.R).real)
+        if tr > 0 and w.min() < -1e-8 * tr:
+            raise ContractError(f"correlation matrix has eigenvalue {w.min():.3e} < -1e-8 tr")
+        root, Uh = U * np.sqrt(np.clip(w, 0.0, None)), U.conj().T
+        root.flags.writeable = Uh.flags.writeable = False
+        return root, Uh
+
 
 def _as_correlation(corr: SpatialCorrelation | np.ndarray) -> SpatialCorrelation:
     """Wrap a bare matrix R, giving it the average gain trace(R) / M."""
@@ -233,15 +244,12 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
 def sample_rayleigh(corr: SpatialCorrelation | np.ndarray, stream: RngStream) -> np.ndarray:
     """Draw h = R^{1/2} w, w ~ CN(0, I), via the eigendecomposition of R.
 
-    A SpatialCorrelation computes that eigendecomposition once and reuses it
-    on every draw.  Small negative eigenvalues from quadrature are clamped at
-    zero; an eigenvalue below -1e-8 * trace violates the PSD contract.
+    A SpatialCorrelation computes that eigendecomposition and the factor
+    R^{1/2} once and reuses them on every draw.  Small negative eigenvalues
+    from quadrature are clamped at zero; an eigenvalue below -1e-8 * trace
+    violates the PSD contract.
     """
     corr = _as_correlation(corr)
-    w, U = corr.eig
-    tr = float(np.trace(corr.R).real)
-    if tr > 0 and w.min() < -1e-8 * tr:
-        raise ContractError(f"correlation matrix has eigenvalue {w.min():.3e} < -1e-8 tr")
-    root = U * np.sqrt(np.clip(w, 0.0, None))
+    root, Uh = corr._rayleigh_factor
     noise = complex_gaussian(corr.num_antennas, stream)
-    return root @ (U.conj().T @ noise)
+    return root @ (Uh @ noise)

@@ -1,9 +1,10 @@
 """Experiment runner: reproduces the library's reference curves at desk scale.
 
-Each experiment writes tidy CSVs (full round-trip float precision, LF line
-endings, UTF-8) plus a JSON run manifest into <out>/<experiment>/seed-<N>/,
-so re-running with a new seed never touches a prior run's artifacts.
-Optionally emits self-contained SVG line plots; no plotting dependency.
+Each experiment `(cfg, seed) -> (tables, notes, plots)` returns data only:
+`tables` maps a CSV name to (header, rows), `plots` an SVG name to (title,
+xlabel, ylabel, series[, logy]).  `run()` writes them into
+<out>/<experiment>/seed-<N>/, so a new seed never touches a prior run: tidy
+CSVs (round-trip floats, LF, UTF-8), a JSON manifest, and with --svg the SVGs.
 
 Usage: umm <experiment-id> [--config PATH] [--seed N] [--trials N]
            [--out DIR] [--svg] [--<key> <value> ...]
@@ -41,19 +42,18 @@ CSV_SCHEMA_VERSION = 1
 # config handling
 # ---------------------------------------------------------------------------
 
-def _parse_scalar(text: str):
+def _parse_value(text: str):
+    """Bool, int, float or string; text with commas gives a list of those."""
+    if "," in text:
+        return [_parse_value(v) for v in text.split(",") if v.strip()]
     text = text.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
     return text
 
 
@@ -69,10 +69,7 @@ def parse_config_file(path: Path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
-        if "," in value:
-            out[key] = [_parse_scalar(v) for v in value.split(",") if v.strip()]
-        else:
-            out[key] = _parse_scalar(value)
+        out[key] = _parse_value(value)
     return out
 
 
@@ -185,18 +182,22 @@ def write_svg(path: Path, title: str, xlabel: str, ylabel: str,
 # experiments
 # ---------------------------------------------------------------------------
 
-def run_nf_factor(cfg, seed, run_dir, svg):
+def _cols(rows, *idx) -> tuple[list, ...]:
+    """Columns `idx` of `rows`, one list each: the (xs, ys) of a plot series."""
+    return tuple([r[i] for r in rows] for i in idx)
+
+
+def run_nf_factor(cfg, seed):
     lam = cfg["wavelength"]
     zs = np.linspace(cfg["z_min_lam"], cfg["z_max_lam"], int(cfg["points"]))
     rows = [(z, near_field_factor(z * lam, lam)) for z in zs]
-    write_csv(run_dir / "nf_factor.csv", ["z_over_lambda", "factor"], rows)
-    if svg:
-        write_svg(run_dir / "nf_factor.svg", "near-field factor", "z/lambda", "factor",
-                  {"factor": ([r[0] for r in rows], [r[1] for r in rows])})
-    return ["nf_factor.csv"], []
+    tables = {"nf_factor.csv": (["z_over_lambda", "factor"], rows)}
+    plots = {"nf_factor.svg": ("near-field factor", "z/lambda", "factor",
+                               {"factor": _cols(rows, 0, 1)})}
+    return tables, [], plots
 
 
-def run_aperture_gain(cfg, seed, run_dir, svg):
+def run_aperture_gain(cfg, seed):
     lam = cfg["wavelength"]
     a, b = cfg["a_lam"] * lam, cfg["b_lam"] * lam
     nx, ny = int(cfg["sub_nx"]), int(cfg["sub_ny"])
@@ -204,39 +205,34 @@ def run_aperture_gain(cfg, seed, run_dir, svg):
     rows = []
     for z_lam in _as_list(cfg["z_lam"]):
         z = float(z_lam) * lam
-        full = aperture_gain(a, b, z, lam) / gmax
-        sub = aperture_gain_subdivided(a, b, nx, ny, z, lam) / gmax
-        rows.append((z_lam, full, sub))
-    write_csv(run_dir / "aperture_gain.csv",
-              ["z_over_lambda", "gain_ratio_full", "gain_ratio_subdivided"], rows)
-    if svg:
-        write_svg(run_dir / "aperture_gain.svg", "aperture gain ratio", "z/lambda", "ratio",
-                  {"full": ([r[0] for r in rows], [r[1] for r in rows]),
-                   "subdivided": ([r[0] for r in rows], [r[2] for r in rows])})
-    return ["aperture_gain.csv"], []
+        rows.append((z_lam, aperture_gain(a, b, z, lam) / gmax,
+                     aperture_gain_subdivided(a, b, nx, ny, z, lam) / gmax))
+    tables = {"aperture_gain.csv": (
+        ["z_over_lambda", "gain_ratio_full", "gain_ratio_subdivided"], rows)}
+    plots = {"aperture_gain.svg": ("aperture gain ratio", "z/lambda", "ratio",
+                                   {"full": _cols(rows, 0, 1),
+                                    "subdivided": _cols(rows, 0, 2)})}
+    return tables, [], plots
 
 
-def run_beam(cfg, seed, run_dir, svg):
+def run_beam(cfg, seed):
     lam = cfg["wavelength"]
     n = int(cfg["n"])
     spacing = cfg["spacing_lam"] * lam
     d_f = fraunhofer_square(n, spacing, lam)
     rows = []
     for F in _parse_df_lengths(cfg["F"], d_f):
-        interval = beamdepth_3db(F, d_f)
-        bd_num = _numeric_beamdepth(F, d_f)
-        rows.append((F, d_f, interval.depth, bd_num, interval.z_near, interval.z_far))
-    write_csv(run_dir / "beam_depth.csv",
-              ["focus_m", "d_fraunhofer_m", "bd_analytic_m", "bd_numeric_m",
-               "z_near_m", "z_far_m"], rows)
+        iv = beamdepth_3db(F, d_f)
+        rows.append((F, d_f, iv.depth, _numeric_beamdepth(F, d_f), iv.z_near, iv.z_far))
     phis = np.linspace(-cfg["phi_max_rad"], cfg["phi_max_rad"], int(cfg["points"]))
     taper_rows = [(phi, angular_taper(n, spacing, lam, phi)) for phi in phis]
-    write_csv(run_dir / "beam_taper.csv", ["phi_rad", "array_gain"], taper_rows)
+    tables = {"beam_depth.csv": (["focus_m", "d_fraunhofer_m", "bd_analytic_m",
+                                  "bd_numeric_m", "z_near_m", "z_far_m"], rows),
+              "beam_taper.csv": (["phi_rad", "array_gain"], taper_rows)}
     notes = [f"half-power beamwidth {beamwidth_3db(n, spacing, lam)!r} rad"]
-    if svg:
-        write_svg(run_dir / "beam_taper.svg", "angular taper", "phi (rad)", "gain",
-                  {"gain": ([r[0] for r in taper_rows], [r[1] for r in taper_rows])})
-    return ["beam_depth.csv", "beam_taper.csv"], notes
+    plots = {"beam_taper.svg": ("angular taper", "phi (rad)", "gain",
+                                {"gain": _cols(taper_rows, 0, 1)})}
+    return tables, notes, plots
 
 
 def _numeric_beamdepth(F: float, d_f: float) -> float:
@@ -260,7 +256,7 @@ def _numeric_beamdepth(F: float, d_f: float) -> float:
     return far - near
 
 
-def run_fig4(cfg, seed, run_dir, svg):
+def run_fig4(cfg, seed):
     lam = cfg["wavelength"]
     geom = build_upa(int(cfg["nx"]), int(cfg["ny"]), lam / 2, lam / 2, lam)
     drops = int(cfg["drops"])
@@ -268,7 +264,6 @@ def run_fig4(cfg, seed, run_dir, svg):
     p_ue = cfg["ue_power"]
     rng_master = RngStream(seed)
     rows = []
-    min_margin = np.inf
     for K in [int(k) for k in _as_list(cfg["k_values"])]:
         se_ex, se_ff = [], []
         for d in range(drops):
@@ -288,31 +283,26 @@ def run_fig4(cfg, seed, run_dir, svg):
                 Hff[:, k] = amp * np.exp(-2j * np.pi / lam * dists[k]) * np.conj(sv)
             powers = np.full(K, p_ue)
             scen = UplinkScenario(H, powers, sigma2)
-            se_exact = uplink_se(scen, lmmse_combiners(scen)).sum()
+            se_ex.append(uplink_se(scen, lmmse_combiners(scen)).sum())
             scen_ff = UplinkScenario(Hff, powers, sigma2)
-            se_mismatch = uplink_se(scen, lmmse_combiners(scen_ff)).sum()
-            se_ex.append(se_exact)
-            se_ff.append(se_mismatch)
-            min_margin = min(min_margin, se_exact - se_mismatch)
+            se_ff.append(uplink_se(scen, lmmse_combiners(scen_ff)).sum())
         rows.append((K, float(np.mean(se_ex)), float(np.mean(se_ff)),
                      float(np.min(np.array(se_ex) - np.array(se_ff)))))
-    write_csv(run_dir / "mu_mimo_se.csv",
-              ["num_ues", "sum_se_exact", "sum_se_farfield_mismatch", "min_margin"],
-              rows)
+    tables = {"mu_mimo_se.csv": (
+        ["num_ues", "sum_se_exact", "sum_se_farfield_mismatch", "min_margin"], rows)}
     notes = [
         "reference large-scale setup quotes a 100x50 grid filling 1 m x 0.5 m at "
         "lambda = 0.01 m, which implies lambda spacing rather than lambda/2; this "
         "desk-scale run uses a lambda/2-spaced grid and the stated element count scale",
-        f"min exact-vs-mismatch margin over all drops: {min_margin!r} bit/s/Hz",
+        f"min exact-vs-mismatch margin over all drops: {min(r[3] for r in rows)!r} bit/s/Hz",
     ]
-    if svg:
-        write_svg(run_dir / "mu_mimo_se.svg", "uplink sum SE", "K", "bit/s/Hz",
-                  {"exact": ([r[0] for r in rows], [r[1] for r in rows]),
-                   "far-field mismatch": ([r[0] for r in rows], [r[2] for r in rows])})
-    return ["mu_mimo_se.csv"], notes
+    plots = {"mu_mimo_se.svg": ("uplink sum SE", "K", "bit/s/Hz",
+                                {"exact": _cols(rows, 0, 1),
+                                 "far-field mismatch": _cols(rows, 0, 2)})}
+    return tables, notes, plots
 
 
-def run_fig5(cfg, seed, run_dir, svg):
+def run_fig5(cfg, seed):
     lam = cfg["wavelength"]
     d = cfg["distance"]
     m = int(cfg["m"])
@@ -336,61 +326,54 @@ def run_fig5(cfg, seed, run_dir, svg):
         s_ex = np.linalg.svd(H, compute_uv=False)
         s_fr = np.linalg.svd(Hf, compute_uv=False)
         rows.append((dt, se, s_ex.min() / s_ex.max(), s_fr.min() / s_fr.max()))
-    write_csv(run_dir / "su_mimo_se.csv",
-              ["tx_spacing_m", "se_waterfilling", "sv_ratio_exact", "sv_ratio_fresnel"],
-              rows)
+    tables = {"su_mimo_se.csv": (
+        ["tx_spacing_m", "se_waterfilling", "sv_ratio_exact", "sv_ratio_fresnel"], rows)}
     best = max(rows, key=lambda r: r[1])
     notes = [
         f"spacing rule predicts {dt_star!r} m; exact-model SE peaks at {best[0]!r} m "
         "(the gap is expected: sidelobe effects are outside the paraxial rule)",
     ]
-    if svg:
-        write_svg(run_dir / "su_mimo_se.svg", "SU-MIMO SE vs tx spacing", "spacing (m)",
-                  "bit/s/Hz", {"SE": ([r[0] for r in rows], [r[1] for r in rows])})
-    return ["su_mimo_se.csv"], notes
+    plots = {"su_mimo_se.svg": ("SU-MIMO SE vs tx spacing", "spacing (m)", "bit/s/Hz",
+                                {"SE": _cols(rows, 0, 1)})}
+    return tables, notes, plots
 
 
-def _eigen_rows(label, geom, eta):
-    corr = correlation_matrix(geom, isotropic_profile())
-    report = dof_report(corr.R, eta)
-    spec_rows = [(label, i + 1, v) for i, v in enumerate(report.eigen_spectrum)]
-    summary = (label, geom.num_elements, eta, report.effective_rank)
-    return spec_rows, summary
+def _eigen_tables(cases) -> dict:
+    """Isotropic eigen-spectra and ranks of (spacing_frac, geometry, dof formula) cases."""
+    spec_rows, summaries = [], []
+    for frac, geom, eta in cases:
+        report = dof_report(correlation_matrix(geom, isotropic_profile()).R, eta)
+        spec_rows.extend((repr(frac), i + 1, v) for i, v in enumerate(report.eigen_spectrum))
+        summaries.append((repr(frac), geom.num_elements, eta, report.effective_rank))
+    return {"eigenvalues.csv": (["spacing_frac", "index", "normalized_eigenvalue"], spec_rows),
+            "dof_summary.csv": (["spacing_frac", "num_antennas", "dof_formula",
+                                 "effective_rank"], summaries)}
 
 
-def run_fig6_ula(cfg, seed, run_dir, svg):
+def run_fig6_ula(cfg, seed):
     lam = cfg["wavelength"]
     n = int(cfg["n"])
-    spec_rows, summaries = [], []
-    for frac in [float(f) for f in _as_list(cfg["spacing_fracs"])]:
-        geom = build_ula(n, frac * lam, lam)
-        rows, summary = _eigen_rows(repr(frac), geom, dof_1d(n * frac * lam, lam))
-        spec_rows.extend(rows)
-        summaries.append(summary)
-    write_csv(run_dir / "eigenvalues.csv",
-              ["spacing_frac", "index", "normalized_eigenvalue"], spec_rows)
-    write_csv(run_dir / "dof_summary.csv",
-              ["spacing_frac", "num_antennas", "dof_formula", "effective_rank"],
-              summaries)
-    return ["eigenvalues.csv", "dof_summary.csv"], []
+    cases = ((frac, build_ula(n, frac * lam, lam), dof_1d(n * frac * lam, lam))
+             for frac in [float(f) for f in _as_list(cfg["spacing_fracs"])])
+    return _eigen_tables(cases), [], {}
 
 
-def run_fig6_upa(cfg, seed, run_dir, svg):
+def run_fig6_upa(cfg, seed):
     lam = cfg["wavelength"]
     n = int(cfg["n"])
     frac = float(cfg["spacing_frac"])
     geom = build_upa(n, n, frac * lam, frac * lam, lam)
     eta = dof_2d(n * frac * lam, n * frac * lam, lam).eta
-    spec_rows, summary = _eigen_rows(repr(frac), geom, eta)
-    write_csv(run_dir / "eigenvalues.csv",
-              ["spacing_frac", "index", "normalized_eigenvalue"], spec_rows)
-    write_csv(run_dir / "dof_summary.csv",
-              ["spacing_frac", "num_antennas", "dof_formula", "effective_rank"],
-              [summary])
-    return ["eigenvalues.csv", "dof_summary.csv"], []
+    return _eigen_tables([(frac, geom, eta)]), [], {}
 
 
-def run_fig9(cfg, seed, run_dir, svg):
+def _three_clusters(std_deg: float):
+    """Gaussian clusters at azimuth 0 and +-pi/4 on the horizon (Figs. 9, 10)."""
+    return gaussian_cluster_profile([(0.0, 0.0), (np.pi / 4, 0.0), (-np.pi / 4, 0.0)],
+                                    np.deg2rad(std_deg))
+
+
+def run_fig9(cfg, seed):
     lam = cfg["wavelength"]
     n = int(cfg["n"])
     geom = build_upa(n, n, cfg["spacing_frac"] * lam, cfg["spacing_frac"] * lam, lam)
@@ -400,12 +383,8 @@ def run_fig9(cfg, seed, run_dir, svg):
     taus = [int(t) for t in _as_list(cfg["tau_values"])]
     trials = int(cfg["trials"])
     stream = RngStream(seed)
-    profiles = {
-        "isotropic": isotropic_profile(),
-        "clustered": gaussian_cluster_profile(
-            [(0.0, 0.0), (np.pi / 4, 0.0), (-np.pi / 4, 0.0)],
-            np.deg2rad(cfg["cluster_std_deg"])),
-    }
+    profiles = {"isotropic": isotropic_profile(),
+                "clustered": _three_clusters(cfg["cluster_std_deg"])}
     rows, notes = [], []
     for pi, (name, profile) in enumerate(profiles.items()):
         corr = correlation_matrix(geom, profile)
@@ -421,20 +400,14 @@ def run_fig9(cfg, seed, run_dir, svg):
                          stream=stream.split(100 + 10 * pi + 5), corr=corr)
         rows.append((rank, "mmse-at-rank", res[0].nmse, res[0].stderr, name))
         notes.append(f"{name}: numerical rank (eig > 1e-6 max) = {rank}")
-    write_csv(run_dir / "nmse_vs_tau.csv",
-              ["tau_p", "estimator", "nmse", "stderr", "profile"], rows)
-    if svg:
-        series = {}
-        for name in profiles:
-            for est in ("ls", "mmse"):
-                pts = [(r[0], r[2]) for r in rows if r[4] == name and r[1] == est]
-                series[f"{name}/{est}"] = ([p_[0] for p_ in pts], [p_[1] for p_ in pts])
-        write_svg(run_dir / "nmse_vs_tau.svg", "NMSE vs pilot length", "tau_p", "NMSE",
-                  series, logy=True)
-    return ["nmse_vs_tau.csv"], notes
+    tables = {"nmse_vs_tau.csv": (["tau_p", "estimator", "nmse", "stderr", "profile"], rows)}
+    series = {f"{name}/{est}": _cols([r for r in rows if r[4] == name and r[1] == est], 0, 2)
+              for name in profiles for est in ("ls", "mmse")}
+    plots = {"nmse_vs_tau.svg": ("NMSE vs pilot length", "tau_p", "NMSE", series, True)}
+    return tables, notes, plots
 
 
-def run_fig10(cfg, seed, run_dir, svg):
+def run_fig10(cfg, seed):
     lam = cfg["wavelength"]
     n = int(cfg["n"])
     m = n * n
@@ -442,12 +415,10 @@ def run_fig10(cfg, seed, run_dir, svg):
     p = 1.0
     trials = int(cfg["trials"])
     stream = RngStream(seed)
+    profile = _three_clusters(cfg["cluster_std_deg"])
     rows = []
     for fi, frac in enumerate([float(f) for f in _as_list(cfg["spacing_fracs"])]):
         geom = build_upa(n, n, frac * lam, frac * lam, lam)
-        profile = gaussian_cluster_profile(
-            [(0.0, 0.0), (np.pi / 4, 0.0), (-np.pi / 4, 0.0)],
-            np.deg2rad(cfg["cluster_std_deg"]))
         corr = correlation_matrix(geom, profile)
         sigma2 = p * float(np.trace(corr.R).real) / (m * snr)
         subspace = isotropic_subspace(geom)
@@ -462,17 +433,13 @@ def run_fig10(cfg, seed, run_dir, svg):
                              corr=corr, pilot_stream=stream.split(11), **extra)
             label = est if tau == m else f"{est}-rbar"
             rows.append((frac, label, tau, res[0].nmse, res[0].stderr))
-    write_csv(run_dir / "nmse_vs_spacing.csv",
-              ["spacing_frac", "estimator", "tau_p", "nmse", "stderr"], rows)
-    if svg:
-        labels = sorted({r[1] for r in rows})
-        series = {}
-        for lab in labels:
-            pts = [(r[0], r[3]) for r in rows if r[1] == lab]
-            series[lab] = ([p_[0] for p_ in pts], [p_[1] for p_ in pts])
-        write_svg(run_dir / "nmse_vs_spacing.svg", "NMSE vs spacing", "spacing/lambda",
-                  "NMSE", series, logy=True)
-    return ["nmse_vs_spacing.csv"], []
+    tables = {"nmse_vs_spacing.csv": (
+        ["spacing_frac", "estimator", "tau_p", "nmse", "stderr"], rows)}
+    series = {lab: _cols([r for r in rows if r[1] == lab], 0, 3)
+              for lab in sorted({r[1] for r in rows})}
+    plots = {"nmse_vs_spacing.svg": ("NMSE vs spacing", "spacing/lambda", "NMSE",
+                                     series, True)}
+    return tables, [], plots
 
 
 def _sparse_sampler(geom, dictionary, sparsity, on_grid, angle_limit):
@@ -498,7 +465,7 @@ def _sparse_sampler(geom, dictionary, sparsity, on_grid, angle_limit):
     return sampler
 
 
-def run_fig11(cfg, seed, run_dir, svg):
+def run_fig11(cfg, seed):
     lam = cfg["wavelength"]
     n = int(cfg["n"])
     frac = float(cfg["spacing_frac"])
@@ -526,18 +493,16 @@ def run_fig11(cfg, seed, run_dir, svg):
                          sampler=sampler, trace_r=float(m),
                          pilot_stream=stream.split(13), **extra)
         rows.extend((est, r.tau, r.nmse, r.stderr) for r in res)
-    write_csv(run_dir / "nmse_omp.csv", ["estimator", "tau_p", "nmse", "stderr"], rows)
+    tables = {"nmse_omp.csv": (["estimator", "tau_p", "nmse", "stderr"], rows)}
     notes = [f"dictionary atoms: {dictionary.num_atoms}", f"isotropic subspace dim: {rbar}"]
-    if svg:
-        labels = sorted({r[0] for r in rows})
-        series = {lab: ([r[1] for r in rows if r[0] == lab],
-                        [r[2] for r in rows if r[0] == lab]) for lab in labels}
-        write_svg(run_dir / "nmse_omp.svg", "NMSE vs pilot length (sparse)", "tau_p",
-                  "NMSE", series, logy=True)
-    return ["nmse_omp.csv"], notes
+    series = {lab: _cols([r for r in rows if r[0] == lab], 1, 2)
+              for lab in sorted({r[0] for r in rows})}
+    plots = {"nmse_omp.svg": ("NMSE vs pilot length (sparse)", "tau_p", "NMSE",
+                              series, True)}
+    return tables, notes, plots
 
 
-def run_bbu(cfg, seed, run_dir, svg):
+def run_bbu(cfg, seed):
     cases = [
         (10.0, 1e8, 16, 3e9),
         (10.0, 1e9, 16, 3e10),
@@ -545,18 +510,16 @@ def run_bbu(cfg, seed, run_dir, svg):
          float(cfg["carrier"])),
     ]
     rows = [(a, b, bits, fc, bbu_rate(a, b, bits, fc)) for a, b, bits, fc in cases]
-    write_csv(run_dir / "bbu_rate.csv",
-              ["area_m2", "bandwidth_hz", "bits_per_sample", "carrier_hz", "rate_bit_s"],
-              rows)
-    chain_rows = [(float(cfg["area"]), tau, float(cfg["chain_density"]),
-                   active_rf_chains(float(cfg["area"]), tau, float(cfg["chain_density"])))
+    area, density = float(cfg["area"]), float(cfg["chain_density"])
+    chain_rows = [(area, tau, density, active_rf_chains(area, tau, density))
                   for tau in [float(t) for t in _as_list(cfg["tau_values"])]]
-    write_csv(run_dir / "active_chains.csv",
-              ["area_m2", "active_fraction", "chains_per_m2", "chains"], chain_rows)
-    return ["bbu_rate.csv", "active_chains.csv"], []
+    return {"bbu_rate.csv": (["area_m2", "bandwidth_hz", "bits_per_sample", "carrier_hz",
+                              "rate_bit_s"], rows),
+            "active_chains.csv": (["area_m2", "active_fraction", "chains_per_m2", "chains"],
+                                  chain_rows)}, [], {}
 
 
-def run_circuit_demo(cfg, seed, run_dir, svg):
+def run_circuit_demo(cfg, seed):
     lam = cfg["wavelength"]
     n_tx, n_rx = int(cfg["n_tx"]), int(cfg["n_rx"])
     tx = build_ula(n_tx, cfg["spacing_frac"] * lam, lam)
@@ -580,10 +543,9 @@ def run_circuit_demo(cfg, seed, run_dir, svg):
         ("noise_cov_min_eig", float(np.linalg.eigvalsh(Rn).min())),
         ("noise_cov_trace", float(np.trace(Rn).real)),
     ]
-    write_csv(run_dir / "circuit_summary.csv", ["quantity", "value"], rows)
     notes = [f"LNA params: R_v={lna.R_v} ohm, G_i={lna.G_i} S, beta={lna.beta}, "
              f"T={lna.temperature} K (configuration values)"]
-    return ["circuit_summary.csv"], notes
+    return {"circuit_summary.csv": (["quantity", "value"], rows)}, notes, {}
 
 
 _EXPERIMENTS: dict[str, tuple] = {
@@ -701,7 +663,7 @@ def list_experiments() -> str:
 def run(experiment: str, config: dict | None = None, seed: int = 0,
         trials: int | None = None, out: str | Path = "runs",
         svg: bool = False) -> Path:
-    """Run one experiment; returns the run directory containing CSVs + manifest."""
+    """Run one experiment; the one writer of its CSVs, SVGs (`svg`) and manifest."""
     if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"run 'umm list-experiments'")
@@ -713,10 +675,15 @@ def run(experiment: str, config: dict | None = None, seed: int = 0,
         else:
             overrides["trials"] = trials
     cfg = resolve_config(schema, overrides)
+    tables, notes, plots = fn(cfg, seed)
     run_dir = Path(out) / experiment / f"seed-{seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    csv_files, notes = fn(cfg, seed, run_dir, svg)
-    write_manifest(run_dir, experiment, seed, cfg, csv_files, notes)
+    for name, (header, rows) in tables.items():
+        write_csv(run_dir / name, header, rows)
+    if svg:
+        for name, spec in plots.items():
+            write_svg(run_dir / name, *spec)
+    write_manifest(run_dir, experiment, seed, cfg, list(tables), notes)
     return run_dir
 
 
@@ -754,20 +721,13 @@ def main(argv=None) -> int:
 
 def _parse_extra_flags(extra: list[str]) -> dict:
     out = {}
-    i = 0
-    while i < len(extra):
+    for i in range(0, len(extra), 2):
         token = extra[i]
         if not token.startswith("--"):
             raise ConfigError(f"unexpected argument {token!r}")
-        key = token[2:]
         if i + 1 >= len(extra):
-            raise ConfigError(f"flag --{key} needs a value")
-        value = extra[i + 1]
-        if "," in value:
-            out[key] = [_parse_scalar(v) for v in value.split(",") if v.strip()]
-        else:
-            out[key] = _parse_scalar(value)
-        i += 2
+            raise ConfigError(f"flag {token} needs a value")
+        out[token[2:]] = _parse_value(extra[i + 1])
     return out
 
 

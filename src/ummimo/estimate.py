@@ -362,6 +362,8 @@ def nmse_sweep(estimator: str, tau_values, *, power: float, noise_power: float,
         raise ConfigError("omp needs a dictionary and sparsity")
     if corr is None and (sampler is None or trace_r is None):
         raise ConfigError("need corr, or an explicit sampler with trace_r")
+    if trials < 2:
+        raise ConfigError(f"trials must be at least 2 for a standard error, got {trials}")
 
     if sampler is None:
         sampler = lambda s: sample_rayleigh(corr, s)

@@ -3,6 +3,8 @@ import inspect
 
 import pytest
 
+import ummimo
+
 LAYERS = ["numerics", "geometry", "fields", "channel", "beam", "dof",
           "estimate", "mux", "circuit"]
 
@@ -18,3 +20,11 @@ def test_all_lists_public_definitions(layer):
                and obj.__module__ == module.__name__}
     assert len(module.__all__) == len(set(module.__all__))
     assert set(module.__all__) == defined
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_package_exports_layer_api(layer):
+    # every public name of a layer is importable from the package itself
+    module = importlib.import_module(f"ummimo.{layer}")
+    missing = [name for name in module.__all__ if not hasattr(ummimo, name)]
+    assert missing == []

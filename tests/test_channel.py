@@ -196,6 +196,12 @@ class TestSampleRayleigh:
         assert not (w.flags.writeable or U.flags.writeable)
         assert np.all(np.diff(w) <= 0)
         assert np.allclose((U * w) @ U.conj().T, corr.R, atol=1e-12)
+        # the Rayleigh factor R^{1/2} = U sqrt(w) and U^H are built once too
+        root, Uh = corr._rayleigh_factor
+        assert corr._rayleigh_factor is corr._rayleigh_factor
+        assert not (root.flags.writeable or Uh.flags.writeable)
+        assert np.array_equal(Uh, U.conj().T)
+        assert np.allclose(root @ root.conj().T, corr.R, atol=1e-12)
         # a bare matrix draws the same channel as its SpatialCorrelation
         assert np.array_equal(sample_rayleigh(corr, RngStream(5)),
                               sample_rayleigh(corr.R, RngStream(5)))

@@ -146,6 +146,44 @@ class TestAllExperimentsRun:
         "bbu": {},
         "circuit-demo": {"n_tx": 4, "n_rx": 2},
     }
+    # each experiment's CSVs in manifest order, with their header rows, and
+    # the SVGs it writes under --svg
+    EIGEN = {"eigenvalues.csv": ["spacing_frac", "index", "normalized_eigenvalue"],
+             "dof_summary.csv": ["spacing_frac", "num_antennas", "dof_formula",
+                                 "effective_rank"]}
+    LAYOUT = {
+        "nf-factor": ({"nf_factor.csv": ["z_over_lambda", "factor"]}, ["nf_factor.svg"]),
+        "aperture-gain": ({"aperture_gain.csv": ["z_over_lambda", "gain_ratio_full",
+                                                 "gain_ratio_subdivided"]},
+                          ["aperture_gain.svg"]),
+        "beam": ({"beam_depth.csv": ["focus_m", "d_fraunhofer_m", "bd_analytic_m",
+                                     "bd_numeric_m", "z_near_m", "z_far_m"],
+                  "beam_taper.csv": ["phi_rad", "array_gain"]}, ["beam_taper.svg"]),
+        "fig4-mu": ({"mu_mimo_se.csv": ["num_ues", "sum_se_exact",
+                                        "sum_se_farfield_mismatch", "min_margin"]},
+                    ["mu_mimo_se.svg"]),
+        "fig5-su": ({"su_mimo_se.csv": ["tx_spacing_m", "se_waterfilling", "sv_ratio_exact",
+                                        "sv_ratio_fresnel"]}, ["su_mimo_se.svg"]),
+        "fig6-ula": (EIGEN, []),
+        "fig6-upa": (EIGEN, []),
+        "fig9": ({"nmse_vs_tau.csv": ["tau_p", "estimator", "nmse", "stderr", "profile"]},
+                 ["nmse_vs_tau.svg"]),
+        "fig10": ({"nmse_vs_spacing.csv": ["spacing_frac", "estimator", "tau_p", "nmse",
+                                           "stderr"]}, ["nmse_vs_spacing.svg"]),
+        "fig11": ({"nmse_omp.csv": ["estimator", "tau_p", "nmse", "stderr"]},
+                  ["nmse_omp.svg"]),
+        "bbu": ({"bbu_rate.csv": ["area_m2", "bandwidth_hz", "bits_per_sample", "carrier_hz",
+                                  "rate_bit_s"],
+                 "active_chains.csv": ["area_m2", "active_fraction", "chains_per_m2",
+                                       "chains"]}, []),
+        "circuit-demo": ({"circuit_summary.csv": ["quantity", "value"]}, []),
+    }
+
+    @pytest.fixture(scope="class")
+    def svg_runs(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("small")
+        return {exp: run(exp, seed=1, out=out, config=self.SMALL[exp], svg=True)
+                for exp in sorted(REQUIRED_IDS)}
 
     @pytest.mark.parametrize("exp", sorted(REQUIRED_IDS))
     def test_runs_and_writes_manifest(self, exp, tmp_path):
@@ -154,6 +192,23 @@ class TestAllExperimentsRun:
         for name in manifest["csv_files"]:
             header, rows = _read_csv(d / name)
             assert header and rows
+
+    @pytest.mark.parametrize("exp", sorted(REQUIRED_IDS))
+    def test_output_layout(self, exp, svg_runs):
+        d = svg_runs[exp]
+        headers, svgs = self.LAYOUT[exp]
+        manifest = json.loads((d / "manifest.json").read_text())
+        assert manifest["csv_files"] == list(headers)
+        assert sorted(f.name for f in d.glob("*.csv")) == sorted(headers)
+        assert sorted(f.name for f in d.glob("*.svg")) == sorted(svgs)
+        for name, header in headers.items():
+            assert _read_csv(d / name)[0] == header
+
+    def test_notes_print_plain_numbers(self, svg_runs):
+        # a numpy scalar formatted with !r would leak "np.float64(...)"
+        for exp, d in svg_runs.items():
+            notes = json.loads((d / "manifest.json").read_text())["notes"]
+            assert not [note for note in notes if "np." in note], exp
 
 
 class TestMainEntry:
@@ -164,6 +219,8 @@ class TestMainEntry:
         # domain violation: negative distances in the sweep
         code = main(["nf-factor", "--out", str(tmp_path), "--z_min_lam", "-5"])
         assert code == 3
+        # one Monte-Carlo trial has no standard error
+        assert main(["fig9", "--out", str(tmp_path), "--trials", "1", "--n", "2"]) == 2
 
     def test_cli_flag_override(self, tmp_path):
         code = main(["bbu", "--out", str(tmp_path), "--seed", "4",

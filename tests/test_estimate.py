@@ -422,6 +422,13 @@ class TestNmseSweep:
             nmse_sweep("kalman", [4], power=1.0, noise_power=0.1, trials=2,
                        stream=RngStream(0), corr=self.corr)
 
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_fewer_than_two_trials_rejected(self, trials):
+        # one trial has no sample standard deviation: stderr would be nan
+        with pytest.raises(ConfigError, match="trials"):
+            nmse_sweep("ls", [4], power=1.0, noise_power=0.1, trials=trials,
+                       stream=RngStream(0), corr=self.corr)
+
     def test_ls_matches_analytic(self):
         p, snr = 1.0, 10.0
         tr = float(np.trace(self.corr.R).real)
