@@ -32,18 +32,6 @@ __all__ = [
     "gaussian_cluster_profile",
 ]
 
-# reference grid used to normalize cluster densities; finer than the default
-# working grid so renormalization stays within 1e-4 on any reasonable grid
-_REFERENCE_GRID: QuadratureGrid | None = None
-
-
-def _reference_grid() -> QuadratureGrid:
-    global _REFERENCE_GRID
-    if _REFERENCE_GRID is None:
-        _REFERENCE_GRID = hemisphere_grid(360, 180)
-    return _REFERENCE_GRID
-
-
 @dataclass(frozen=True)
 class ScatteringProfile:
     """Normalized angular scattering density with average channel gain beta.
@@ -140,7 +128,9 @@ def gaussian_cluster_profile(centers, std: float, beta: float = 1.0,
             out += w * np.exp(-((az - ca) ** 2 + (el - ce) ** 2) / (2.0 * std ** 2))
         return out
 
-    ref = _reference_grid()
+    # normalize on a grid finer than the default working grid, so the
+    # renormalization stays within 1e-4 on any reasonable grid
+    ref = hemisphere_grid(360, 180)
     norm = float(np.real(ref.integrate(unnormalized(ref.azimuth, ref.elevation))))
     return ScatteringProfile(
         kind="gaussian-clusters",

@@ -116,6 +116,10 @@ def ls_estimate(y: np.ndarray, pilot: PilotMatrix) -> np.ndarray:
     square invertible pilots and extends to tau_p < M (then only the row
     space of phi is estimated).  A rank-deficient pilot with tau_p >= M
     degrades to the pseudo-inverse with a warning.
+
+    y is one received pilot (tau_p,) or a batch (tau_p, T) with one pilot
+    per column; the estimate is then (M,) or (M, T).  The map is linear, so
+    a batch gives the column-wise estimates and checks the pilot once.
     """
     phi = pilot.phi
     s = np.linalg.svd(phi, compute_uv=False)
@@ -147,6 +151,10 @@ def mmse_estimate(y: np.ndarray, pilot: PilotMatrix,
     hhat = sqrt(p) R phi^H (p phi R phi^H + sigma^2 I)^{-1} y;
     MSE = tr(R) - tr(p R phi^H (p phi R phi^H + sigma^2 I)^{-1} phi R).
     Returns (estimate, analytic_mse).
+
+    y is (tau_p,) or a batch (tau_p, T), one received pilot per column; the
+    estimate is then (M,) or (M, T), and the analytic MSE, which depends on
+    the pilot alone, is the same either way.
     """
     R = _as_correlation(corr).R
     W = _mmse_gain(R, pilot)
@@ -185,7 +193,8 @@ def rsls_estimate(y: np.ndarray, pilot: PilotMatrix, subspace: np.ndarray) -> np
 
     subspace is M x r with orthonormal columns and tau_p >= r.  Noise in the
     orthogonal complement is removed entirely; the estimate always lies in
-    the subspace.
+    the subspace.  y is (tau_p,) or a batch (tau_p, T), one received pilot
+    per column; the estimate is then (M,) or (M, T).
     """
     U = np.asarray(subspace, dtype=complex)
     r = U.shape[1]
@@ -290,6 +299,12 @@ def omp_estimate(y: np.ndarray, pilot: PilotMatrix, dictionary: Dictionary,
     selection, and synthesizes the M-vector estimate.  Runs exactly
     `sparsity` iterations unless residual_threshold stops it early.
     Returns (estimate, selected_indices).
+
+    y is (tau_p,) or a batch (tau_p, T) with one received pilot per column.
+    The sensing matrix and its column norms are formed once per call; the
+    greedy loop and residual_threshold then act on each column alone, so a
+    batch returns the (M, T) estimates and a list of T selections, equal to
+    T separate calls.
     """
     if sparsity < 1:
         raise ContractError("sparsity must be >= 1")
@@ -297,24 +312,33 @@ def omp_estimate(y: np.ndarray, pilot: PilotMatrix, dictionary: Dictionary,
         raise ContractError("sparsity exceeds the dictionary size")
     if pilot.tau < sparsity:
         raise ContractError("tau_p must be >= the sparsity level")
+    y = np.asarray(y, dtype=complex)
     A = np.sqrt(pilot.power) * (pilot.phi @ dictionary.atoms)
+    Ah = A.conj().T
     norms = np.linalg.norm(A, axis=0)
     norms[norms == 0] = 1.0
-    selected: list[int] = []
-    residual = np.asarray(y, dtype=complex).copy()
-    coef = np.zeros(0, dtype=complex)
-    for _ in range(sparsity):
-        corr = np.abs(A.conj().T @ residual) / norms
-        if selected:
-            corr[selected] = -1.0
-        selected.append(int(np.argmax(corr)))  # argmax takes the lowest index on ties
-        As = A[:, selected]
-        coef, *_ = np.linalg.lstsq(As, y, rcond=None)
-        residual = y - As @ coef
-        if residual_threshold is not None and np.linalg.norm(residual) <= residual_threshold:
-            break
-    estimate = dictionary.atoms[:, selected] @ coef
-    return estimate, selected
+    columns = np.ascontiguousarray(y.reshape(len(y), -1).T)
+    estimates = np.empty((dictionary.atoms.shape[0], len(columns)), dtype=complex)
+    selections: list[list[int]] = []
+    for t, yt in enumerate(columns):
+        selected: list[int] = []
+        residual = yt
+        coef = np.zeros(0, dtype=complex)
+        for _ in range(sparsity):
+            corr = np.abs(Ah @ residual) / norms
+            if selected:
+                corr[selected] = -1.0
+            selected.append(int(np.argmax(corr)))  # argmax takes the lowest index on ties
+            As = A[:, selected]
+            coef, *_ = np.linalg.lstsq(As, yt, rcond=None)
+            residual = yt - As @ coef
+            if residual_threshold is not None and np.linalg.norm(residual) <= residual_threshold:
+                break
+        estimates[:, t] = dictionary.atoms[:, selected] @ coef
+        selections.append(selected)
+    if y.ndim == 1:
+        return estimates[:, 0], selections[0]
+    return estimates, selections
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +375,11 @@ def nmse_sweep(estimator: str, tau_values, *, power: float, noise_power: float,
     optimal subspace pilots for RS-LS, orthonormal rows otherwise).
     Deterministic for a fixed master stream: trial t at sweep index i uses
     substream (i * trials + t + 1).
+
+    At each pilot length the trials are drawn first, as the columns of an
+    M x trials channel batch and a tau_p x trials pilot batch, and the
+    estimator then runs once on the whole batch, so its pilot checks run
+    once per sweep point.  Memory is O(M * trials).
     """
     if estimator not in _ESTIMATORS:
         raise ConfigError(f"unknown estimator {estimator!r}; expected one of {_ESTIMATORS}")
@@ -387,20 +416,21 @@ def nmse_sweep(estimator: str, tau_values, *, power: float, noise_power: float,
             pilot = rsls_pilot(subspace, tau, power, noise_power)
         else:
             pilot = orthogonal_pilot(m, tau, power, noise_power, pilot_stream)
-        errs = np.empty(trials)
+        H = np.empty((m, trials), dtype=complex)
+        Y = np.empty((tau, trials), dtype=complex)
         for t in range(trials):
             sub = stream.split(i * trials + t + 1)
             h = sampler(sub.split(2 ** 40 + sub.stream))
-            y = received_pilot(pilot, h, sub)
-            if estimator == "ls":
-                hh = ls_estimate(y, pilot)
-            elif estimator == "mmse":
-                hh, _ = mmse_estimate(y, pilot, corr)
-            elif estimator == "rs-ls":
-                hh = rsls_estimate(y, pilot, subspace)
-            else:
-                hh, _ = omp_estimate(y, pilot, dictionary, sparsity)
-            errs[t] = np.linalg.norm(hh - h) ** 2
+            H[:, t], Y[:, t] = h, received_pilot(pilot, h, sub)
+        if estimator == "ls":
+            Hh = ls_estimate(Y, pilot)
+        elif estimator == "mmse":
+            Hh, _ = mmse_estimate(Y, pilot, corr)
+        elif estimator == "rs-ls":
+            Hh = rsls_estimate(Y, pilot, subspace)
+        else:
+            Hh, _ = omp_estimate(Y, pilot, dictionary, sparsity)
+        errs = np.linalg.norm(Hh - H, axis=0) ** 2
         nmse = errs.mean() / trace_r
         stderr = errs.std(ddof=1) / np.sqrt(trials) / trace_r
         results.append(EstimatorResult(estimator, tau, float(nmse), float(stderr), trials))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -79,15 +80,28 @@ class QuadratureGrid:
         return (values * self.weights).sum()
 
 
-def hemisphere_grid(n_azimuth: int = 180, n_elevation: int = 90) -> QuadratureGrid:
-    """Gauss-Legendre grid over the front hemisphere az, el in [-pi/2, pi/2]."""
+@lru_cache(maxsize=16)
+def _hemisphere_nodes(n_azimuth: int, n_elevation: int):
+    """Flat (azimuth, elevation, weights) of hemisphere_grid, computed once
+    per size and read-only, because every grid of that size shares them."""
     xa, wa = leggauss(n_azimuth)
     xe, we = leggauss(n_elevation)
     az = xa * (np.pi / 2)
     el = xe * (np.pi / 2)
     AZ, EL = np.meshgrid(az, el, indexing="ij")
     W = np.outer(wa, we) * (np.pi / 2) ** 2 * np.cos(EL)
-    return QuadratureGrid(AZ.ravel(), EL.ravel(), W.ravel())
+    nodes = AZ.ravel(), EL.ravel(), W.ravel()
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
+def hemisphere_grid(n_azimuth: int = 180, n_elevation: int = 90) -> QuadratureGrid:
+    """Gauss-Legendre grid over the front hemisphere az, el in [-pi/2, pi/2].
+
+    The nodes and weights are cached per size and shared read-only.
+    """
+    return QuadratureGrid(*_hemisphere_nodes(n_azimuth, n_elevation))
 
 
 def sphere_grid(n_azimuth: int = 360, n_elevation: int = 90) -> QuadratureGrid:

@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from ummimo import estimate
 from ummimo.errors import ConfigError, ContractError
-from ummimo.channel import (correlation_matrix, gaussian_cluster_profile,
-                            isotropic_profile, sample_rayleigh)
+from ummimo.channel import (SpatialCorrelation, correlation_matrix,
+                            gaussian_cluster_profile, isotropic_profile,
+                            sample_rayleigh)
 from ummimo.estimate import (Dictionary, PilotMatrix, build_ff_dictionary,
                              isotropic_subspace, ls_estimate, mmse_estimate,
                              mmse_pilot_design, nmse_sweep, omp_estimate,
@@ -15,6 +17,21 @@ from ummimo.geometry import build_ula, build_upa
 from ummimo.numerics import RngStream, complex_gaussian
 
 LAM = 0.01
+
+
+def _batch(tau, trials, seed):
+    """tau x trials matrix of CN(0, 1) received pilots, one per column."""
+    return np.stack([complex_gaussian(tau, RngStream(seed, t)) for t in range(trials)],
+                    axis=1)
+
+
+def _assert_columnwise(estimator, y):
+    """estimator(y) equals estimator(y_t) in every column t, to float rounding."""
+    est = estimator(y)
+    assert est.shape[1] == y.shape[1]
+    for t in range(y.shape[1]):
+        col = estimator(np.ascontiguousarray(y[:, t]))
+        assert np.linalg.norm(est[:, t] - col) <= 1e-12 * np.linalg.norm(col)
 
 
 def _rand_psd(m, seed, rank=None):
@@ -107,12 +124,24 @@ class TestLsEstimate:
         stderr = errs.std(ddof=1) / np.sqrt(trials)
         assert abs(errs.mean() - expected) < 3 * stderr
 
-    def test_rank_deficient_warns(self):
+    def test_rank_deficient_warns(self, monkeypatch):
         phi = np.vstack([np.ones((1, 3)), np.ones((3, 3))]) / 2.0
         phi *= np.sqrt(4 / np.sum(np.abs(phi) ** 2))
         pilot = PilotMatrix(phi, 1.0, 0.1)
         with pytest.warns(RuntimeWarning):
             ls_estimate(np.zeros(4, dtype=complex), pilot)
+        # through a sweep the check still runs, once per sweep point
+        monkeypatch.setattr(estimate, "orthogonal_pilot", lambda *args: pilot)
+        with pytest.warns(RuntimeWarning, match="rank-deficient") as record:
+            nmse_sweep("ls", [4, 4], power=1.0, noise_power=0.1, trials=5,
+                       stream=RngStream(0), corr=SpatialCorrelation(np.eye(3), 1.0))
+        assert sum("rank-deficient" in str(w.message) for w in record) == 2
+
+    def test_batch_equals_columnwise(self):
+        rng = np.random.default_rng(8)
+        phi = rng.standard_normal((10, 6)) + 1j * rng.standard_normal((10, 6))
+        pilot = PilotMatrix(phi * np.sqrt(10 / np.sum(np.abs(phi) ** 2)), 2.0, 0.3)
+        _assert_columnwise(lambda y: ls_estimate(y, pilot), _batch(10, 7, 9))
 
 
 class TestMmseEstimate:
@@ -140,6 +169,14 @@ class TestMmseEstimate:
         with pytest.warns(RuntimeWarning):
             hhat, _ = mmse_estimate(y, pilot, R)
         assert np.all(np.isfinite(hhat))
+
+    def test_batch_equals_columnwise(self):
+        R = _rand_psd(8, 24)
+        pilot = mmse_pilot_design(R, 1.0, 0.4, 6)
+        y = _batch(6, 7, 25)
+        _assert_columnwise(lambda y: mmse_estimate(y, pilot, R)[0], y)
+        # the analytic MSE depends on the pilot alone
+        assert mmse_estimate(y, pilot, R)[1] == mmse_estimate(y[:, 0], pilot, R)[1]
 
     def test_analytic_mse_matches_monte_carlo(self):
         m, p, sigma2, trials = 16, 1.0, 0.4, 10 ** 4
@@ -278,6 +315,12 @@ class TestRsLs:
         outside = est - subspace @ (subspace.conj().T @ est)
         assert np.linalg.norm(outside) < 1e-10
 
+    def test_batch_equals_columnwise(self):
+        geom = build_ula(8, LAM / 4, LAM)
+        subspace = isotropic_subspace(geom)
+        pilot = rsls_pilot(subspace, 8, 1.0, 0.5)
+        _assert_columnwise(lambda y: rsls_estimate(y, pilot, subspace), _batch(8, 7, 103))
+
     def test_mixing_choice_immaterial(self):
         m, p, sigma2 = 8, 1.0, 0.5
         geom = build_ula(m, LAM / 4, LAM)
@@ -401,6 +444,23 @@ class TestOmp:
         assert sel == [idx]
         assert np.linalg.norm(est - h) < 1e-8 * np.linalg.norm(h)
 
+    def test_batch_equals_single_calls(self):
+        # column 0 is one atom and stops after one selection under the
+        # threshold; column 1 is noise and runs all three
+        pilot = orthogonal_pilot(self.m, 32, 10.0, 0.0, stream=RngStream(501))
+        h = self.dict.atoms[:, _find_atom(self.dict, 0.3, 0.1)]
+        y = np.stack([received_pilot(pilot, h, RngStream(0)),
+                      complex_gaussian(32, RngStream(502))], axis=1)
+        threshold = 1e-8 * np.linalg.norm(y[:, 0])
+        est, sel = omp_estimate(y, pilot, self.dict, 3, residual_threshold=threshold)
+        assert est.shape == (self.m, 2)
+        assert [len(s) for s in sel] == [1, 3]
+        for t in range(2):
+            e1, s1 = omp_estimate(y[:, t], pilot, self.dict, 3,
+                                  residual_threshold=threshold)
+            assert sel[t] == s1
+            assert np.linalg.norm(est[:, t] - e1) <= 1e-12 * np.linalg.norm(e1)
+
     def test_sparsity_bounds_checked(self):
         pilot = orthogonal_pilot(self.m, 2, 1.0, 0.1)
         with pytest.raises(ContractError):
@@ -428,6 +488,46 @@ class TestNmseSweep:
         with pytest.raises(ConfigError, match="trials"):
             nmse_sweep("ls", [4], power=1.0, noise_power=0.1, trials=trials,
                        stream=RngStream(0), corr=self.corr)
+
+    @pytest.mark.parametrize("est", ["ls", "mmse", "rs-ls", "omp"])
+    def test_batched_matches_per_trial_loop(self, est):
+        # oracle: the single-vector estimators on the same substreams
+        p, sigma2, trials = 1.0, 0.3, 30
+        subspace = isotropic_subspace(self.geom)
+        dictionary = build_ff_dictionary(self.geom, 1.0 / 8.0)
+        taus = [subspace.shape[1], self.m] if est == "rs-ls" else [4, self.m]
+        pilot_stream = RngStream(7)
+        stream = RngStream(15)
+        res = nmse_sweep(est, taus, power=p, noise_power=sigma2, trials=trials,
+                         stream=stream, corr=self.corr, subspace=subspace,
+                         dictionary=dictionary, sparsity=2, pilot_stream=pilot_stream)
+        tr = float(np.trace(self.corr.R).real)
+        for i, (tau, r) in enumerate(zip(taus, res)):
+            if est == "mmse":
+                pilot = mmse_pilot_design(self.corr, p, sigma2, tau)
+            elif est == "rs-ls":
+                pilot = rsls_pilot(subspace, tau, p, sigma2)
+            else:
+                pilot = orthogonal_pilot(self.m, tau, p, sigma2, pilot_stream)
+            errs = np.empty(trials)
+            for t in range(trials):
+                sub = stream.split(i * trials + t + 1)
+                h = sample_rayleigh(self.corr, sub.split(2 ** 40 + sub.stream))
+                y = received_pilot(pilot, h, sub)
+                if est == "ls":
+                    hh = ls_estimate(y, pilot)
+                elif est == "mmse":
+                    hh, _ = mmse_estimate(y, pilot, self.corr)
+                elif est == "rs-ls":
+                    hh = rsls_estimate(y, pilot, subspace)
+                else:
+                    hh, _ = omp_estimate(y, pilot, dictionary, 2)
+                errs[t] = np.linalg.norm(hh - h) ** 2
+            nmse = errs.mean() / tr
+            stderr = errs.std(ddof=1) / np.sqrt(trials) / tr
+            assert (r.estimator, r.tau, r.trials) == (est, tau, trials)
+            assert abs(r.nmse - nmse) <= 1e-12 * nmse
+            assert abs(r.stderr - stderr) <= 1e-12 * stderr
 
     def test_ls_matches_analytic(self):
         p, snr = 1.0, 10.0

@@ -134,6 +134,12 @@ class TestGrids:
         grid = hemisphere_grid()
         assert abs(grid.weights.sum() - 2 * np.pi) < 1e-10
 
+    def test_hemisphere_nodes_cached_read_only(self):
+        a, b = hemisphere_grid(), hemisphere_grid()
+        assert a.weights is b.weights and a.azimuth is b.azimuth
+        for arr in (a.azimuth, a.elevation, a.weights):
+            assert not arr.flags.writeable
+
     def test_sphere_measure(self):
         grid = sphere_grid()
         assert abs(grid.weights.sum() - 4 * np.pi) < 1e-10
