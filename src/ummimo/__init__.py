@@ -13,8 +13,9 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, ContractError, DomainError, SingularityError
 from .numerics import (QuadratureGrid, RngStream, complex_gaussian, fresnel_cs,
-                       hemisphere_grid, hermitian_eig, sinc, sphere_grid, svd)
-from .geometry import (ArrayGeometry, RegionBounds, build_ula, build_upa,
+                       hemisphere_grid, hermitian_eig, sinc, sphere_grid, svd,
+                       unit_directions)
+from .geometry import (ArrayGeometry, Lattice, RegionBounds, build_ula, build_upa,
                        fraunhofer_square, region_bounds)
 from .fields import (DipoleSegment, FieldSample, aperture_gain,
                      aperture_gain_subdivided, array_field, dipole_field,

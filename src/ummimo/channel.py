@@ -2,9 +2,17 @@
 
 Spatial correlation follows the geometric model R = beta * integral of
 f(az, el) s(az, el) s(az, el)^H over the front hemisphere, with f a density
-per steradian and s the far-field array response.  For coplanar arrays the
-isotropic hemisphere average coincides with the full-sphere Clarke
-correlation beta * sinc(2 d / lambda).
+per steradian and s the far-field array response.  correlation_matrix uses
+the structure it is given:
+
+* the profile that isotropic_profile() builds, on an array in one plane
+  z = const, has the exact closed form beta * sinc(2 |p_m - p_n| / lambda):
+  the hemisphere average equals the full-sphere Clarke correlation by up/down
+  symmetry, so no quadrature runs;
+* any other profile is integrated on a Gauss-Legendre grid that resolves the
+  aperture.  On a builder array (one with a Lattice) R[m, n] depends only on
+  the index lag, so one (2 N_x - 1) x (2 N_y - 1) lag table is filled and R
+  gathered from it; arrays built from caller positions form the dense sum.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 from .errors import ContractError, DomainError, SingularityError
 from .geometry import ArrayGeometry
 from .numerics import (QuadratureGrid, RngStream, complex_gaussian, hemisphere_grid,
-                       hermitian_eig)
+                       hermitian_eig, sinc, unit_directions)
 
 __all__ = [
     "ScatteringProfile",
@@ -90,13 +98,15 @@ def _as_correlation(corr: SpatialCorrelation | np.ndarray) -> SpatialCorrelation
     return SpatialCorrelation(R, float(np.trace(R).real) / R.shape[0])
 
 
+def _isotropic_density(az, el) -> np.ndarray:
+    """1/(2 pi) per steradian.  correlation_matrix recognises the isotropic
+    profile by the identity of this function, not by its kind string."""
+    return np.full_like(np.asarray(az, dtype=float), 1.0 / (2.0 * np.pi))
+
+
 def isotropic_profile(beta: float = 1.0) -> ScatteringProfile:
     """Uniform density 1/(2 pi) per steradian over the front hemisphere."""
-    return ScatteringProfile(
-        kind="isotropic-hemisphere",
-        beta=beta,
-        density=lambda az, el: np.full_like(np.asarray(az, dtype=float), 1.0 / (2.0 * np.pi)),
-    )
+    return ScatteringProfile(kind="isotropic-hemisphere", beta=beta, density=_isotropic_density)
 
 
 def gaussian_cluster_profile(centers, std: float, beta: float = 1.0,
@@ -152,20 +162,20 @@ def array_response(geom: ArrayGeometry, azimuth: float, elevation: float) -> np.
 def steering_matrix(geom: ArrayGeometry, azimuth: np.ndarray,
                     elevation: np.ndarray) -> np.ndarray:
     """Array responses for many directions at once, shape (Q, M)."""
-    az = np.asarray(azimuth, dtype=float)
-    el = np.asarray(elevation, dtype=float)
-    u = np.stack(
-        [np.sin(az) * np.cos(el), np.sin(el), np.cos(az) * np.cos(el)], axis=-1
-    )
+    u = unit_directions(azimuth, elevation)
     kappa = 2.0 * np.pi / geom.wavelength
     return np.exp(-1j * kappa * (u @ geom.positions.T))
 
 
-def _plane_z(geom: ArrayGeometry) -> float:
+def _is_planar_in_z(geom: ArrayGeometry) -> bool:
     zs = geom.positions[:, 2]
-    if np.ptp(zs) > 1e-12 * max(1.0, np.abs(zs).max()):
+    return bool(np.ptp(zs) <= 1e-12 * max(1.0, np.abs(zs).max()))
+
+
+def _plane_z(geom: ArrayGeometry) -> float:
+    if not _is_planar_in_z(geom):
         raise DomainError("geometry is not planar in z; broadside distance undefined")
-    return float(zs.mean())
+    return float(geom.positions[:, 2].mean())
 
 
 def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
@@ -209,26 +219,124 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
     return amp * np.exp(-2j * np.pi / lam * path)
 
 
+# Gauss-Legendre nodes per axis that resolve R for an aperture spanning
+# kappa * D_max radians of phase: _NODES_PER_RADIAN * kappa * D_max + _NODES_MIN.
+# In a convergence study (Gaussian clusters of 10 and 20 degrees and the
+# isotropic density, ULAs and UPAs with kappa * D_max from 16 to 399, against
+# 600- and 700-node references) 1e-12 relative needed at most kappa * D_max + 18
+# nodes per axis, and 49 for the smallest array, where the 10-degree clusters
+# rather than the aperture set the count.  The default grid never goes below
+# 180 x 90; see test_channel.TestGridResolution.
+_NODES_PER_RADIAN = 1.0
+_NODES_MIN = 40
+# complex entries of one quadrature chunk: memory is O(table + chunk)
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _nodes_needed(geom: ArrayGeometry) -> int:
+    """Nodes per axis for the aperture, from kappa * D_max, with D_max the
+    bounding-box diagonal: the largest separation of a lattice, an upper
+    bound on it otherwise."""
+    d_max = float(np.linalg.norm(np.ptp(geom.positions, axis=0)))
+    return int(np.ceil(_NODES_PER_RADIAN * 2.0 * np.pi * d_max / geom.wavelength)) + _NODES_MIN
+
+
+def _chunks(size: int, width: int):
+    step = max(1, _CHUNK_ENTRIES // width)
+    return (slice(s, s + step) for s in range(0, size, step))
+
+
+def _lag_table(geom: ArrayGeometry, grid: QuadratureGrid, g: np.ndarray | None,
+               beta: float) -> np.ndarray:
+    """T[l_x + N_x - 1, l_y + N_y - 1] = R between elements at index lag
+    (l_x, l_y) of a builder array, shape (2 N_x - 1, 2 N_y - 1).
+
+    g = f * w * beta at the grid nodes, or None for the isotropic closed form
+    beta * sinc(2 |l| / lambda).  Only the half-plane l_x >= 0 is built;
+    T[-l] = conj T[l] gives the rest, so R gathered from T is exactly
+    Hermitian.
+    """
+    n_x, n_y, dx, dy = geom.lattice
+    lam = geom.wavelength
+    lx = np.arange(n_x) * dx
+    ly = np.arange(n_y) * dy
+    if g is None:
+        d = np.hypot(lx[:, None], np.concatenate([ly[:0:-1], ly])[None, :])
+        half = beta * sinc(2.0 * d / lam) + 0j
+    else:
+        kappa = 2.0 * np.pi / lam
+        half = np.zeros((n_x, 2 * n_y - 1), dtype=complex)
+        for s in _chunks(grid.size, n_x + 2 * n_y - 1):
+            u = unit_directions(grid.azimuth[s], grid.elevation[s])
+            A = np.exp(-1j * kappa * np.outer(u[:, 0], lx))
+            B = np.exp(-1j * kappa * np.outer(u[:, 1], ly))  # l_y >= 0; conj for l_y < 0
+            half += (A.T * g[s]) @ np.concatenate([B[:, :0:-1].conj(), B], axis=1)
+        # the l_x = 0 row from its l_y >= 0 half, with a real centre
+        half[0, :n_y - 1] = half[0, :n_y - 1:-1].conj()
+        half[0, n_y - 1] = half[0, n_y - 1].real
+    return np.concatenate([half[:0:-1, ::-1].conj(), half])
+
+
+def _gather(geom: ArrayGeometry, T: np.ndarray) -> np.ndarray:
+    """R[m, n] = T at the index lag of elements m and n."""
+    n_x, n_y = geom.lattice.n_x, geom.lattice.n_y
+    ix, iy = np.divmod(np.arange(geom.num_elements), n_y)
+    k = ix * (2 * n_y - 1) + iy
+    return T.ravel()[np.subtract.outer(k, k) + (n_x - 1) * (2 * n_y - 1) + n_y - 1]
+
+
 def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
                        grid: QuadratureGrid | None = None) -> SpatialCorrelation:
     """Spatial correlation matrix of the angular scattering model.
 
-    R = beta * sum_q f_q w_q s_q s_q^H over the grid, symmetrized.  The
-    profile must integrate to 1 on the supplied grid (contract check at
-    1e-3); trace(R) then equals M beta to the same accuracy.
+    The profile must integrate to 1 on the grid (contract check at 1e-3);
+    trace(R) then equals M beta to the same accuracy.  Which path runs:
+
+    * the profile of isotropic_profile() on an array in one plane z = const:
+      the exact closed form beta * sinc(2 |p_m - p_n| / lambda), from the lag
+      table of a builder array or pairwise otherwise.  The grid (default
+      hemisphere_grid()) only serves the normalisation check.
+    * any other profile or array: quadrature beta * sum_q f_q w_q s_q s_q^H,
+      accumulated over node chunks.  A builder array fills its lag table as
+      A^T diag(f w beta) B, A = exp(-j kappa u_x l_x dx) and B likewise from
+      u_y and l_y dy, and gathers R from it; an array from caller positions
+      forms the dense sum and is symmetrised.  With grid=None the grid has
+      n nodes per axis, n from kappa * D_max (D_max the largest element
+      separation), and never fewer than 180 x 90; a caller's grid with fewer
+      than n distinct azimuth or elevation nodes raises ContractError.
+
+    R is complex, and exactly Hermitian on the closed-form and lag-table
+    paths.
     """
+    closed_form = profile.density is _isotropic_density and _is_planar_in_z(geom)
     if grid is None:
-        grid = hemisphere_grid()
+        n = 0 if closed_form else _nodes_needed(geom)
+        grid = hemisphere_grid(max(180, n), max(90, n))
+    elif not closed_form:
+        n = _nodes_needed(geom)
+        n_az, n_el = np.unique(grid.azimuth).size, np.unique(grid.elevation).size
+        if min(n_az, n_el) < n:
+            raise ContractError(f"a grid of {n_az} x {n_el} nodes is too coarse for this "
+                                f"aperture, which needs {n} nodes per axis")
     total = profile.integral(grid)
     if abs(total - 1.0) > 1e-3:
         raise ContractError(
             f"scattering density integrates to {total:.6f} on this grid, not 1"
         )
-    f = profile.density(grid.azimuth, grid.elevation)
-    S = steering_matrix(geom, grid.azimuth, grid.elevation)  # (Q, M)
-    R = (S.T * (f * grid.weights * profile.beta)) @ S.conj()
-    R = 0.5 * (R + R.conj().T)
-    return SpatialCorrelation(R, profile.beta)
+    beta = profile.beta
+    if closed_form and geom.lattice is None:
+        x, y = geom.positions[:, 0], geom.positions[:, 1]
+        d = np.hypot(np.subtract.outer(x, x), np.subtract.outer(y, y))
+        return SpatialCorrelation(beta * sinc(2.0 * d / geom.wavelength) + 0j, beta)
+    g = None if closed_form else profile.density(grid.azimuth, grid.elevation) * grid.weights * beta
+    if geom.lattice is not None:
+        return SpatialCorrelation(_gather(geom, _lag_table(geom, grid, g, beta)), beta)
+    m = geom.num_elements
+    R = np.zeros((m, m), dtype=complex)
+    for s in _chunks(grid.size, m):
+        S = steering_matrix(geom, grid.azimuth[s], grid.elevation[s])
+        R += (S.T * g[s]) @ S.conj()
+    return SpatialCorrelation(0.5 * (R + R.conj().T), beta)
 
 
 def sample_rayleigh(corr: SpatialCorrelation | np.ndarray, stream: RngStream) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
 from .geometry import ArrayGeometry
-from .numerics import QuadratureGrid, RngStream, complex_gaussian
+from .numerics import RngStream, complex_gaussian
 from .channel import (SpatialCorrelation, _as_correlation, correlation_matrix,
                       isotropic_profile, sample_rayleigh)
 from .dof import effective_rank
@@ -232,11 +232,10 @@ def rsls_pilot(subspace: np.ndarray, tau: int, power: float, noise_power: float,
     return PilotMatrix(phi, power, noise_power)
 
 
-def isotropic_subspace(geom: ArrayGeometry, capture: float = 0.9999,
-                       grid: QuadratureGrid | None = None) -> np.ndarray:
+def isotropic_subspace(geom: ArrayGeometry, capture: float = 0.9999) -> np.ndarray:
     """Eigenvectors of the isotropic correlation matrix capturing the given
     trace fraction: the array-dependent worst-case channel subspace."""
-    w, U = correlation_matrix(geom, isotropic_profile(), grid).eig
+    w, U = correlation_matrix(geom, isotropic_profile()).eig
     r = effective_rank(np.clip(w, 0.0, None), capture)
     return U[:, :r]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from .errors import ContractError
 
 __all__ = [
     "ArrayGeometry",
+    "Lattice",
     "RegionBounds",
     "build_upa",
     "build_ula",
@@ -18,21 +20,31 @@ __all__ = [
 ]
 
 
+class Lattice(NamedTuple):
+    """Grid layout of a builder array: n_x by n_y elements at spacings dx, dy
+    (meters).  Element m sits at grid index (m // n_y, m % n_y)."""
+
+    n_x: int
+    n_y: int
+    dx: float
+    dy: float
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Element positions (meters), wavelength, and per-element gain.
 
     Builders place arrays in the xy-plane centered at the origin and record
-    the grid layout so the aperture size D counts one spacing-sized cell per
+    their lattice, so the aperture size D counts one spacing-sized cell per
     element (a 100 x 50 grid at 0.01 m spacing spans 1 m x 0.5 m).  For
-    caller-supplied position lists without grid metadata, D falls back to the
+    caller-supplied position lists without a lattice, D falls back to the
     bounding-box diagonal of the positions.
     """
 
     positions: np.ndarray  # (M, 3)
     wavelength: float
     element_gain: float = 1.0
-    grid_extent: tuple[float, float] | None = None  # (x span, y span), meters
+    lattice: Lattice | None = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -40,11 +52,18 @@ class ArrayGeometry:
             raise ContractError(f"positions must be (M, 3), got {pos.shape}")
         if self.wavelength <= 0:
             raise ContractError("wavelength must be positive")
-        if pos.shape[0] > 1:
-            d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-            np.fill_diagonal(d, np.inf)
-            if np.any(d == 0):
-                raise ContractError("element positions must be pairwise distinct")
+        # exact duplicates by sorting, O(M log M); + 0.0 makes -0.0 equal 0.0
+        if np.unique(pos + 0.0, axis=0).shape[0] < pos.shape[0]:
+            raise ContractError("element positions must be pairwise distinct")
+        if self.lattice is not None:
+            n_x, n_y, dx, dy = self.lattice
+            if n_x * n_y != pos.shape[0]:
+                raise ContractError("lattice does not match the element positions")
+            ix, iy = np.divmod(np.arange(pos.shape[0]), n_y)
+            offsets = np.stack([ix * dx, iy * dy, np.zeros(len(ix))], axis=1)
+            scale = max(float(np.abs(pos).max()), self.wavelength)
+            if np.abs(pos - pos[0] - offsets).max() > 1e-9 * scale:
+                raise ContractError("lattice does not match the element positions")
         object.__setattr__(self, "positions", pos)
 
     @property
@@ -54,8 +73,9 @@ class ArrayGeometry:
     @property
     def aperture(self) -> float:
         """Largest array dimension D (the diagonal), meters."""
-        if self.grid_extent is not None:
-            return float(np.hypot(*self.grid_extent))
+        if self.lattice is not None:
+            n_x, n_y, dx, dy = self.lattice
+            return float(np.hypot(n_x * dx if n_x > 1 else 0.0, n_y * dy if n_y > 1 else 0.0))
         span = self.positions.max(axis=0) - self.positions.min(axis=0)
         return float(np.linalg.norm(span))
 
@@ -85,8 +105,7 @@ def build_upa(n_x: int, n_y: int, dx: float, dy: float, wavelength: float,
     ys = (np.arange(1, n_y + 1) - (n_y + 1) / 2) * dy
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pos = np.stack([X.ravel(), Y.ravel(), np.zeros(n_x * n_y)], axis=1)
-    extent = (n_x * dx if n_x > 1 else 0.0, n_y * dy if n_y > 1 else 0.0)
-    return ArrayGeometry(pos, wavelength, element_gain, extent)
+    return ArrayGeometry(pos, wavelength, element_gain, Lattice(n_x, n_y, dx, dy))
 
 
 def build_ula(n: int, spacing: float, wavelength: float,

@@ -30,6 +30,7 @@ __all__ = [
     "complex_gaussian",
     "hemisphere_grid",
     "sphere_grid",
+    "unit_directions",
 ]
 
 
@@ -61,23 +62,22 @@ class QuadratureGrid:
     def size(self) -> int:
         return len(self.weights)
 
-    def directions(self) -> np.ndarray:
-        """Unit propagation directions, shape (Q, 3).
-
-        Convention: azimuth measured from the array normal (+z) in the xz
-        plane, elevation toward +y, so a planar array in the xy-plane sees
-        u = (sin az cos el, sin el, cos az cos el).
-        """
-        az, el = self.azimuth, self.elevation
-        return np.stack(
-            [np.sin(az) * np.cos(el), np.sin(el), np.cos(az) * np.cos(el)],
-            axis=-1,
-        )
-
     def integrate(self, values: np.ndarray) -> complex | float:
         if len(values) != self.size:
             raise ContractError("sample count does not match grid size")
         return (values * self.weights).sum()
+
+
+def unit_directions(azimuth, elevation) -> np.ndarray:
+    """Unit propagation directions u(az, el), shape (..., 3).
+
+    Convention: azimuth measured from the array normal (+z) in the xz
+    plane, elevation toward +y, so a planar array in the xy-plane sees
+    u = (sin az cos el, sin el, cos az cos el).
+    """
+    az = np.asarray(azimuth, dtype=float)
+    el = np.asarray(elevation, dtype=float)
+    return np.stack([np.sin(az) * np.cos(el), np.sin(el), np.cos(az) * np.cos(el)], axis=-1)
 
 
 @lru_cache(maxsize=16)

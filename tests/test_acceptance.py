@@ -19,9 +19,9 @@ and tests the stated number where it holds:
   Clarke's closed form sinc(2 d / lambda) at 16x16; the closed-form ratio at
   n = 16, 24, 32 (0.859, 0.839, 0.826) must fall and stay above pi/4, and
   the 0.785 +- 0.05 band applies to the fitted large-aperture limit a of
-  rank/N = a + c/n (a = 0.794).  The sizes above 16 use the closed form, not
-  `correlation_matrix`, whose default 180x90 hemisphere grid is off by
-  2.5e-2 at 32x32.
+  rank/N = a + c/n (a = 0.794).  The sizes above 16 call the closed form
+  directly, which is what `correlation_matrix` returns for the isotropic
+  profile.
 """
 
 import numpy as np

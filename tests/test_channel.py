@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from ummimo import channel
 from ummimo.errors import ContractError, SingularityError
 from ummimo.channel import (array_response, correlation_matrix,
                             gaussian_cluster_profile, isotropic_profile,
-                            los_channel, sample_rayleigh)
-from ummimo.geometry import build_ula, build_upa, region_bounds
+                            los_channel, sample_rayleigh, steering_matrix)
+from ummimo.geometry import ArrayGeometry, build_ula, build_upa, region_bounds
 from ummimo.numerics import RngStream, hemisphere_grid
 
 LAM = 0.01
@@ -79,13 +80,13 @@ class TestCorrelationMatrix:
         corr = correlation_matrix(geom, isotropic_profile(beta=2.0))
         d = np.linalg.norm(geom.positions[:, None] - geom.positions[None, :], axis=-1)
         clarke = 2.0 * np.sinc(2 * d / LAM)
-        assert np.max(np.abs(corr.R - clarke)) < 1e-3
+        assert np.max(np.abs(corr.R - clarke)) < 1e-12
 
     def test_half_wavelength_ula_identity(self):
         geom = build_ula(16, LAM / 2, LAM)
         corr = correlation_matrix(geom, isotropic_profile())
         w = np.linalg.eigvalsh(corr.R)
-        assert np.max(np.abs(w - 1.0)) < 0.02  # all eigenvalues equally large
+        assert np.max(np.abs(w - 1.0)) < 1e-12  # R = I: all eigenvalues equal
 
     def test_trace_is_m_beta(self):
         geom = build_upa(6, 4, LAM / 3, LAM / 3, LAM)
@@ -116,6 +117,113 @@ class TestCorrelationMatrix:
         geom = build_ula(2, LAM / 2, LAM)
         with pytest.raises(ContractError):
             correlation_matrix(geom, bad)
+
+
+def _sinc_oracle(geom, beta):
+    d = np.linalg.norm(geom.positions[:, None] - geom.positions[None, :], axis=-1)
+    return beta * np.sinc(2 * d / geom.wavelength)
+
+
+def _random_clusters(rng):
+    k = int(rng.integers(1, 4))
+    centers = np.column_stack([rng.uniform(-1.2, 1.2, k), rng.uniform(-0.8, 0.8, k)])
+    return gaussian_cluster_profile(centers, np.deg2rad(rng.uniform(5.0, 30.0)),
+                                    beta=rng.uniform(0.5, 3.0),
+                                    weights=rng.dirichlet(np.ones(k)))
+
+
+class TestIsotropicClosedForm:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_sinc(self, seed):
+        # ULAs and UPAs with random element counts and spacings, apertures
+        # up to 128 wavelengths, beta != 1; builder and caller-position arrays
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.005, 0.5)
+        n_x = int(rng.integers(2, 200 if seed % 2 else 30))
+        n_y = 1 if seed % 2 else int(rng.integers(2, 12))
+        span = rng.uniform(0.5, 128.0) * lam  # largest element separation
+        theta = rng.uniform(0.1, 1.4) if n_y > 1 else 0.0
+        dx = span * np.cos(theta) / (n_x - 1)
+        dy = span * np.sin(theta) / (n_y - 1) if n_y > 1 else dx
+        beta = rng.uniform(0.2, 5.0)
+        geom = build_upa(n_x, n_y, dx, dy, lam)
+        R = correlation_matrix(geom, isotropic_profile(beta)).R
+        assert np.max(np.abs(R - _sinc_oracle(geom, beta))) < 1e-12 * beta
+        perm = rng.permutation(geom.num_elements)
+        loose = ArrayGeometry(geom.positions[perm] + rng.normal(size=3) * [lam, lam, 0.0], lam)
+        R_loose = correlation_matrix(loose, isotropic_profile(beta)).R
+        assert np.max(np.abs(R_loose - _sinc_oracle(loose, beta))) < 1e-12 * beta
+
+    def test_non_coplanar_array_uses_quadrature(self):
+        # elements off one plane z = const: the hemisphere average is not
+        # Clarke's, so the quadrature sum runs
+        rng = np.random.default_rng(3)
+        geom = ArrayGeometry(rng.uniform(-LAM, LAM, (6, 3)), LAM)
+        R = correlation_matrix(geom, isotropic_profile()).R
+        grid = hemisphere_grid(180, 90)
+        S = steering_matrix(geom, grid.azimuth, grid.elevation)
+        ref = (S.T * (grid.weights / (2 * np.pi))) @ S.conj()
+        assert np.max(np.abs(R - ref)) < 1e-12
+        assert np.max(np.abs(R - _sinc_oracle(geom, 1.0))) > 1e-3
+
+    def test_mislabelled_density_is_integrated(self):
+        # the closed form is chosen by the density function, not the kind
+        from ummimo.channel import ScatteringProfile
+        cluster = gaussian_cluster_profile([(0.3, 0.1)], 0.3)
+        prof = ScatteringProfile("isotropic-hemisphere", 1.0, cluster.density)
+        geom = build_ula(8, LAM / 2, LAM)
+        R = correlation_matrix(geom, prof).R
+        assert np.array_equal(R, correlation_matrix(geom, cluster).R)
+        assert np.max(np.abs(R - _sinc_oracle(geom, 1.0))) > 1e-2
+
+
+class TestLagTable:
+    @pytest.mark.parametrize("n_x, n_y, fx, fy", [
+        (8, 8, 0.25, 0.25), (5, 3, 0.3, 0.7), (7, 1, 0.5, 0.5), (1, 9, 0.4, 0.4),
+        (9, 4, 0.55, 0.2), (33, 1, 0.5, 0.5), (6, 5, 1.0, 0.35)])
+    def test_equals_dense_path(self, n_x, n_y, fx, fy):
+        rng = np.random.default_rng(n_x * 100 + n_y)
+        geom = build_upa(n_x, n_y, fx * LAM, fy * LAM, LAM)
+        dense = ArrayGeometry(geom.positions, LAM)
+        assert geom.lattice is not None and dense.lattice is None
+        for _ in range(2):
+            profile = _random_clusters(rng)
+            R, R_dense = (correlation_matrix(g, profile).R for g in (geom, dense))
+            assert np.max(np.abs(R - R_dense)) < 1e-12 * np.max(np.abs(R_dense))
+
+    @pytest.mark.parametrize("n_x, n_y", [(8, 8), (5, 3), (12, 1), (1, 6)])
+    def test_exactly_hermitian_with_trace_m_beta(self, n_x, n_y):
+        profile = _random_clusters(np.random.default_rng(n_x + 10 * n_y))
+        geom = build_upa(n_x, n_y, 0.3 * LAM, 0.45 * LAM, LAM)
+        R = correlation_matrix(geom, profile).R
+        m = geom.num_elements
+        assert np.array_equal(R, R.conj().T)
+        assert abs(np.trace(R).real - m * profile.beta) < 1e-3 * m * profile.beta
+
+
+class TestGridResolution:
+    @pytest.mark.parametrize("n_x, n_y, frac", [(8, 8, 0.25), (64, 1, 0.5), (12, 12, 1.0)])
+    def test_doubling_default_grid_changes_little(self, n_x, n_y, frac):
+        geom = build_upa(n_x, n_y, frac * LAM, frac * LAM, LAM)
+        profile = gaussian_cluster_profile(
+            [(0.0, 0.0), (np.pi / 4, 0.0), (-np.pi / 4, 0.0)], np.deg2rad(10.0))
+        n = channel._nodes_needed(geom)
+        R = correlation_matrix(geom, profile).R
+        R2 = correlation_matrix(geom, profile, hemisphere_grid(2 * max(180, n),
+                                                              2 * max(90, n))).R
+        assert np.max(np.abs(R - R2)) < 1e-10 * np.max(np.abs(R2))
+
+    def test_default_grid_grows_with_aperture(self):
+        assert channel._nodes_needed(build_upa(8, 8, LAM / 4, LAM / 4, LAM)) < 90
+        assert channel._nodes_needed(build_ula(64, LAM / 2, LAM)) > 180
+
+    def test_too_coarse_grid_rejected(self):
+        geom = build_ula(64, LAM / 2, LAM)
+        profile = gaussian_cluster_profile([(0.0, 0.0)], np.deg2rad(20.0))
+        with pytest.raises(ContractError, match="too coarse"):
+            correlation_matrix(geom, profile, hemisphere_grid(180, 90))
+        n = channel._nodes_needed(geom)
+        correlation_matrix(geom, profile, hemisphere_grid(n, n))
 
 
 class TestClusterProfile:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ummimo.errors import ContractError
-from ummimo.geometry import (ArrayGeometry, build_upa, fraunhofer_square,
+from ummimo.geometry import (ArrayGeometry, Lattice, build_upa, fraunhofer_square,
                              region_bounds)
 
 
@@ -34,6 +34,35 @@ class TestBuildUpa:
     def test_duplicate_positions_rejected(self):
         with pytest.raises(ContractError):
             ArrayGeometry(np.zeros((2, 3)), 1.0)
+
+    def test_permuted_duplicate_rejected(self):
+        pos = build_upa(4, 3, 0.1, 0.2, 1.0).positions
+        rows = np.random.default_rng(0).permutation(np.vstack([pos, pos[7]]))
+        with pytest.raises(ContractError, match="distinct"):
+            ArrayGeometry(rows, 1.0)
+
+    def test_signed_zero_duplicate_rejected(self):
+        pos = np.array([[0.0, 0.1, 0.0], [0.3, 0.0, 0.0], [-0.0, 0.1, -0.0]])
+        with pytest.raises(ContractError, match="distinct"):
+            ArrayGeometry(pos, 1.0)
+
+    def test_close_but_distinct_positions_accepted(self):
+        pos = np.array([[0.0, 0.0, 0.0], [1e-12, 0.0, 0.0], [0.0, 0.0, 1e-12]])
+        assert ArrayGeometry(pos, 1.0).num_elements == 3
+
+    def test_reference_array_builds(self):
+        geom = build_upa(100, 50, 0.01, 0.01, 0.01)
+        assert geom.num_elements == 5000
+        assert geom.lattice == Lattice(100, 50, 0.01, 0.01)
+
+    def test_lattice_must_match_positions(self):
+        geom = build_upa(4, 3, 0.1, 0.2, 1.0)
+        with pytest.raises(ContractError, match="lattice"):
+            ArrayGeometry(geom.positions, 1.0, 1.0, Lattice(3, 4, 0.1, 0.2))
+        with pytest.raises(ContractError, match="lattice"):
+            ArrayGeometry(geom.positions, 1.0, 1.0, Lattice(4, 3, 0.2, 0.1))
+        shifted = ArrayGeometry(geom.positions + [1.0, -2.0, 0.5], 1.0, 1.0, geom.lattice)
+        assert shifted.aperture == geom.aperture
 
 
 class TestRegionBounds:
