@@ -220,14 +220,13 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
 
 
 # Gauss-Legendre nodes per axis that resolve R for an aperture spanning
-# kappa * D_max radians of phase: _NODES_PER_RADIAN * kappa * D_max + _NODES_MIN.
+# kappa * D_max radians of phase: kappa * D_max + _NODES_MIN.
 # In a convergence study (Gaussian clusters of 10 and 20 degrees and the
 # isotropic density, ULAs and UPAs with kappa * D_max from 16 to 399, against
 # 600- and 700-node references) 1e-12 relative needed at most kappa * D_max + 18
 # nodes per axis, and 49 for the smallest array, where the 10-degree clusters
-# rather than the aperture set the count.  The default grid never goes below
-# 180 x 90; see test_channel.TestGridResolution.
-_NODES_PER_RADIAN = 1.0
+# rather than the aperture set the count; 40 leaves a margin over 18.  The
+# default grid never goes below 180 x 90; see test_channel.TestGridResolution.
 _NODES_MIN = 40
 # complex entries of one quadrature chunk: memory is O(table + chunk)
 _CHUNK_ENTRIES = 1 << 18
@@ -238,7 +237,7 @@ def _nodes_needed(geom: ArrayGeometry) -> int:
     bounding-box diagonal: the largest separation of a lattice, an upper
     bound on it otherwise."""
     d_max = float(np.linalg.norm(np.ptp(geom.positions, axis=0)))
-    return int(np.ceil(_NODES_PER_RADIAN * 2.0 * np.pi * d_max / geom.wavelength)) + _NODES_MIN
+    return int(np.ceil(2.0 * np.pi * d_max / geom.wavelength)) + _NODES_MIN
 
 
 def _chunks(size: int, width: int):
@@ -246,34 +245,27 @@ def _chunks(size: int, width: int):
     return (slice(s, s + step) for s in range(0, size, step))
 
 
-def _lag_table(geom: ArrayGeometry, grid: QuadratureGrid, g: np.ndarray | None,
-               beta: float) -> np.ndarray:
+def _lag_table(geom: ArrayGeometry, grid: QuadratureGrid, g: np.ndarray) -> np.ndarray:
     """T[l_x + N_x - 1, l_y + N_y - 1] = R between elements at index lag
-    (l_x, l_y) of a builder array, shape (2 N_x - 1, 2 N_y - 1).
+    (l_x, l_y) of a builder array, shape (2 N_x - 1, 2 N_y - 1), with
+    g = f * w * beta at the grid nodes.
 
-    g = f * w * beta at the grid nodes, or None for the isotropic closed form
-    beta * sinc(2 |l| / lambda).  Only the half-plane l_x >= 0 is built;
-    T[-l] = conj T[l] gives the rest, so R gathered from T is exactly
-    Hermitian.
+    Only the half-plane l_x >= 0 is built; T[-l] = conj T[l] gives the rest,
+    so R gathered from T is exactly Hermitian.
     """
     n_x, n_y, dx, dy = geom.lattice
-    lam = geom.wavelength
+    kappa = 2.0 * np.pi / geom.wavelength
     lx = np.arange(n_x) * dx
     ly = np.arange(n_y) * dy
-    if g is None:
-        d = np.hypot(lx[:, None], np.concatenate([ly[:0:-1], ly])[None, :])
-        half = beta * sinc(2.0 * d / lam) + 0j
-    else:
-        kappa = 2.0 * np.pi / lam
-        half = np.zeros((n_x, 2 * n_y - 1), dtype=complex)
-        for s in _chunks(grid.size, n_x + 2 * n_y - 1):
-            u = unit_directions(grid.azimuth[s], grid.elevation[s])
-            A = np.exp(-1j * kappa * np.outer(u[:, 0], lx))
-            B = np.exp(-1j * kappa * np.outer(u[:, 1], ly))  # l_y >= 0; conj for l_y < 0
-            half += (A.T * g[s]) @ np.concatenate([B[:, :0:-1].conj(), B], axis=1)
-        # the l_x = 0 row from its l_y >= 0 half, with a real centre
-        half[0, :n_y - 1] = half[0, :n_y - 1:-1].conj()
-        half[0, n_y - 1] = half[0, n_y - 1].real
+    half = np.zeros((n_x, 2 * n_y - 1), dtype=complex)
+    for s in _chunks(grid.size, n_x + 2 * n_y - 1):
+        u = unit_directions(grid.azimuth[s], grid.elevation[s])
+        A = np.exp(-1j * kappa * np.outer(u[:, 0], lx))
+        B = np.exp(-1j * kappa * np.outer(u[:, 1], ly))  # l_y >= 0; conj for l_y < 0
+        half += (A.T * g[s]) @ np.concatenate([B[:, :0:-1].conj(), B], axis=1)
+    # the l_x = 0 row from its l_y >= 0 half, with a real centre
+    half[0, :n_y - 1] = half[0, :n_y - 1:-1].conj()
+    half[0, n_y - 1] = half[0, n_y - 1].real
     return np.concatenate([half[:0:-1, ::-1].conj(), half])
 
 
@@ -293,9 +285,9 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
     trace(R) then equals M beta to the same accuracy.  Which path runs:
 
     * the profile of isotropic_profile() on an array in one plane z = const:
-      the exact closed form beta * sinc(2 |p_m - p_n| / lambda), from the lag
-      table of a builder array or pairwise otherwise.  The grid (default
-      hemisphere_grid()) only serves the normalisation check.
+      the exact closed form beta * sinc(2 |p_m - p_n| / lambda), pairwise
+      over the elements.  The grid (default hemisphere_grid()) only serves
+      the normalisation check.
     * any other profile or array: quadrature beta * sum_q f_q w_q s_q s_q^H,
       accumulated over node chunks.  A builder array fills its lag table as
       A^T diag(f w beta) B, A = exp(-j kappa u_x l_x dx) and B likewise from
@@ -324,13 +316,13 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
             f"scattering density integrates to {total:.6f} on this grid, not 1"
         )
     beta = profile.beta
-    if closed_form and geom.lattice is None:
+    if closed_form:
         x, y = geom.positions[:, 0], geom.positions[:, 1]
         d = np.hypot(np.subtract.outer(x, x), np.subtract.outer(y, y))
         return SpatialCorrelation(beta * sinc(2.0 * d / geom.wavelength) + 0j, beta)
-    g = None if closed_form else profile.density(grid.azimuth, grid.elevation) * grid.weights * beta
+    g = profile.density(grid.azimuth, grid.elevation) * grid.weights * beta
     if geom.lattice is not None:
-        return SpatialCorrelation(_gather(geom, _lag_table(geom, grid, g, beta)), beta)
+        return SpatialCorrelation(_gather(geom, _lag_table(geom, grid, g)), beta)
     m = geom.num_elements
     R = np.zeros((m, m), dtype=complex)
     for s in _chunks(grid.size, m):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,7 +57,13 @@ class ArrayGeometry:
         if np.unique(pos + 0.0, axis=0).shape[0] < pos.shape[0]:
             raise ContractError("element positions must be pairwise distinct")
         if self.lattice is not None:
-            n_x, n_y, dx, dy = self.lattice
+            try:
+                n_x, n_y, dx, dy = self.lattice
+                lattice = Lattice(operator.index(n_x), operator.index(n_y), float(dx), float(dy))
+            except (TypeError, ValueError):
+                raise ContractError("lattice must be (n_x, n_y, dx, dy) with integer counts") from None
+            object.__setattr__(self, "lattice", lattice)
+            n_x, n_y, dx, dy = lattice
             if n_x * n_y != pos.shape[0]:
                 raise ContractError("lattice does not match the element positions")
             ix, iy = np.divmod(np.arange(pos.shape[0]), n_y)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ummimo.channel import correlation_matrix, gaussian_cluster_profile
 from ummimo.errors import ContractError
 from ummimo.geometry import (ArrayGeometry, Lattice, build_upa, fraunhofer_square,
                              region_bounds)
@@ -46,10 +47,6 @@ class TestBuildUpa:
         with pytest.raises(ContractError, match="distinct"):
             ArrayGeometry(pos, 1.0)
 
-    def test_close_but_distinct_positions_accepted(self):
-        pos = np.array([[0.0, 0.0, 0.0], [1e-12, 0.0, 0.0], [0.0, 0.0, 1e-12]])
-        assert ArrayGeometry(pos, 1.0).num_elements == 3
-
     def test_reference_array_builds(self):
         geom = build_upa(100, 50, 0.01, 0.01, 0.01)
         assert geom.num_elements == 5000
@@ -63,6 +60,20 @@ class TestBuildUpa:
             ArrayGeometry(geom.positions, 1.0, 1.0, Lattice(4, 3, 0.2, 0.1))
         shifted = ArrayGeometry(geom.positions + [1.0, -2.0, 0.5], 1.0, 1.0, geom.lattice)
         assert shifted.aperture == geom.aperture
+
+    def test_plain_tuple_lattice_becomes_record(self):
+        geom = build_upa(4, 3, 0.1, 0.2, 1.0)
+        plain = ArrayGeometry(geom.positions, 1.0, 1.0, (np.int64(4), 3, 0.1, 0.2))
+        assert isinstance(plain.lattice, Lattice) and plain.lattice == geom.lattice
+        prof = gaussian_cluster_profile([(0.2, -0.1)], 0.3)
+        assert np.array_equal(correlation_matrix(plain, prof).R,
+                              correlation_matrix(geom, prof).R)
+
+    @pytest.mark.parametrize("lattice", [(4, 3, 0.1), (4.0, 3, 0.1, 0.2), (4, 3, "a", 0.2)])
+    def test_malformed_lattice_rejected(self, lattice):
+        pos = build_upa(4, 3, 0.1, 0.2, 1.0).positions
+        with pytest.raises(ContractError, match="lattice"):
+            ArrayGeometry(pos, 1.0, 1.0, lattice)
 
 
 class TestRegionBounds:
