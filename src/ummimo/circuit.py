@@ -81,24 +81,29 @@ class LnaParams:
             raise ContractError("temperature must be positive")
 
 
-def _dipole_bracket(p: np.ndarray, kappa: float) -> complex:
-    """[d^2/dz^2 + kappa^2] e^{j kappa r} / (4 pi r) in closed form."""
-    r = float(np.linalg.norm(p))
-    if r == 0.0:
+def _dipole_bracket(p: np.ndarray, kappa: float) -> complex | np.ndarray:
+    """[d^2/dz^2 + kappa^2] e^{j kappa r} / (4 pi r) in closed form, over the
+    last axis of a (..., 3) separation array."""
+    r = np.linalg.norm(p, axis=-1)
+    if np.any(r == 0.0):
         raise SingularityError("zero separation; use self_resistance for Re Z(0)")
-    cos2 = (p[2] / r) ** 2
+    cos2 = (p[..., 2] / r) ** 2
     sin2 = 1.0 - cos2
     return np.exp(1j * kappa * r) / (4.0 * np.pi) * (
         kappa ** 2 * sin2 / r + (1j * kappa / r ** 2 - 1.0 / r ** 3) * (1.0 - 3.0 * cos2)
     )
 
 
-def mutual_impedance_z_dipoles(p, wavelength: float, length: float) -> complex:
+def mutual_impedance_z_dipoles(p, wavelength: float, length: float) -> complex | np.ndarray:
     """Mutual impedance of two z-oriented incremental electric dipoles.
 
     Z(p) = (L0^2 / (j omega eps0)) [d^2/dz^2 + kappa^2] e^{j kappa |p|}/(4 pi |p|),
     evaluated analytically.  Even in p, azimuthally symmetric about z, finite
     for every |p| > 0, and decaying as 1/|p| in the radiation zone.
+
+    p is one separation vector or a (..., 3) array of them; the result is a
+    complex scalar or an array of shape p.shape[:-1].  Any zero separation
+    raises SingularityError.
     """
     p = np.asarray(p, dtype=float)
     kappa = 2.0 * np.pi / wavelength
@@ -106,12 +111,13 @@ def mutual_impedance_z_dipoles(p, wavelength: float, length: float) -> complex:
     return length ** 2 / (1j * omega * epsilon_0) * _dipole_bracket(p, kappa)
 
 
-def mutual_impedance_z_loops(p, wavelength: float, area: float) -> complex:
+def mutual_impedance_z_loops(p, wavelength: float, area: float) -> complex | np.ndarray:
     """Mutual impedance of two z-oriented incremental current loops.
 
     Z(p) = (A0^2 / (j omega eps0)) [d^2/dx^2 + d^2/dy^2] e^{j kappa |p|}/(4 pi |p|).
     Away from the origin the spherical wave satisfies the Helmholtz equation,
-    so the transverse Laplacian equals minus the z-dipole operator.
+    so the transverse Laplacian equals minus the z-dipole operator.  Shapes
+    and the zero-separation error are those of mutual_impedance_z_dipoles.
     """
     p = np.asarray(p, dtype=float)
     kappa = 2.0 * np.pi / wavelength
@@ -147,24 +153,22 @@ def impedance_set(tx: ArrayGeometry, rx: ArrayGeometry, length: float,
     if abs(rx.wavelength - lam) > 1e-12 * lam:
         raise ContractError("tx and rx geometries must share the wavelength")
 
-    def block(pos_a, pos_b, same: bool):
-        n_a, n_b = len(pos_a), len(pos_b)
-        Z = np.zeros((n_a, n_b), dtype=complex)
-        for i in range(n_a):
-            for j in range(n_b):
-                if same and i == j:
-                    Z[i, j] = self_resistance(length, lam) + 1j * self_reactance
-                    continue
-                sep = pos_a[i] - pos_b[j]
-                if np.linalg.norm(sep) == 0:
-                    raise ContractError("coincident elements across arrays")
-                Z[i, j] = mutual_impedance_z_dipoles(sep, lam, length)
+    def self_block(pos):
+        # the zero diagonal separations are replaced by any nonzero vector
+        # and their values overwritten: an array has no duplicate elements
+        sep = pos[:, None] - pos[None]
+        diag = np.arange(len(pos))
+        sep[diag, diag] = 1.0
+        Z = mutual_impedance_z_dipoles(sep, lam, length)
+        Z[diag, diag] = self_resistance(length, lam) + 1j * self_reactance
         return Z
 
-    Z_T = block(tx.positions, tx.positions, True)
-    Z_R = block(rx.positions, rx.positions, True)
-    Z_RT = block(rx.positions, tx.positions, False)
-    return ImpedanceSet(Z_T, Z_R, Z_RT, R0)
+    try:
+        Z_RT = mutual_impedance_z_dipoles(rx.positions[:, None] - tx.positions[None],
+                                          lam, length)
+    except SingularityError:
+        raise ContractError("coincident elements across arrays") from None
+    return ImpedanceSet(self_block(tx.positions), self_block(rx.positions), Z_RT, R0)
 
 
 def end_to_end_channel(imp: ImpedanceSet) -> np.ndarray:

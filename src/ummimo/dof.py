@@ -75,8 +75,16 @@ class DofReport:
 
 
 def dof_report(R: np.ndarray, eta: float, capture_fraction: float = 0.99) -> DofReport:
-    """Summarize a correlation matrix against a DoF formula prediction."""
-    w = np.linalg.eigvalsh(np.asarray(R))[::-1]
+    """Summarize a correlation matrix against a DoF formula prediction.
+
+    Only eigenvalues are needed, so a complex R whose imaginary part is all
+    zero (the isotropic closed form) goes to the real symmetric solver, which
+    gives the same spectrum at a fraction of the cost.
+    """
+    R = np.asarray(R)
+    if np.iscomplexobj(R) and not np.any(R.imag):
+        R = R.real
+    w = np.linalg.eigvalsh(R)[::-1]
     w = np.clip(w, 0.0, None)
     rank = effective_rank(w, capture_fraction)
     top = w[0] if w[0] > 0 else 1.0

@@ -46,26 +46,36 @@ class UplinkScenario:
         return self.H.shape[1]
 
 
-def _gram(scenario: UplinkScenario) -> np.ndarray:
-    H, p = scenario.H, scenario.powers
-    M = H.shape[0]
-    return (H * p) @ H.conj().T + scenario.noise_power * np.eye(M)
+def _check_ue(scenario: UplinkScenario, k: int) -> None:
+    if not 0 <= k < scenario.num_ues:
+        raise ContractError(f"UE index {k} out of range")
+
+
+def _check_noise(scenario: UplinkScenario) -> None:
+    if scenario.noise_power <= 0:
+        raise DomainError("noise power must be positive")
 
 
 def lmmse_combiner(scenario: UplinkScenario, k: int) -> np.ndarray:
-    """SE-maximizing combiner p_k (sum_i p_i h_i h_i^H + sigma^2 I)^{-1} h_k."""
-    if not 0 <= k < scenario.num_ues:
-        raise ContractError(f"UE index {k} out of range")
-    if scenario.noise_power <= 0:
-        raise DomainError("noise power must be positive")
-    return scenario.powers[k] * np.linalg.solve(_gram(scenario), scenario.H[:, k])
+    """SE-maximizing combiner p_k (sum_i p_i h_i h_i^H + sigma^2 I)^{-1} h_k,
+    column k of lmmse_combiners."""
+    _check_ue(scenario, k)
+    return lmmse_combiners(scenario)[:, k]
 
 
 def lmmse_combiners(scenario: UplinkScenario) -> np.ndarray:
-    """All K LMMSE combiners as columns (one linear solve)."""
-    if scenario.noise_power <= 0:
-        raise DomainError("noise power must be positive")
-    return np.linalg.solve(_gram(scenario), scenario.H * scenario.powers)
+    """All K LMMSE combiners (H P H^H + sigma^2 I)^{-1} H P as columns.
+
+    Computed by the push-through identity as H (P H^H H + sigma^2 I)^{-1} P:
+    one K x K solve after the K x K Gram matrix H^H H, so the cost is
+    O(M K^2 + K^3) instead of the O(M^3) of the M x M system.  A zero-power
+    UE gets the zero combiner.
+    """
+    _check_noise(scenario)
+    H, p = scenario.H, scenario.powers
+    K = scenario.num_ues
+    A = p[:, None] * (H.conj().T @ H) + scenario.noise_power * np.eye(K)
+    return H @ np.linalg.solve(A, np.diag(p))
 
 
 def uplink_se(scenario: UplinkScenario, combiners: np.ndarray) -> np.ndarray:
@@ -88,13 +98,18 @@ def uplink_se(scenario: UplinkScenario, combiners: np.ndarray) -> np.ndarray:
 
 
 def uplink_se_bound(scenario: UplinkScenario, k: int) -> float:
-    """Closed-form SE upper bound achieved by the LMMSE combiner."""
-    H, p, s2 = scenario.H, scenario.powers, scenario.noise_power
-    M = H.shape[0]
-    others = np.delete(np.arange(scenario.num_ues), k)
-    B = (H[:, others] * p[others]) @ H[:, others].conj().T + s2 * np.eye(M)
-    hk = H[:, k]
-    return float(np.log2(1.0 + p[k] * np.real(hk.conj() @ np.linalg.solve(B, hk))))
+    """SE of UE k under LMMSE combining, the maximum over all combiners.
+
+    By the MMSE identity 1 + SINR_k = 1 / MMSE_k, SE_k = -log2([(I + P^1/2
+    H^H H P^1/2 / sigma^2)^{-1}]_kk): a K x K solve, O(M K^2 + K^3).  A
+    zero-power UE has SE 0.
+    """
+    _check_ue(scenario, k)
+    _check_noise(scenario)
+    K = scenario.num_ues
+    Hp = scenario.H * np.sqrt(scenario.powers / scenario.noise_power)
+    mmse = np.real(np.linalg.solve(Hp.conj().T @ Hp + np.eye(K), np.eye(K)[:, k])[k])
+    return float(np.log2(1.0 / mmse))
 
 
 def waterfill_powers(gains: np.ndarray, total_power: float) -> np.ndarray:

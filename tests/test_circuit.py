@@ -8,7 +8,7 @@ from ummimo.circuit import (ImpedanceSet, LnaParams, end_to_end_channel,
                             impedance_set, mutual_impedance_z_dipoles,
                             mutual_impedance_z_loops, noise_covariance,
                             radiation_matrix, self_resistance, tx_power)
-from ummimo.geometry import ArrayGeometry, build_ula
+from ummimo.geometry import ArrayGeometry, build_ula, build_upa
 from ummimo.numerics import sphere_grid
 
 LAM = 0.5
@@ -68,6 +68,33 @@ class TestMutualImpedance:
     def test_zero_separation_rejected(self):
         with pytest.raises(SingularityError):
             mutual_impedance_z_dipoles(np.zeros(3), LAM, L0)
+
+    def test_broadcast_over_separation_stack(self):
+        rng = np.random.default_rng(11)
+        seps = rng.uniform(-2 * LAM, 2 * LAM, (4, 5, 3))
+        Z = mutual_impedance_z_dipoles(seps, LAM, L0)
+        assert Z.shape == (4, 5)
+        loop = np.array([[mutual_impedance_z_dipoles(seps[i, j], LAM, L0)
+                          for j in range(5)] for i in range(4)])
+        assert np.all(np.abs(Z - loop) <= 1e-14 * np.abs(loop))
+
+    def test_single_vector_returns_scalar(self):
+        z = mutual_impedance_z_dipoles([0.3 * LAM, 0.1 * LAM, 0.2 * LAM], LAM, L0)
+        assert np.ndim(z) == 0 and np.iscomplexobj(z)
+
+    def test_zero_row_in_stack_rejected(self):
+        seps = np.random.default_rng(12).uniform(-LAM, LAM, (4, 5, 3))
+        seps[2, 3] = 0.0
+        with pytest.raises(SingularityError):
+            mutual_impedance_z_dipoles(seps, LAM, L0)
+
+    def test_loop_is_scaled_negative_dipole(self):
+        # the loop operator is exactly -(A0 / L0)^2 times the dipole operator
+        A0 = 0.01 * LAM ** 2
+        seps = np.random.default_rng(13).uniform(-2 * LAM, 2 * LAM, (6, 3))
+        loops = mutual_impedance_z_loops(seps, LAM, A0)
+        dipoles = mutual_impedance_z_dipoles(seps, LAM, L0)
+        assert np.allclose(loops, -(A0 / L0) ** 2 * dipoles, rtol=1e-15, atol=0.0)
 
     def test_loop_against_finite_difference_oracle(self):
         # transverse Laplacian = -(z operator) away from the origin
@@ -136,6 +163,34 @@ class TestImpedanceSet:
         b = impedance_set(tx2, rx2, L0)
         assert np.allclose(a.Z_T, b.Z_T, rtol=1e-12)
         assert np.allclose(a.Z_RT, b.Z_RT, rtol=1e-12)
+
+    def test_blocks_equal_per_pair_loop(self):
+        # a tilted, shifted rx so that cos^2 of the separations is neither 0 nor 1
+        tx = build_upa(4, 3, LAM / 2, LAM / 3, LAM)
+        c, s = np.cos(0.4), np.sin(0.4)
+        tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        rx = ArrayGeometry(tx.positions @ tilt.T + np.array([0.3, 0.2, 0.4]) * LAM, LAM)
+        x_self = 7.5
+        imp = impedance_set(tx, rx, L0, self_reactance=x_self)
+
+        def loop(pos_a, pos_b, same):
+            Z = np.empty((len(pos_a), len(pos_b)), dtype=complex)
+            for i in range(len(pos_a)):
+                for j in range(len(pos_b)):
+                    Z[i, j] = (self_resistance(L0, LAM) + 1j * x_self if same and i == j
+                               else mutual_impedance_z_dipoles(pos_a[i] - pos_b[j], LAM, L0))
+            return Z
+
+        for got, want in ((imp.Z_T, loop(tx.positions, tx.positions, True)),
+                          (imp.Z_R, loop(rx.positions, rx.positions, True)),
+                          (imp.Z_RT, loop(rx.positions, tx.positions, False))):
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_coincident_elements_across_arrays_rejected(self):
+        tx = build_ula(4, LAM / 2, LAM)
+        rx = ArrayGeometry(np.array([[0.0, 0.0, 10 * LAM], tx.positions[2]]), LAM)
+        with pytest.raises(ContractError, match="coincident"):
+            impedance_set(tx, rx, L0)
 
     def test_invalid_blocks_rejected(self):
         with pytest.raises(ContractError):

@@ -211,6 +211,21 @@ class TestAllExperimentsRun:
             assert not [note for note in notes if "np." in note], exp
 
 
+class TestReferenceScale:
+    def test_fig4_at_reference_grid(self, tmp_path):
+        # the paper's 100 x 50 grid, 5000 elements: measured, not extrapolated
+        d = run("fig4-mu", seed=0, out=tmp_path,
+                config={"nx": 100, "ny": 50, "k_values": [10, 100], "drops": 1})
+        header, rows = _read_csv(d / "mu_mimo_se.csv")
+        assert [int(r[0]) for r in rows] == [10, 100]
+        for r in rows:
+            se_exact, se_ff, margin = (float(v) for v in r[1:])
+            assert np.isfinite(se_exact) and np.isfinite(se_ff)
+            assert margin >= 0
+        notes = json.loads((d / "manifest.json").read_text())["notes"]
+        assert any("100x50 run" in note for note in notes)
+
+
 class TestMainEntry:
     def test_exit_codes(self, tmp_path, capsys):
         assert main(["list-experiments"]) == 0

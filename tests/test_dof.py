@@ -87,6 +87,25 @@ class TestEigenCounts:
             assert abs(rank - eta) <= 0.10 * eta
 
 
+class TestDofReport:
+    def test_real_valued_complex_matrix_same_spectrum(self):
+        # the isotropic closed form is complex with a zero imaginary part;
+        # its spectrum equals the complex Hermitian solver's
+        R = correlation_matrix(build_upa(8, 8, LAM / 2, LAM / 2, LAM), isotropic_profile()).R
+        assert np.iscomplexobj(R) and not np.any(R.imag)
+        report = dof_report(R, 1.0)
+        w = np.clip(np.linalg.eigvalsh(R)[::-1], 0.0, None)
+        assert np.allclose(report.eigen_spectrum, w / w[0], rtol=0.0, atol=1e-13)
+        assert report.effective_rank == effective_rank(w)
+
+    def test_complex_hermitian_spectrum(self):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        R = A @ A.conj().T
+        w = np.linalg.eigvalsh(R)[::-1]
+        assert np.allclose(dof_report(R, 1.0).eigen_spectrum, w / w[0], rtol=0.0, atol=1e-13)
+
+
 class TestDeploymentArithmetic:
     def test_bbu_reference_rates(self):
         r1 = bbu_rate(10.0, 1e8, 16, 3e9)

@@ -48,6 +48,31 @@ class TestLmmseCombiner:
         with pytest.raises(ContractError):
             lmmse_combiner(_random_scenario(4, 2, 1), 2)
 
+    @pytest.mark.parametrize("m, k, zero_ue", [(512, 8, None), (6, 10, None),
+                                               (512, 8, 3), (6, 10, 7)])
+    def test_equals_dense_solve(self, m, k, zero_ue):
+        # (H P H^H + sigma^2 I)^{-1} H P, solved as the M x M system
+        scen = _random_scenario(m, k, 20 + m + k)
+        if zero_ue is not None:
+            powers = scen.powers.copy()
+            powers[zero_ue] = 0.0
+            scen = UplinkScenario(scen.H, powers, scen.noise_power)
+        H, p = scen.H, scen.powers
+        dense = np.linalg.solve((H * p) @ H.conj().T + scen.noise_power * np.eye(m), H * p)
+        V = lmmse_combiners(scen)
+        assert np.linalg.norm(V - dense) <= 1e-10 * np.linalg.norm(dense)
+        if zero_ue is not None:
+            assert np.all(V[:, zero_ue] == 0)
+        for i in range(k):
+            assert np.array_equal(lmmse_combiner(scen, i), V[:, i])
+
+    def test_nonpositive_noise_rejected(self):
+        scen = _random_scenario(4, 2, 1, sigma2=0.0)
+        with pytest.raises(DomainError):
+            lmmse_combiner(scen, 0)
+        with pytest.raises(DomainError):
+            lmmse_combiners(scen)
+
 
 class TestUplinkSe:
     def test_single_ue_closed_form(self):
@@ -62,6 +87,30 @@ class TestUplinkSe:
         se = uplink_se(scen, lmmse_combiners(scen))
         for k in range(4):
             assert abs(se[k] - uplink_se_bound(scen, k)) < 1e-9
+
+    def test_bound_with_zero_power_ue(self):
+        # a zero-power UE has SE 0 whatever its combiner; it gets the zero
+        # LMMSE combiner, which uplink_se rejects, so the matched filter stands in
+        scen = _random_scenario(10, 4, 13)
+        powers = scen.powers.copy()
+        powers[2] = 0.0
+        scen = UplinkScenario(scen.H, powers, scen.noise_power)
+        V = lmmse_combiners(scen)
+        V[:, 2] = scen.H[:, 2]
+        se = uplink_se(scen, V)
+        bound = [uplink_se_bound(scen, k) for k in range(4)]
+        assert np.allclose(bound, se, rtol=1e-12, atol=1e-12)
+        assert bound[2] == 0.0 and se[2] == 0.0
+
+    def test_bound_out_of_range_rejected(self):
+        scen = _random_scenario(4, 2, 1)
+        for k in (-1, 2):
+            with pytest.raises(ContractError):
+                uplink_se_bound(scen, k)
+
+    def test_bound_nonpositive_noise_rejected(self):
+        with pytest.raises(DomainError):
+            uplink_se_bound(_random_scenario(4, 2, 1, sigma2=0.0), 0)
 
     def test_mismatched_combiners_lose(self):
         # far-field-approximated combiners applied to the true near-field
