@@ -188,35 +188,36 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
     coefficient lambda sqrt(G) / (4 pi z) with z the broadside (normal
     component) distance of the transmitter; "per-element" uses each exact
     distance instead (for asymptotic studies where power variation matters).
+    A (3,) tx gives the (M,) channel, a (K, 3) batch the (M, K) matrix of them.
     """
     if mode not in ("exact", "fresnel"):
         raise DomainError(f"unknown mode {mode!r}")
     if amplitude not in ("common", "per-element"):
         raise DomainError(f"unknown amplitude convention {amplitude!r}")
     tx = np.asarray(tx, dtype=float)
+    if tx.shape[-1:] != (3,) or tx.ndim > 2:
+        raise ContractError(f"tx must be (3,) or (K, 3), got shape {tx.shape}")
+    t = np.atleast_2d(tx)[:, None, :]  # (K, 1, 3) against the (M, 3) elements
     lam = geom.wavelength
     pos = geom.positions
-    dist = np.linalg.norm(tx[None, :] - pos, axis=1)
+    dist = np.linalg.norm(t - pos, axis=-1)  # (K, M)
     if np.any(dist == 0):
         raise SingularityError("transmitter coincides with an array element")
 
-    z = abs(tx[2] - _plane_z(geom))
+    z = np.abs(t[..., 2] - _plane_z(geom))  # (K, 1)
     if mode == "fresnel":
-        if z <= 0:
+        if np.any(z <= 0):
             raise DomainError("fresnel mode requires the transmitter off the array plane")
-        trans2 = (tx[0] - pos[:, 0]) ** 2 + (tx[1] - pos[:, 1]) ** 2
+        trans2 = (t[..., 0] - pos[:, 0]) ** 2 + (t[..., 1] - pos[:, 1]) ** 2
         path = z + trans2 / (2.0 * z)
     else:
         path = dist
 
-    g = np.sqrt(geom.element_gain)
-    if amplitude == "common":
-        if z <= 0:
-            raise DomainError("common amplitude requires the transmitter off the array plane")
-        amp = lam * g / (4.0 * np.pi * z)
-        return amp * np.exp(-2j * np.pi / lam * path)
-    amp = lam * g / (4.0 * np.pi * dist)
-    return amp * np.exp(-2j * np.pi / lam * path)
+    if amplitude == "common" and np.any(z <= 0):
+        raise DomainError("common amplitude requires the transmitter off the array plane")
+    r = z if amplitude == "common" else dist
+    h = lam * np.sqrt(geom.element_gain) / (4.0 * np.pi * r) * np.exp(-2j * np.pi / lam * path)
+    return h.T if tx.ndim == 2 else h[0]
 
 
 # Gauss-Legendre nodes per axis that resolve R for an aperture spanning
@@ -331,15 +332,19 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
     return SpatialCorrelation(0.5 * (R + R.conj().T), beta)
 
 
-def sample_rayleigh(corr: SpatialCorrelation | np.ndarray, stream: RngStream) -> np.ndarray:
+def sample_rayleigh(corr: SpatialCorrelation | np.ndarray, stream: RngStream,
+                    size: int | None = None) -> np.ndarray:
     """Draw h = R^{1/2} w, w ~ CN(0, I), via the eigendecomposition of R.
 
-    A SpatialCorrelation computes that eigendecomposition and the factor
-    R^{1/2} once and reuses them on every draw.  Small negative eigenvalues
-    from quadrature are clamped at zero; an eigenvalue below -1e-8 * trace
-    violates the PSD contract.
+    size=None gives one (M,) draw; an int size gives an (M, size) batch of
+    independent columns, from the one block complex_gaussian((M, size),
+    stream).  A SpatialCorrelation computes the eigendecomposition and the
+    factor R^{1/2} once and reuses them on every draw.  Small negative
+    eigenvalues from quadrature are clamped at zero; an eigenvalue below
+    -1e-8 * trace violates the PSD contract.
     """
     corr = _as_correlation(corr)
     root, Uh = corr._rayleigh_factor
-    noise = complex_gaussian(corr.num_antennas, stream)
+    m = corr.num_antennas
+    noise = complex_gaussian(m if size is None else (m, size), stream)
     return root @ (Uh @ noise)

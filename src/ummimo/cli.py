@@ -271,17 +271,13 @@ def run_fig4(cfg, seed):
             g = rng_master.split(K * 1000 + d).generator()
             phis = g.uniform(-np.pi / 3, np.pi / 3, K)
             dists = g.uniform(cfg["r_min"], cfg["r_max"], K)
-            H = np.zeros((geom.num_elements, K), dtype=complex)
-            Hff = np.zeros_like(H)
-            for k in range(K):
-                t = np.array([np.sin(phis[k]) * dists[k], 0.0,
-                              np.cos(phis[k]) * dists[k]])
-                H[:, k] = los_channel(geom, t, mode="exact")
-                amp = lam / (4 * np.pi * t[2])
-                sv = steering_matrix(geom, np.array([phis[k]]), np.array([0.0]))[0]
-                # plane-wave phase about the centroid: dist - u.p, so the
-                # response conjugate carries the +u.p correction
-                Hff[:, k] = amp * np.exp(-2j * np.pi / lam * dists[k]) * np.conj(sv)
+            tx = np.stack([np.sin(phis) * dists, np.zeros(K), np.cos(phis) * dists], axis=1)
+            H = los_channel(geom, tx, mode="exact")
+            amp = lam / (4 * np.pi * tx[:, 2])
+            sv = steering_matrix(geom, phis, np.zeros(K))
+            # plane-wave phase about the centroid: dist - u.p, so the
+            # response conjugate carries the +u.p correction
+            Hff = amp * np.exp(-2j * np.pi / lam * dists) * np.conj(sv).T
             powers = np.full(K, p_ue)
             scen = UplinkScenario(H, powers, sigma2)
             se_ex.append(uplink_se(scen, lmmse_combiners(scen)).sum())
@@ -318,12 +314,9 @@ def run_fig5(cfg, seed):
     rows = []
     for dt in sweep:
         tx_x = (np.arange(m) - (m - 1) / 2) * dt
-        H = np.zeros((m, m), dtype=complex)
-        Hf = np.zeros((m, m), dtype=complex)
-        for n_ in range(m):
-            t = np.array([tx_x[n_], 0.0, d])
-            H[:, n_] = los_channel(rx, t, mode="exact")
-            Hf[:, n_] = los_channel(rx, t, mode="fresnel")
+        tx = np.stack([tx_x, np.zeros(m), np.full(m, d)], axis=1)
+        H = los_channel(rx, tx, mode="exact")
+        Hf = los_channel(rx, tx, mode="fresnel")
         se = su_capacity(H, p_total, sigma2, "waterfilling")
         s_ex = np.linalg.svd(H, compute_uv=False)
         s_fr = np.linalg.svd(Hf, compute_uv=False)
@@ -445,24 +438,25 @@ def run_fig10(cfg, seed):
 
 
 def _sparse_sampler(geom, dictionary, sparsity, on_grid, angle_limit):
-    """Channel = sum of `sparsity` equally-strong paths, E||h||^2 = M."""
+    """M x trials channels from one generator, each the sum of `sparsity`
+    equally-strong paths, E||h||^2 = M."""
     grid = dictionary.grid
     lim = np.sin(angle_limit)
     atoms = dictionary.atoms
     ok = np.where((np.abs(grid[:, 0]) <= lim) & (np.abs(grid[:, 1]) <= lim))[0]
 
-    def sampler(stream: RngStream) -> np.ndarray:
+    def sampler(stream: RngStream, trials: int) -> np.ndarray:
         g = stream.generator()
-        gains = (g.standard_normal(sparsity) + 1j * g.standard_normal(sparsity))
+        gains = g.standard_normal((trials, sparsity)) + 1j * g.standard_normal((trials, sparsity))
         gains /= np.sqrt(2.0 * sparsity)
         if on_grid:
-            idx = g.choice(ok, size=sparsity, replace=False)
-            steer = atoms[:, idx]
+            # the `sparsity` smallest of uniform keys: a subset without replacement
+            pick = np.argpartition(g.random((trials, ok.size)), sparsity - 1, axis=1)
+            steer = atoms[:, ok[pick[:, :sparsity]]]
         else:
-            az = g.uniform(-angle_limit, angle_limit, sparsity)
-            el = g.uniform(-angle_limit, angle_limit, sparsity)
-            steer = steering_matrix(geom, az, el).T
-        return steer @ gains
+            az, el = g.uniform(-angle_limit, angle_limit, (2, trials * sparsity))
+            steer = steering_matrix(geom, az, el).T.reshape(-1, trials, sparsity)
+        return np.einsum("mts,ts->mt", steer, gains)
 
     return sampler
 

@@ -99,13 +99,13 @@ def orthogonal_pilot(m: int, tau: int, power: float, noise_power: float,
 
 
 def received_pilot(pilot: PilotMatrix, h: np.ndarray, stream: RngStream) -> np.ndarray:
-    """y = sqrt(p) phi h + n with n ~ CN(0, sigma^2 I)."""
+    """y = sqrt(p) phi h + n with n ~ CN(0, sigma^2 I), for one channel h (M,)
+    or a batch (M, T); the noise is one complex_gaussian((tau_p, T)) block."""
     h = np.asarray(h, dtype=complex)
-    if h.shape != (pilot.num_antennas,):
-        raise ContractError(
-            f"channel has shape {h.shape}, pilot expects ({pilot.num_antennas},)"
-        )
-    noise = np.sqrt(pilot.noise_power) * complex_gaussian(pilot.tau, stream)
+    if h.ndim not in (1, 2) or h.shape[0] != pilot.num_antennas:
+        raise ContractError(f"channel has shape {h.shape}, pilot expects "
+                            f"({pilot.num_antennas},) or ({pilot.num_antennas}, T)")
+    noise = np.sqrt(pilot.noise_power) * complex_gaussian((pilot.tau, *h.shape[1:]), stream)
     return np.sqrt(pilot.power) * (pilot.phi @ h) + noise
 
 
@@ -364,21 +364,20 @@ def nmse_sweep(estimator: str, tau_values, *, power: float, noise_power: float,
                subspace: np.ndarray | None = None,
                dictionary: Dictionary | None = None,
                sparsity: int | None = None,
-               sampler: Callable[[RngStream], np.ndarray] | None = None,
+               sampler: Callable[[RngStream, int], np.ndarray] | None = None,
                trace_r: float | None = None,
                pilot_stream: RngStream | None = None) -> list[EstimatorResult]:
     """Monte-Carlo NMSE (MSE / tr(R)) of one estimator across pilot lengths.
 
-    The channel is drawn from `sampler` (default: correlated Rayleigh from
-    `corr`); pilots are the estimator's own design (water-filling for MMSE,
-    optimal subspace pilots for RS-LS, orthonormal rows otherwise).
-    Deterministic for a fixed master stream: trial t at sweep index i uses
-    substream (i * trials + t + 1).
-
-    At each pilot length the trials are drawn first, as the columns of an
-    M x trials channel batch and a tau_p x trials pilot batch, and the
-    estimator then runs once on the whole batch, so its pilot checks run
-    once per sweep point.  Memory is O(M * trials).
+    The channels are drawn by `sampler(stream, trials)`, which returns an
+    M x trials batch (default: correlated Rayleigh from `corr`); pilots are
+    the estimator's own design (water-filling for MMSE, optimal subspace
+    pilots for RS-LS, orthonormal rows otherwise).  Deterministic for a fixed
+    master stream: sweep point i draws its channels from
+    stream.split(i).split(0) and its tau_p x trials pilot noise from
+    stream.split(i).split(1), each as one block, and the estimator then runs
+    once on the whole batch, so its pilot checks run once per sweep point.
+    Memory is O(M * trials).
     """
     if estimator not in _ESTIMATORS:
         raise ConfigError(f"unknown estimator {estimator!r}; expected one of {_ESTIMATORS}")
@@ -394,33 +393,22 @@ def nmse_sweep(estimator: str, tau_values, *, power: float, noise_power: float,
         raise ConfigError(f"trials must be at least 2 for a standard error, got {trials}")
 
     if sampler is None:
-        sampler = lambda s: sample_rayleigh(corr, s)
+        sampler = lambda s, n: sample_rayleigh(corr, s, n)
     if trace_r is None:
         trace_r = float(np.trace(corr.R).real)
-    if corr is not None:
-        m = corr.R.shape[0]
-    elif subspace is not None:
-        m = subspace.shape[0]
-    elif dictionary is not None:
-        m = dictionary.atoms.shape[0]
-    else:
-        m = len(sampler(stream.split(0)))  # probe draw fixes the dimension
 
     results = []
     for i, tau in enumerate(tau_values):
         tau = int(tau)
+        point = stream.split(i)
+        H = sampler(point.split(0), trials)
         if estimator == "mmse":
             pilot = mmse_pilot_design(corr, power, noise_power, tau)
         elif estimator == "rs-ls":
             pilot = rsls_pilot(subspace, tau, power, noise_power)
         else:
-            pilot = orthogonal_pilot(m, tau, power, noise_power, pilot_stream)
-        H = np.empty((m, trials), dtype=complex)
-        Y = np.empty((tau, trials), dtype=complex)
-        for t in range(trials):
-            sub = stream.split(i * trials + t + 1)
-            h = sampler(sub.split(2 ** 40 + sub.stream))
-            H[:, t], Y[:, t] = h, received_pilot(pilot, h, sub)
+            pilot = orthogonal_pilot(H.shape[0], tau, power, noise_power, pilot_stream)
+        Y = received_pilot(pilot, H, point.split(1))
         if estimator == "ls":
             Hh = ls_estimate(Y, pilot)
         elif estimator == "mmse":

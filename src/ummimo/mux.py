@@ -82,19 +82,23 @@ def uplink_se(scenario: UplinkScenario, combiners: np.ndarray) -> np.ndarray:
     """Per-UE spectral efficiency log2(1 + SINR_k), interference as noise.
 
     combiners holds v_k as columns; SINR_k = p_k |v_k^H h_k|^2 /
-    (sum_{i != k} p_i |v_k^H h_i|^2 + sigma^2 ||v_k||^2).
+    (sum_{i != k} p_i |v_k^H h_i|^2 + sigma^2 ||v_k||^2).  A zero-power UE
+    has SE 0 whatever its combiner (lmmse_combiners gives it the zero
+    vector); a zero combiner for a UE with positive power is rejected.
     """
     V = np.asarray(combiners, dtype=complex)
     H, p, s2 = scenario.H, scenario.powers, scenario.noise_power
     if V.shape != H.shape:
         raise ContractError("combiners must match the channel matrix shape")
-    if np.any(np.linalg.norm(V, axis=0) == 0):
-        raise ContractError("zero combiner vector")
+    norms = np.linalg.norm(V, axis=0)
+    if np.any((norms == 0) & (p > 0)):
+        raise ContractError("zero combiner vector for a UE with positive power")
     cross = np.abs(V.conj().T @ H) ** 2  # (k, i): |v_k^H h_i|^2
     signal = p * np.diag(cross)
     interference = cross @ p - signal
-    noise = s2 * np.linalg.norm(V, axis=0) ** 2
-    return np.log2(1.0 + signal / (interference + noise))
+    sinr = np.divide(signal, interference + s2 * norms ** 2,
+                     out=np.zeros_like(signal), where=p > 0)
+    return np.log2(1.0 + sinr)
 
 
 def uplink_se_bound(scenario: UplinkScenario, k: int) -> float:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from numpy.random import Generator, Philox
+from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import fresnel
 
 from .errors import ContractError, DomainError
@@ -123,9 +123,13 @@ def sphere_grid(n_azimuth: int = 360, n_elevation: int = 90) -> QuadratureGrid:
 class RngStream:
     """Counter-based (Philox) random stream keyed by (seed, stream id).
 
-    Identical (seed, stream) pairs reproduce identical draw sequences;
-    distinct stream ids give statistically independent streams, which lets
-    Monte-Carlo trials be split across workers without coordination.
+    generator() keys Philox with (seed, stream), so identical pairs reproduce
+    identical draw sequences.  split(child) keeps the seed and derives the
+    child's stream id from (this stream id, child), both mod 2^64, as
+    SeedSequence([stream, child]).generate_state(1, uint64)[0]: a 64-bit
+    hash, so children of distinct parents or distinct children of one parent
+    get distinct keys barring a 2^-64 collision, and a tree of streams needs
+    no coordination between workers.
     """
 
     seed: int
@@ -136,17 +140,19 @@ class RngStream:
                         self.stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         return Generator(Philox(key=key))
 
-    def split(self, stream: int) -> "RngStream":
-        return RngStream(self.seed, stream)
+    def split(self, child: int) -> "RngStream":
+        words = [self.stream & 0xFFFFFFFFFFFFFFFF, child & 0xFFFFFFFFFFFFFFFF]
+        return RngStream(self.seed, int(SeedSequence(words).generate_state(1, np.uint64)[0]))
 
 
-def complex_gaussian(n: int, stream: RngStream) -> np.ndarray:
-    """n i.i.d. CN(0, 1) draws; deterministic for a fixed stream."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    g = stream.generator().standard_normal((2, n))
+def complex_gaussian(shape, stream: RngStream) -> np.ndarray:
+    """I.i.d. CN(0, 1) draws of the given shape (an int n gives n draws);
+    (g[0] + j g[1]) / sqrt(2) of one standard_normal((2, *shape)) block, so
+    deterministic for a fixed stream."""
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    if any(n < 0 for n in shape):
+        raise DomainError(f"shape must be nonnegative, got {shape}")
+    g = stream.generator().standard_normal((2, *shape))
     return (g[0] + 1j * g[1]) / np.sqrt(2.0)
 
 

@@ -180,7 +180,7 @@ def test_criterion_05_estimator_mses():
 
     subspace = isotropic_subspace(geom)
     rbar = subspace.shape[1]
-    proj = lambda s: subspace @ (subspace.conj().T @ sample_rayleigh(corr, s))
+    proj = lambda s, n: subspace @ (subspace.conj().T @ sample_rayleigh(corr, s, n))
     res_rs = nmse_sweep("rs-ls", [m], power=p, noise_power=sigma2, trials=trials,
                         stream=RngStream(1002), subspace=subspace,
                         sampler=proj, trace_r=tr)[0]

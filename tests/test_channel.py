@@ -7,7 +7,7 @@ from ummimo.channel import (array_response, correlation_matrix,
                             gaussian_cluster_profile, isotropic_profile,
                             los_channel, sample_rayleigh, steering_matrix)
 from ummimo.geometry import ArrayGeometry, build_ula, build_upa, region_bounds
-from ummimo.numerics import RngStream, hemisphere_grid
+from ummimo.numerics import RngStream, complex_gaussian, hemisphere_grid
 
 LAM = 0.01
 
@@ -70,6 +70,26 @@ class TestLosChannel:
         geom = build_ula(4, LAM / 2, LAM)
         with pytest.raises(SingularityError):
             los_channel(geom, geom.positions[1], "exact")
+        tx = np.array([[0.1, 0.0, 1.0], geom.positions[2]])
+        with pytest.raises(SingularityError):
+            los_channel(geom, tx, "exact")
+
+    @pytest.mark.parametrize("mode", ["exact", "fresnel"])
+    @pytest.mark.parametrize("amplitude", ["common", "per-element"])
+    def test_batch_equals_columnwise_calls(self, mode, amplitude):
+        geom = build_upa(6, 4, LAM / 2, LAM / 3, LAM)
+        rng = np.random.default_rng(8)
+        tx = np.column_stack([rng.uniform(-0.5, 0.5, (5, 2)), rng.uniform(0.2, 3.0, 5)])
+        H = los_channel(geom, tx, mode, amplitude)
+        assert H.shape == (geom.num_elements, 5)
+        for k in range(5):
+            assert np.array_equal(H[:, k], los_channel(geom, tx[k], mode, amplitude))
+
+    def test_bad_transmitter_shape_rejected(self):
+        geom = build_ula(4, LAM / 2, LAM)
+        for tx in (np.zeros(2), np.ones((2, 2)), np.ones((2, 2, 3))):
+            with pytest.raises(ContractError):
+                los_channel(geom, tx)
 
 
 class TestCorrelationMatrix:
@@ -286,6 +306,29 @@ class TestSampleRayleigh:
         acc /= trials
         rel = np.linalg.norm(acc - corr.R) / np.linalg.norm(corr.R)
         assert rel < 0.05
+
+    def test_batch_sample_covariance_matches(self):
+        # one (M, T) batch: for circular Gaussian h, var(h_m conj(h_n)) =
+        # R_mm R_nn, so each entry of the sample covariance has standard
+        # error sqrt(R_mm R_nn / T) = beta / sqrt(T); 5 of them bound all 36
+        geom = build_ula(6, LAM / 3, LAM)
+        corr = correlation_matrix(geom, isotropic_profile())
+        trials = 20000
+        H = sample_rayleigh(corr, RngStream(124), trials)
+        assert H.shape == (6, trials)
+        S = H @ H.conj().T / trials
+        assert np.max(np.abs(S - corr.R)) < 5 * corr.beta / np.sqrt(trials)
+
+    def test_batch_is_one_block(self):
+        # the batch factors one complex_gaussian((M, T)) block, and size=None
+        # draws the (M,) block of the same stream
+        corr = correlation_matrix(build_ula(5, LAM / 2, LAM), isotropic_profile())
+        root, Uh = corr._rayleigh_factor
+        s = RngStream(3, 4)
+        assert np.array_equal(sample_rayleigh(corr, s, 7),
+                              root @ (Uh @ complex_gaussian((5, 7), s)))
+        assert np.array_equal(sample_rayleigh(corr, s),
+                              root @ (Uh @ complex_gaussian(5, s)))
 
     def test_indefinite_rejected(self):
         R = np.diag([1.0, -0.5])

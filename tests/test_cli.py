@@ -75,12 +75,24 @@ class TestRunArtifacts:
         assert d1 != d2
         assert (d1 / "manifest.json").exists() and (d2 / "manifest.json").exists()
 
-    def test_monte_carlo_bytes_reproducible(self, tmp_path):
-        cfg = {"tau_values": [4, 8], "n": 4}
-        d1 = run("fig9", seed=5, trials=10, config=cfg, out=tmp_path / "a")
-        d2 = run("fig9", seed=5, trials=10, config=cfg, out=tmp_path / "b")
-        assert (d1 / "nmse_vs_tau.csv").read_bytes() \
-            == (d2 / "nmse_vs_tau.csv").read_bytes()
+    @pytest.mark.parametrize("exp, cfg, csv", [
+        ("fig9", {"tau_values": [4, 8], "n": 4, "trials": 10}, "nmse_vs_tau.csv"),
+        ("fig10", {"spacing_fracs": [0.5, 0.25], "n": 4, "trials": 10}, "nmse_vs_spacing.csv"),
+        ("fig11", {"tau_values": [8, 16], "n": 4, "trials": 10, "grid_density": 10},
+         "nmse_omp.csv"),
+        ("fig4-mu", {"k_values": [4], "drops": 2, "nx": 8, "ny": 4}, "mu_mimo_se.csv"),
+    ], ids=["fig9", "fig10", "fig11", "fig4-mu"])
+    def test_monte_carlo_bytes_reproducible(self, exp, cfg, csv, tmp_path):
+        d1 = run(exp, seed=5, config=cfg, out=tmp_path / "a")
+        d2 = run(exp, seed=5, config=cfg, out=tmp_path / "b")
+        assert (d1 / csv).read_bytes() == (d2 / csv).read_bytes()
+
+    def test_fig10_ls_rows_independent(self, tmp_path):
+        # each spacing's LS sweep has its own stream, so no two rows coincide
+        d = run("fig10", seed=5, config={"n": 4, "trials": 10}, out=tmp_path)
+        _, rows = _read_csv(d / "nmse_vs_spacing.csv")
+        ls = [float(r[3]) for r in rows if r[1] == "ls"]
+        assert len(ls) == 4 and len(set(ls)) == 4
 
     def test_fig9_csv_schema(self, tmp_path):
         d = run("fig9", seed=3, trials=8,

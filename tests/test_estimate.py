@@ -86,6 +86,17 @@ class TestReceivedPilot:
         pilot = orthogonal_pilot(4, 4, 1.0, 0.5)
         with pytest.raises(ContractError):
             received_pilot(pilot, np.zeros(5, dtype=complex), RngStream(0))
+        for h in (np.zeros((5, 3)), np.zeros((4, 3, 2))):
+            with pytest.raises(ContractError):
+                received_pilot(pilot, h, RngStream(0))
+
+    def test_batch_is_one_noise_block(self):
+        p, sigma2 = 2.0, 0.7
+        pilot = orthogonal_pilot(4, 6, p, sigma2, RngStream(1))
+        H = complex_gaussian((4, 9), RngStream(2))
+        s = RngStream(3, 8)
+        want = np.sqrt(p) * (pilot.phi @ H) + np.sqrt(sigma2) * complex_gaussian((6, 9), s)
+        assert np.array_equal(received_pilot(pilot, H, s), want)
 
 
 class TestLsEstimate:
@@ -491,7 +502,9 @@ class TestNmseSweep:
 
     @pytest.mark.parametrize("est", ["ls", "mmse", "rs-ls", "omp"])
     def test_batched_matches_per_trial_loop(self, est):
-        # oracle: the single-vector estimators on the same substreams
+        # oracle: the sweep point's two blocks, channels from
+        # stream.split(i).split(0) and pilot noise from stream.split(i).split(1),
+        # then the single-vector estimators per column
         p, sigma2, trials = 1.0, 0.3, 30
         subspace = isotropic_subspace(self.geom)
         dictionary = build_ff_dictionary(self.geom, 1.0 / 8.0)
@@ -509,11 +522,10 @@ class TestNmseSweep:
                 pilot = rsls_pilot(subspace, tau, p, sigma2)
             else:
                 pilot = orthogonal_pilot(self.m, tau, p, sigma2, pilot_stream)
+            H = sample_rayleigh(self.corr, stream.split(i).split(0), trials)
+            Y = received_pilot(pilot, H, stream.split(i).split(1))
             errs = np.empty(trials)
-            for t in range(trials):
-                sub = stream.split(i * trials + t + 1)
-                h = sample_rayleigh(self.corr, sub.split(2 ** 40 + sub.stream))
-                y = received_pilot(pilot, h, sub)
+            for t, (h, y) in enumerate(zip(H.T, Y.T)):
                 if est == "ls":
                     hh = ls_estimate(y, pilot)
                 elif est == "mmse":
@@ -537,6 +549,19 @@ class TestNmseSweep:
                          trials=4000, stream=RngStream(5), corr=self.corr)[0]
         expected = sigma2 * self.m / (p * tr)
         assert abs(res.nmse - expected) < 3 * res.stderr
+
+    def test_mmse_matches_analytic_mse(self):
+        # stream-independent oracle: the Monte-Carlo MSE of the MMSE sweep
+        # against mmse_estimate's analytic MSE, within 3 standard errors
+        p, sigma2 = 1.0, 0.2
+        tr = float(np.trace(self.corr.R).real)
+        taus = [4, 8, self.m]
+        res = nmse_sweep("mmse", taus, power=p, noise_power=sigma2, trials=4000,
+                         stream=RngStream(16), corr=self.corr)
+        for tau, r in zip(taus, res):
+            pilot = mmse_pilot_design(self.corr, p, sigma2, tau)
+            _, mse = mmse_estimate(np.zeros(tau), pilot, self.corr)
+            assert abs(r.nmse * tr - mse) <= 3 * r.stderr * tr
 
     def test_mmse_beats_ls_and_improves_with_tau(self):
         sigma2 = 0.5

@@ -89,18 +89,33 @@ class TestUplinkSe:
             assert abs(se[k] - uplink_se_bound(scen, k)) < 1e-9
 
     def test_bound_with_zero_power_ue(self):
-        # a zero-power UE has SE 0 whatever its combiner; it gets the zero
-        # LMMSE combiner, which uplink_se rejects, so the matched filter stands in
+        # a zero-power UE gets the zero LMMSE combiner and has SE 0
         scen = _random_scenario(10, 4, 13)
         powers = scen.powers.copy()
         powers[2] = 0.0
         scen = UplinkScenario(scen.H, powers, scen.noise_power)
-        V = lmmse_combiners(scen)
-        V[:, 2] = scen.H[:, 2]
-        se = uplink_se(scen, V)
+        se = uplink_se(scen, lmmse_combiners(scen))
         bound = [uplink_se_bound(scen, k) for k in range(4)]
         assert np.allclose(bound, se, rtol=1e-12, atol=1e-12)
         assert bound[2] == 0.0 and se[2] == 0.0
+
+    def test_zero_power_ue_has_zero_se_whatever_its_combiner(self):
+        scen = _random_scenario(10, 4, 14)
+        powers = scen.powers.copy()
+        powers[1] = 0.0
+        scen = UplinkScenario(scen.H, powers, scen.noise_power)
+        V = lmmse_combiners(scen)
+        for v in (np.zeros(10), scen.H[:, 1], scen.H[:, 3]):
+            V[:, 1] = v
+            se = uplink_se(scen, V)
+            assert se[1] == 0.0 and np.all(se[[0, 2, 3]] > 0)
+
+    def test_zero_combiner_with_positive_power_rejected(self):
+        scen = _random_scenario(10, 4, 15)
+        V = lmmse_combiners(scen)
+        V[:, 3] = 0.0
+        with pytest.raises(ContractError, match="zero combiner"):
+            uplink_se(scen, V)
 
     def test_bound_out_of_range_rejected(self):
         scen = _random_scenario(4, 2, 1)

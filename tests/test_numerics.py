@@ -128,6 +128,51 @@ class TestRng:
     def test_empty(self):
         assert complex_gaussian(0, RngStream(0)).size == 0
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(DomainError):
+            complex_gaussian(-1, RngStream(0))
+        with pytest.raises(DomainError):
+            complex_gaussian((3, -2), RngStream(0))
+
+    def test_int_count_is_one_standard_normal_block(self):
+        s = RngStream(11, 4)
+        g = s.generator().standard_normal((2, 37))
+        assert np.array_equal(complex_gaussian(37, s), (g[0] + 1j * g[1]) / np.sqrt(2))
+
+    def test_shape_is_one_standard_normal_block(self):
+        s = RngStream(11, 4)
+        g = s.generator().standard_normal((2, 5, 3))
+        z = complex_gaussian((5, 3), s)
+        assert z.shape == (5, 3)
+        assert np.array_equal(z, (g[0] + 1j * g[1]) / np.sqrt(2))
+
+
+class TestRngSplit:
+    def test_known_answer(self):
+        # the documented rule: the child id is the first 64-bit word of
+        # SeedSequence([parent id, child]), ids taken mod 2^64
+        for parent, child in ((0, 0), (5, 3), (2 ** 63 + 7, 12), (-1, 4)):
+            words = [parent % 2 ** 64, child]
+            want = int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
+            assert RngStream(17, parent).split(child) == RngStream(17, want)
+
+    def test_child_depends_on_parent(self):
+        assert RngStream(1, 5).split(3) != RngStream(1, 9).split(3)
+        a = complex_gaussian(50, RngStream(1, 5).split(3))
+        b = complex_gaussian(50, RngStream(1, 9).split(3))
+        assert not np.any(a == b)
+
+    def test_children_of_one_parent_differ(self):
+        ids = {RngStream(1, 5).split(c).stream for c in range(1000)}
+        assert len(ids) == 1000
+
+    def test_seed_is_kept_and_generator_unchanged(self):
+        child = RngStream(8, 2).split(6)
+        assert child.seed == 8
+        key = np.array([8, child.stream], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal(4)
+        assert np.array_equal(child.generator().standard_normal(4), want)
+
 
 class TestGrids:
     def test_hemisphere_measure(self):
