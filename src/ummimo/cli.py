@@ -6,8 +6,8 @@ xlabel, ylabel, series[, logy]).  `run()` writes them into
 <out>/<experiment>/seed-<N>/, so a new seed never touches a prior run: tidy
 CSVs (round-trip floats, LF, UTF-8), a JSON manifest, and with --svg the SVGs.
 
-Usage: umm <experiment-id> [--config PATH] [--seed N] [--trials N]
-           [--out DIR] [--svg] [--<key> <value> ...]
+Usage: umm <experiment-id> [--config PATH] [--seed N] [--out DIR] [--svg]
+           [--<key> <value> ...]
 Exit codes: 0 success, 2 config error, 3 numerical-contract violation.
 """
 
@@ -73,29 +73,45 @@ def parse_config_file(path: Path) -> dict:
     return out
 
 
+# the value types each default type admits; a bool is never a number
+_NUMBER = (int, float, np.integer, np.floating)
+_TYPES = {bool: (bool, np.bool_), int: (int, np.integer), float: _NUMBER, str: (str, *_NUMBER)}
+
+
+def _admit(key: str, value, default):
+    """`value` converted to the type of the schema default, or ConfigError."""
+    kind = type(default)
+    if kind is list:
+        values = list(value) if isinstance(value, (list, tuple)) else [value]
+        if values:
+            return [_admit(key, v, default[0]) for v in values]
+    elif isinstance(value, _TYPES[kind]) and (kind is bool) == isinstance(value, _TYPES[bool]):
+        return kind(value)
+    raise ConfigError(f"config key {key!r} does not admit {value!r} (default {default!r})")
+
+
 def resolve_config(schema: dict, overrides: dict) -> dict:
+    """The schema defaults with `overrides` applied, each in its default's type:
+    a bool takes true/false, an int integers, a float integers or floats, a
+    str strings or numbers (kept as text).  A list takes a nonempty list or a
+    scalar (one element), each element in the type of the default's first.
+    An unknown key or any other value raises ConfigError."""
     cfg = {k: v for k, (v, _desc) in schema.items()}
     for key, value in overrides.items():
         if key not in schema:
             known = ", ".join(sorted(schema))
             raise ConfigError(f"unknown config key {key!r}; known keys: {known}")
-        cfg[key] = value
+        cfg[key] = _admit(key, value, cfg[key])
     return cfg
 
 
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
-
-
-def _parse_df_lengths(values, d_f: float) -> list[float]:
-    """Focus distances; a trailing 'dF' scales by the Fraunhofer distance."""
-    out = []
-    for v in _as_list(values):
-        if isinstance(v, str) and v.endswith("dF"):
-            out.append(float(v[:-2]) * d_f)
-        else:
-            out.append(float(v))
-    return out
+def _parse_df_lengths(values: list[str], d_f: float) -> list[float]:
+    """Focus distances: '<number>' in m or '<number>dF' in Fraunhofer distances."""
+    try:
+        return [float(v[:-2]) * d_f if v.endswith("dF") else float(v) for v in values]
+    except ValueError:
+        raise ConfigError(f"focus distances {values!r} must be '<number>' or "
+                          "'<number>dF'") from None
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +205,7 @@ def _cols(rows, *idx) -> tuple[list, ...]:
 
 def run_nf_factor(cfg, seed):
     lam = cfg["wavelength"]
-    zs = np.linspace(cfg["z_min_lam"], cfg["z_max_lam"], int(cfg["points"]))
+    zs = np.linspace(cfg["z_min_lam"], cfg["z_max_lam"], cfg["points"])
     rows = [(z, near_field_factor(z * lam, lam)) for z in zs]
     tables = {"nf_factor.csv": (["z_over_lambda", "factor"], rows)}
     plots = {"nf_factor.svg": ("near-field factor", "z/lambda", "factor",
@@ -200,11 +216,11 @@ def run_nf_factor(cfg, seed):
 def run_aperture_gain(cfg, seed):
     lam = cfg["wavelength"]
     a, b = cfg["a_lam"] * lam, cfg["b_lam"] * lam
-    nx, ny = int(cfg["sub_nx"]), int(cfg["sub_ny"])
+    nx, ny = cfg["sub_nx"], cfg["sub_ny"]
     gmax = a * b / isotropic_area(lam)
     rows = []
-    for z_lam in _as_list(cfg["z_lam"]):
-        z = float(z_lam) * lam
+    for z_lam in cfg["z_lam"]:
+        z = z_lam * lam
         rows.append((z_lam, aperture_gain(a, b, z, lam) / gmax,
                      aperture_gain_subdivided(a, b, nx, ny, z, lam) / gmax))
     tables = {"aperture_gain.csv": (
@@ -217,14 +233,14 @@ def run_aperture_gain(cfg, seed):
 
 def run_beam(cfg, seed):
     lam = cfg["wavelength"]
-    n = int(cfg["n"])
+    n = cfg["n"]
     spacing = cfg["spacing_lam"] * lam
     d_f = fraunhofer_square(n, spacing, lam)
     rows = []
     for F in _parse_df_lengths(cfg["F"], d_f):
         iv = beamdepth_3db(F, d_f)
         rows.append((F, d_f, iv.depth, _numeric_beamdepth(F, d_f), iv.z_near, iv.z_far))
-    phis = np.linspace(-cfg["phi_max_rad"], cfg["phi_max_rad"], int(cfg["points"]))
+    phis = np.linspace(-cfg["phi_max_rad"], cfg["phi_max_rad"], cfg["points"])
     taper_rows = [(phi, angular_taper(n, spacing, lam, phi)) for phi in phis]
     tables = {"beam_depth.csv": (["focus_m", "d_fraunhofer_m", "bd_analytic_m",
                                   "bd_numeric_m", "z_near_m", "z_far_m"], rows),
@@ -258,14 +274,14 @@ def _numeric_beamdepth(F: float, d_f: float) -> float:
 
 def run_fig4(cfg, seed):
     lam = cfg["wavelength"]
-    nx, ny = int(cfg["nx"]), int(cfg["ny"])
+    nx, ny = cfg["nx"], cfg["ny"]
     geom = build_upa(nx, ny, lam / 2, lam / 2, lam)
-    drops = int(cfg["drops"])
+    drops = cfg["drops"]
     sigma2 = cfg["noise_power"]
     p_ue = cfg["ue_power"]
     rng_master = RngStream(seed)
     rows = []
-    for K in [int(k) for k in _as_list(cfg["k_values"])]:
+    for K in cfg["k_values"]:
         se_ex, se_ff = [], []
         for d in range(drops):
             g = rng_master.split(K * 1000 + d).generator()
@@ -303,10 +319,10 @@ def run_fig4(cfg, seed):
 def run_fig5(cfg, seed):
     lam = cfg["wavelength"]
     d = cfg["distance"]
-    m = int(cfg["m"])
+    m = cfg["m"]
     dr = cfg["rx_spacing_lam"] * lam
     dt_star = optimal_spacing(lam, d, m, dr)
-    sweep = sorted(set([dr] + [float(v) for v in _as_list(cfg["tx_spacings"])] + [dt_star]))
+    sweep = sorted(set([dr] + cfg["tx_spacings"] + [dt_star]))
     rx = build_ula(m, dr, lam)
     beta = (lam / (4 * np.pi * d)) ** 2
     sigma2 = 1.0
@@ -347,16 +363,16 @@ def _eigen_tables(cases) -> dict:
 
 def run_fig6_ula(cfg, seed):
     lam = cfg["wavelength"]
-    n = int(cfg["n"])
+    n = cfg["n"]
     cases = ((frac, build_ula(n, frac * lam, lam), dof_1d(n * frac * lam, lam))
-             for frac in [float(f) for f in _as_list(cfg["spacing_fracs"])])
+             for frac in cfg["spacing_fracs"])
     return _eigen_tables(cases), [], {}
 
 
 def run_fig6_upa(cfg, seed):
     lam = cfg["wavelength"]
-    n = int(cfg["n"])
-    frac = float(cfg["spacing_frac"])
+    n = cfg["n"]
+    frac = cfg["spacing_frac"]
     geom = build_upa(n, n, frac * lam, frac * lam, lam)
     eta = dof_2d(n * frac * lam, n * frac * lam, lam).eta
     return _eigen_tables([(frac, geom, eta)]), [], {}
@@ -370,13 +386,13 @@ def _three_clusters(std_deg: float):
 
 def run_fig9(cfg, seed):
     lam = cfg["wavelength"]
-    n = int(cfg["n"])
+    n = cfg["n"]
     geom = build_upa(n, n, cfg["spacing_frac"] * lam, cfg["spacing_frac"] * lam, lam)
     m = geom.num_elements
     snr = cfg["effective_snr"]
     p = 1.0
-    taus = [int(t) for t in _as_list(cfg["tau_values"])]
-    trials = int(cfg["trials"])
+    taus = cfg["tau_values"]
+    trials = cfg["trials"]
     stream = RngStream(seed)
     profiles = {"isotropic": isotropic_profile(),
                 "clustered": _three_clusters(cfg["cluster_std_deg"])}
@@ -404,15 +420,15 @@ def run_fig9(cfg, seed):
 
 def run_fig10(cfg, seed):
     lam = cfg["wavelength"]
-    n = int(cfg["n"])
+    n = cfg["n"]
     m = n * n
     snr = cfg["effective_snr"]
     p = 1.0
-    trials = int(cfg["trials"])
+    trials = cfg["trials"]
     stream = RngStream(seed)
     profile = _three_clusters(cfg["cluster_std_deg"])
     rows = []
-    for fi, frac in enumerate([float(f) for f in _as_list(cfg["spacing_fracs"])]):
+    for fi, frac in enumerate(cfg["spacing_fracs"]):
         geom = build_upa(n, n, frac * lam, frac * lam, lam)
         corr = correlation_matrix(geom, profile)
         sigma2 = p * float(np.trace(corr.R).real) / (m * snr)
@@ -463,19 +479,19 @@ def _sparse_sampler(geom, dictionary, sparsity, on_grid, angle_limit):
 
 def run_fig11(cfg, seed):
     lam = cfg["wavelength"]
-    n = int(cfg["n"])
-    frac = float(cfg["spacing_frac"])
+    n = cfg["n"]
+    frac = cfg["spacing_frac"]
     geom = build_upa(n, n, frac * lam, frac * lam, lam)
     m = geom.num_elements
-    dictionary = build_ff_dictionary(geom, 1.0 / float(cfg["grid_density"]))
-    sparsity = int(cfg["paths"])
+    dictionary = build_ff_dictionary(geom, 1.0 / cfg["grid_density"])
+    sparsity = cfg["paths"]
     sigma2 = 1.0
     p = cfg["pilot_snr"] * sigma2
-    taus = [int(t) for t in _as_list(cfg["tau_values"])]
-    trials = int(cfg["trials"])
+    taus = cfg["tau_values"]
+    trials = cfg["trials"]
     stream = RngStream(seed)
     angle_limit = 0.9 * np.pi / 2
-    sampler = _sparse_sampler(geom, dictionary, sparsity, bool(cfg["on_grid"]), angle_limit)
+    sampler = _sparse_sampler(geom, dictionary, sparsity, cfg["on_grid"], angle_limit)
     subspace = isotropic_subspace(geom)
     rbar = subspace.shape[1]
     rows = []
@@ -502,13 +518,12 @@ def run_bbu(cfg, seed):
     cases = [
         (10.0, 1e8, 16, 3e9),
         (10.0, 1e9, 16, 3e10),
-        (float(cfg["area"]), float(cfg["bandwidth"]), float(cfg["bits"]),
-         float(cfg["carrier"])),
+        (cfg["area"], cfg["bandwidth"], cfg["bits"], cfg["carrier"]),
     ]
     rows = [(a, b, bits, fc, bbu_rate(a, b, bits, fc)) for a, b, bits, fc in cases]
-    area, density = float(cfg["area"]), float(cfg["chain_density"])
+    area, density = cfg["area"], cfg["chain_density"]
     chain_rows = [(area, tau, density, active_rf_chains(area, tau, density))
-                  for tau in [float(t) for t in _as_list(cfg["tau_values"])]]
+                  for tau in cfg["tau_values"]]
     return {"bbu_rate.csv": (["area_m2", "bandwidth_hz", "bits_per_sample", "carrier_hz",
                               "rate_bit_s"], rows),
             "active_chains.csv": (["area_m2", "active_fraction", "chains_per_m2", "chains"],
@@ -517,7 +532,7 @@ def run_bbu(cfg, seed):
 
 def run_circuit_demo(cfg, seed):
     lam = cfg["wavelength"]
-    n_tx, n_rx = int(cfg["n_tx"]), int(cfg["n_rx"])
+    n_tx, n_rx = cfg["n_tx"], cfg["n_rx"]
     tx = build_ula(n_tx, cfg["spacing_frac"] * lam, lam)
     rx_local = build_ula(n_rx, cfg["spacing_frac"] * lam, lam)
     offset = np.array([0.0, 0.0, cfg["separation_lam"] * lam])
@@ -618,7 +633,7 @@ _EXPERIMENTS: dict[str, tuple] = {
         "wavelength": (0.01, "carrier wavelength, m"),
         "n": (8, "UPA elements per side"),
         "spacing_frac": (0.25, "spacing, wavelengths"),
-        "grid_density": (40, "dictionary lattice density (atoms at step 1/density)"),
+        "grid_density": (40.0, "dictionary lattice density (atoms at step 1/density)"),
         "paths": (3, "sparse path count"),
         "pilot_snr": (10.0, "linear pilot SNR (10 dB)"),
         "on_grid": (False, "draw path angles on the dictionary grid"),
@@ -656,21 +671,15 @@ def list_experiments() -> str:
     return "\n".join(lines)
 
 
-def run(experiment: str, config: dict | None = None, seed: int = 0,
-        trials: int | None = None, out: str | Path = "runs",
-        svg: bool = False) -> Path:
-    """Run one experiment; the one writer of its CSVs, SVGs (`svg`) and manifest."""
+def run(experiment: str, config: dict | None = None, *, seed: int = 0,
+        out: str | Path = "runs", svg: bool = False) -> Path:
+    """Run one experiment; the one writer of its CSVs, SVGs (`svg`) and manifest.
+    `config` overrides schema keys (`trials` is one) through resolve_config."""
     if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"run 'umm list-experiments'")
     fn, _desc, schema = _EXPERIMENTS[experiment]
-    overrides = dict(config or {})
-    if trials is not None:
-        if "trials" not in schema:
-            overrides.pop("trials", None)
-        else:
-            overrides["trials"] = trials
-    cfg = resolve_config(schema, overrides)
+    cfg = resolve_config(schema, config or {})
     tables, notes, plots = fn(cfg, seed)
     run_dir = Path(out) / experiment / f"seed-{seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -689,7 +698,6 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", help="experiment id, or 'list-experiments'")
     parser.add_argument("--config", type=Path, default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--out", type=Path, default=Path("runs"))
     parser.add_argument("--svg", action="store_true")
     args, extra = parser.parse_known_args(argv)
@@ -703,8 +711,8 @@ def main(argv=None) -> int:
         if args.config is not None:
             overrides.update(parse_config_file(args.config))
         overrides.update(_parse_extra_flags(extra))
-        run_dir = run(args.experiment, overrides, args.seed, args.trials,
-                      args.out, args.svg)
+        run_dir = run(args.experiment, overrides, seed=args.seed, out=args.out,
+                      svg=args.svg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -81,15 +81,14 @@ def unit_directions(azimuth, elevation) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _hemisphere_nodes(n_azimuth: int, n_elevation: int):
-    """Flat (azimuth, elevation, weights) of hemisphere_grid, computed once
-    per size and read-only, because every grid of that size shares them."""
-    xa, wa = leggauss(n_azimuth)
-    xe, we = leggauss(n_elevation)
-    az = xa * (np.pi / 2)
-    el = xe * (np.pi / 2)
-    AZ, EL = np.meshgrid(az, el, indexing="ij")
-    W = np.outer(wa, we) * (np.pi / 2) ** 2 * np.cos(EL)
+def _grid_nodes(n_az: int, n_el: int, az_half: float):
+    """Flat read-only (azimuth, elevation, weights) of the Gauss-Legendre
+    grid over az in [-az_half, az_half], el in [-pi/2, pi/2], computed once
+    per size and shared by every grid of that size."""
+    xa, wa = leggauss(n_az)
+    xe, we = leggauss(n_el)
+    AZ, EL = np.meshgrid(xa * az_half, xe * (np.pi / 2), indexing="ij")
+    W = np.outer(wa, we) * (az_half * (np.pi / 2)) * np.cos(EL)
     nodes = AZ.ravel(), EL.ravel(), W.ravel()
     for a in nodes:
         a.flags.writeable = False
@@ -97,22 +96,17 @@ def _hemisphere_nodes(n_azimuth: int, n_elevation: int):
 
 
 def hemisphere_grid(n_azimuth: int = 180, n_elevation: int = 90) -> QuadratureGrid:
-    """Gauss-Legendre grid over the front hemisphere az, el in [-pi/2, pi/2].
-
-    The nodes and weights are cached per size and shared read-only.
-    """
-    return QuadratureGrid(*_hemisphere_nodes(n_azimuth, n_elevation))
+    """Gauss-Legendre grid over the front hemisphere az, el in [-pi/2, pi/2];
+    nodes and weights come from the builder sphere_grid shares, cached per
+    size and read-only."""
+    return QuadratureGrid(*_grid_nodes(n_azimuth, n_elevation, np.pi / 2))
 
 
 def sphere_grid(n_azimuth: int = 360, n_elevation: int = 90) -> QuadratureGrid:
-    """Gauss-Legendre grid over the full sphere, az in [-pi, pi]."""
-    xa, wa = leggauss(n_azimuth)
-    xe, we = leggauss(n_elevation)
-    az = xa * np.pi
-    el = xe * (np.pi / 2)
-    AZ, EL = np.meshgrid(az, el, indexing="ij")
-    W = np.outer(wa * np.pi, we * (np.pi / 2)) * np.cos(EL)
-    return QuadratureGrid(AZ.ravel(), EL.ravel(), W.ravel())
+    """Gauss-Legendre grid over the full sphere, az in [-pi, pi]; nodes and
+    weights come from the builder hemisphere_grid shares, cached per size and
+    read-only."""
+    return QuadratureGrid(*_grid_nodes(n_azimuth, n_elevation, np.pi))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config key"):
             resolve_config(schema, {"m": 3})
 
+    def test_values_take_the_type_of_their_default(self):
+        schema = {"n": (4, "count"), "x": (0.5, "length"), "on": (False, "flag"),
+                  "xs": ([1.0, 2.0], "lengths"), "ks": ([1, 2], "counts"),
+                  "fs": (["0.1dF"], "foci")}
+        cfg = resolve_config(schema, {"n": 7, "x": 2, "on": True, "xs": 3,
+                                      "ks": (5, 6), "fs": [0.3, "0.2dF"]})
+        assert cfg == {"n": 7, "x": 2.0, "on": True, "xs": [3.0], "ks": [5, 6],
+                       "fs": ["0.3", "0.2dF"]}
+        assert type(cfg["x"]) is float and type(cfg["xs"][0]) is float
+        for key, bad in [("n", 2.5), ("n", True), ("n", "3"), ("x", "abc"), ("x", False),
+                         ("on", 1), ("on", "yes"), ("xs", [0.5, "x"]), ("xs", []),
+                         ("ks", [1, 2.5]), ("fs", [True])]:
+            with pytest.raises(ConfigError, match=repr(key)):
+                resolve_config(schema, {key: bad})
+
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             run("fig99", out=tmp_path)
@@ -95,8 +110,8 @@ class TestRunArtifacts:
         assert len(ls) == 4 and len(set(ls)) == 4
 
     def test_fig9_csv_schema(self, tmp_path):
-        d = run("fig9", seed=3, trials=8,
-                config={"tau_values": [4, 16], "n": 4}, out=tmp_path)
+        d = run("fig9", seed=3,
+                config={"tau_values": [4, 16], "n": 4, "trials": 8}, out=tmp_path)
         header, rows = _read_csv(d / "nmse_vs_tau.csv")
         assert header == ["tau_p", "estimator", "nmse", "stderr", "profile"]
         assert len(rows) >= 8
@@ -248,6 +263,27 @@ class TestMainEntry:
         assert code == 3
         # one Monte-Carlo trial has no standard error
         assert main(["fig9", "--out", str(tmp_path), "--trials", "1", "--n", "2"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fig9", "--n", "2.5", "--tau_values", "2", "--trials", "3"],
+        ["fig9", "--wavelength", "abc"],
+        ["fig6-ula", "--spacing_fracs", "0.5,x"],
+        ["beam", "--F", "0.05dF,foo"],
+    ], ids=["int-key-float", "float-key-text", "list-element-text", "focus-text"])
+    def test_wrong_type_is_config_error(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_trials_is_an_ordinary_key(self, tmp_path):
+        # fig5-su has no Monte-Carlo trials, so the key is unknown there
+        assert main(["fig5-su", "--out", str(tmp_path), "--trials", "3"]) == 2
+        assert main(["fig9", "--out", str(tmp_path), "--trials", "3", "--n", "2",
+                     "--tau_values", "4"]) == 0
+        manifest = json.loads((tmp_path / "fig9" / "seed-0" / "manifest.json").read_text())
+        assert manifest["config"]["trials"] == 3
+        with pytest.raises(TypeError):
+            run("fig9", {"n": 2}, 0)
 
     def test_cli_flag_override(self, tmp_path):
         code = main(["bbu", "--out", str(tmp_path), "--seed", "4",

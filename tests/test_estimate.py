@@ -67,13 +67,9 @@ class TestReceivedPilot:
     def test_pure_noise_variance(self):
         sigma2 = 0.3
         pilot = orthogonal_pilot(4, 4, 1.0, sigma2)
-        h = np.zeros(4, dtype=complex)
-        acc = 0.0
         trials = 25000  # 1e5 noise entries in total
-        for t in range(trials):
-            y = received_pilot(pilot, h, RngStream(5, t))
-            acc += np.mean(np.abs(y) ** 2)
-        assert abs(acc / trials - sigma2) < 0.02 * sigma2
+        y = received_pilot(pilot, np.zeros((4, trials), dtype=complex), RngStream(5))
+        assert abs(np.mean(np.abs(y) ** 2) - sigma2) < 0.02 * sigma2
 
     def test_deterministic(self):
         pilot = orthogonal_pilot(4, 6, 1.0, 0.5)
@@ -110,11 +106,9 @@ class TestLsEstimate:
         # Monte-Carlo MSE against M sigma^2 / p within 3 standard errors
         m, p, sigma2, trials = 16, 2.0, 0.5, 10 ** 4
         pilot = orthogonal_pilot(m, m, p, sigma2)
-        h = complex_gaussian(m, RngStream(10))
-        errs = np.empty(trials)
-        for t in range(trials):
-            y = received_pilot(pilot, h, RngStream(11, t))
-            errs[t] = np.linalg.norm(ls_estimate(y, pilot) - h) ** 2
+        H = np.repeat(complex_gaussian(m, RngStream(10))[:, None], trials, axis=1)
+        y = received_pilot(pilot, H, RngStream(11))
+        errs = np.linalg.norm(ls_estimate(y, pilot) - H, axis=0) ** 2
         stderr = errs.std(ddof=1) / np.sqrt(trials)
         assert abs(errs.mean() - m * sigma2 / p) < 3 * stderr
 
@@ -127,11 +121,9 @@ class TestLsEstimate:
         pilot = PilotMatrix(phi, p, sigma2)
         expected = sigma2 / p * np.trace(
             np.linalg.inv(phi.conj().T @ phi)).real
-        h = complex_gaussian(m, RngStream(12))
-        errs = np.empty(trials)
-        for t in range(trials):
-            y = received_pilot(pilot, h, RngStream(13, t))
-            errs[t] = np.linalg.norm(ls_estimate(y, pilot) - h) ** 2
+        H = np.repeat(complex_gaussian(m, RngStream(12))[:, None], trials, axis=1)
+        y = received_pilot(pilot, H, RngStream(13))
+        errs = np.linalg.norm(ls_estimate(y, pilot) - H, axis=0) ** 2
         stderr = errs.std(ddof=1) / np.sqrt(trials)
         assert abs(errs.mean() - expected) < 3 * stderr
 
@@ -193,14 +185,11 @@ class TestMmseEstimate:
         m, p, sigma2, trials = 16, 1.0, 0.4, 10 ** 4
         R = _rand_psd(m, 31)
         pilot = mmse_pilot_design(R, p, sigma2, 10)
-        errs = np.empty(trials)
-        mse_analytic = None
         base = RngStream(77)
-        for t in range(trials):
-            h = sample_rayleigh(R, base.split(2 * t))
-            y = received_pilot(pilot, h, base.split(2 * t + 1))
-            hhat, mse_analytic = mmse_estimate(y, pilot, R)
-            errs[t] = np.linalg.norm(hhat - h) ** 2
+        H = sample_rayleigh(R, base.split(0), trials)
+        y = received_pilot(pilot, H, base.split(1))
+        hhat, mse_analytic = mmse_estimate(y, pilot, R)
+        errs = np.linalg.norm(hhat - H, axis=0) ** 2
         stderr = errs.std(ddof=1) / np.sqrt(trials)
         assert abs(errs.mean() - mse_analytic) < 3 * stderr
 
@@ -209,18 +198,12 @@ class TestMmseEstimate:
         m, trials = 8, 10 ** 4
         R = _rand_psd(m, 41)
         pilot = mmse_pilot_design(R, 1.0, 0.3, m)
-        acc = 0.0
-        norm_est = norm_err = 0.0
         base = RngStream(88)
-        for t in range(trials):
-            h = sample_rayleigh(R, base.split(2 * t))
-            y = received_pilot(pilot, h, base.split(2 * t + 1))
-            hhat, _ = mmse_estimate(y, pilot, R)
-            err = h - hhat
-            acc += hhat.conj() @ err
-            norm_est += np.linalg.norm(hhat) ** 2
-            norm_err += np.linalg.norm(err) ** 2
-        corr = abs(acc) / np.sqrt(norm_est * norm_err)
+        H = sample_rayleigh(R, base.split(0), trials)
+        hhat, _ = mmse_estimate(received_pilot(pilot, H, base.split(1)), pilot, R)
+        err = H - hhat
+        acc = np.sum(hhat.conj() * err)
+        corr = abs(acc) / np.sqrt(np.linalg.norm(hhat) ** 2 * np.linalg.norm(err) ** 2)
         assert corr < 3 / np.sqrt(trials)
 
 
@@ -305,14 +288,12 @@ class TestRsLs:
         pilot = rsls_pilot(subspace, tau, p, sigma2)
         expected = rbar ** 2 * sigma2 / (tau * p)
         R = correlation_matrix(geom, isotropic_profile()).R
-        errs = np.empty(trials)
         base = RngStream(99)
-        for t in range(trials):
-            h = sample_rayleigh(R, base.split(2 * t))
-            # project h onto the subspace so the model-error term vanishes
-            h = subspace @ (subspace.conj().T @ h)
-            y = received_pilot(pilot, h, base.split(2 * t + 1))
-            errs[t] = np.linalg.norm(rsls_estimate(y, pilot, subspace) - h) ** 2
+        H = sample_rayleigh(R, base.split(0), trials)
+        # project H onto the subspace so the model-error term vanishes
+        H = subspace @ (subspace.conj().T @ H)
+        y = received_pilot(pilot, H, base.split(1))
+        errs = np.linalg.norm(rsls_estimate(y, pilot, subspace) - H, axis=0) ** 2
         stderr = errs.std(ddof=1) / np.sqrt(trials)
         assert abs(errs.mean() - expected) < 3 * stderr
 

@@ -60,6 +60,28 @@ class TestEdgePhaseAndPower:
             edge_phase_and_power(0.2, 0.5, LAM)
 
 
+def _gain_by_cells(a, b, n_x, n_y, z, lam, refine=1):
+    """Per-cell loop oracle: each cell integrated on its own composite
+    8-point Gauss-Legendre rule with refine x max(2, ceil(width / (lam/2)))
+    panels per axis."""
+    xg, wg = np.polynomial.legendre.leggauss(8)
+
+    def rule(lo, hi):
+        e = np.linspace(lo, hi, refine * max(2, int(np.ceil((hi - lo) / (lam / 2)))) + 1)
+        nodes = np.concatenate([(e[k] + e[k + 1]) / 2 + (e[k + 1] - e[k]) / 2 * xg
+                                for k in range(len(e) - 1)])
+        return nodes, np.concatenate([(e[k + 1] - e[k]) / 2 * wg for k in range(len(e) - 1)])
+
+    total = 0.0
+    for i in range(n_x):
+        xs, wx = rule(-a / 2 + i * a / n_x, -a / 2 + (i + 1) * a / n_x)
+        for j in range(n_y):
+            ys, wy = rule(-b / 2 + j * b / n_y, -b / 2 + (j + 1) * b / n_y)
+            r = np.sqrt(xs[:, None] ** 2 + ys[None, :] ** 2 + z ** 2)
+            total += abs(wx @ np.exp(-2j * np.pi / lam * r) @ wy) ** 2
+    return total / (isotropic_area(lam) * (a / n_x) * (b / n_y))
+
+
 class TestApertureGain:
     def test_near_field_loss(self):
         a = b = 5 * LAM
@@ -77,6 +99,35 @@ class TestApertureGain:
         ratio = aperture_gain_subdivided(a, b, 10, 10, 8 * LAM, LAM) \
             / (a * b / isotropic_area(LAM))
         assert ratio >= 0.95
+
+    @pytest.mark.parametrize("a, b, z", [(-LAM, LAM, LAM), (LAM, 0.0, LAM),
+                                         (LAM, LAM, 0.0), (LAM, LAM, -LAM)])
+    def test_subdivided_rejects_nonpositive_sizes(self, a, b, z):
+        with pytest.raises(DomainError):
+            aperture_gain_subdivided(a, b, 2, 2, z, LAM)
+        with pytest.raises(DomainError):
+            aperture_gain(a, b, z, LAM)
+
+    @pytest.mark.parametrize("z_lam", [0.5, 8.0, 1000.0])
+    def test_full_is_the_one_cell_case(self, z_lam):
+        a, b = 7.3 * LAM, 4.1 * LAM
+        assert aperture_gain(a, b, z_lam * LAM, LAM) == \
+            aperture_gain_subdivided(a, b, 1, 1, z_lam * LAM, LAM)
+
+    @pytest.mark.parametrize("a_lam, b_lam, n_x, n_y", [(7.3, 4.1, 3, 5), (5.0, 5.0, 16, 16)])
+    @pytest.mark.parametrize("z_lam", [0.5, 8.0])
+    def test_matches_per_cell_loop(self, a_lam, b_lam, n_x, n_y, z_lam):
+        a, b, z = a_lam * LAM, b_lam * LAM, z_lam * LAM
+        want = _gain_by_cells(a, b, n_x, n_y, z, LAM)
+        assert abs(aperture_gain_subdivided(a, b, n_x, n_y, z, LAM) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("a_lam, b_lam, n_x, n_y", [(5.0, 5.0, 1, 1), (20.0, 10.0, 1, 1),
+                                                       (7.3, 4.1, 3, 5)])
+    @pytest.mark.parametrize("z_lam", [0.5, 2.0, 64.0])
+    def test_error_below_1e4_against_refined_rule(self, a_lam, b_lam, n_x, n_y, z_lam):
+        a, b, z = a_lam * LAM, b_lam * LAM, z_lam * LAM
+        want = _gain_by_cells(a, b, n_x, n_y, z, LAM, refine=4)
+        assert abs(aperture_gain_subdivided(a, b, n_x, n_y, z, LAM) - want) < 1e-4 * want
 
     def test_no_super_aperture_gain(self):
         a = b = 5 * LAM

@@ -179,8 +179,9 @@ class TestGrids:
         grid = hemisphere_grid()
         assert abs(grid.weights.sum() - 2 * np.pi) < 1e-10
 
-    def test_hemisphere_nodes_cached_read_only(self):
-        a, b = hemisphere_grid(), hemisphere_grid()
+    @pytest.mark.parametrize("make", [hemisphere_grid, sphere_grid])
+    def test_hemisphere_nodes_cached_read_only(self, make):
+        a, b = make(), make()
         assert a.weights is b.weights and a.azimuth is b.azimuth
         for arr in (a.azimuth, a.elevation, a.weights):
             assert not arr.flags.writeable
