@@ -48,10 +48,8 @@ class ScatteringProfile:
     front hemisphere (within quadrature tolerance).
     """
 
-    kind: str  # "isotropic-hemisphere" | "gaussian-clusters"
     beta: float
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    clusters: tuple = ()
 
     def integral(self, grid: QuadratureGrid) -> float:
         return float(np.real(grid.integrate(self.density(grid.azimuth, grid.elevation))))
@@ -100,13 +98,13 @@ def _as_correlation(corr: SpatialCorrelation | np.ndarray) -> SpatialCorrelation
 
 def _isotropic_density(az, el) -> np.ndarray:
     """1/(2 pi) per steradian.  correlation_matrix recognises the isotropic
-    profile by the identity of this function, not by its kind string."""
+    profile by the identity of this function."""
     return np.full_like(np.asarray(az, dtype=float), 1.0 / (2.0 * np.pi))
 
 
 def isotropic_profile(beta: float = 1.0) -> ScatteringProfile:
     """Uniform density 1/(2 pi) per steradian over the front hemisphere."""
-    return ScatteringProfile(kind="isotropic-hemisphere", beta=beta, density=_isotropic_density)
+    return ScatteringProfile(beta=beta, density=_isotropic_density)
 
 
 def gaussian_cluster_profile(centers, std: float, beta: float = 1.0,
@@ -142,12 +140,7 @@ def gaussian_cluster_profile(centers, std: float, beta: float = 1.0,
     # renormalization stays within 1e-4 on any reasonable grid
     ref = hemisphere_grid(360, 180)
     norm = float(np.real(ref.integrate(unnormalized(ref.azimuth, ref.elevation))))
-    return ScatteringProfile(
-        kind="gaussian-clusters",
-        beta=beta,
-        density=lambda az, el: unnormalized(az, el) / norm,
-        clusters=tuple((a, e, std, float(w)) for (a, e), w in zip(centers, weights)),
-    )
+    return ScatteringProfile(beta=beta, density=lambda az, el: unnormalized(az, el) / norm)
 
 
 def array_response(geom: ArrayGeometry, azimuth: float, elevation: float) -> np.ndarray:
@@ -185,7 +178,7 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
     mode "exact" uses spherical-wave distances in the phase; "fresnel" uses
     the paraxial expansion z + ((tx_x - p_x)^2 + (tx_y - p_y)^2) / (2 z)
     about the array's broadside axis.  amplitude "common" applies the single
-    coefficient lambda sqrt(G) / (4 pi z) with z the broadside (normal
+    coefficient lambda / (4 pi z) with z the broadside (normal
     component) distance of the transmitter; "per-element" uses each exact
     distance instead (for asymptotic studies where power variation matters).
     A (3,) tx gives the (M,) channel, a (K, 3) batch the (M, K) matrix of them.
@@ -216,7 +209,7 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
     if amplitude == "common" and np.any(z <= 0):
         raise DomainError("common amplitude requires the transmitter off the array plane")
     r = z if amplitude == "common" else dist
-    h = lam * np.sqrt(geom.element_gain) / (4.0 * np.pi * r) * np.exp(-2j * np.pi / lam * path)
+    h = lam / (4.0 * np.pi * r) * np.exp(-2j * np.pi / lam * path)
     return h.T if tx.ndim == 2 else h[0]
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -79,23 +80,25 @@ _TYPES = {bool: (bool, np.bool_), int: (int, np.integer), float: _NUMBER, str: (
 
 
 def _admit(key: str, value, default):
-    """`value` converted to the type of the schema default, or ConfigError."""
+    """`value` converted to the type of the schema default, or ConfigError.
+    A non-finite number (nan, inf) is admitted by no key."""
     kind = type(default)
     if kind is list:
         values = list(value) if isinstance(value, (list, tuple)) else [value]
         if values:
             return [_admit(key, v, default[0]) for v in values]
-    elif isinstance(value, _TYPES[kind]) and (kind is bool) == isinstance(value, _TYPES[bool]):
+    elif (isinstance(value, _TYPES[kind]) and (kind is bool) == isinstance(value, _TYPES[bool])
+          and (not isinstance(value, _NUMBER) or math.isfinite(value))):
         return kind(value)
     raise ConfigError(f"config key {key!r} does not admit {value!r} (default {default!r})")
 
 
 def resolve_config(schema: dict, overrides: dict) -> dict:
     """The schema defaults with `overrides` applied, each in its default's type:
-    a bool takes true/false, an int integers, a float integers or floats, a
-    str strings or numbers (kept as text).  A list takes a nonempty list or a
-    scalar (one element), each element in the type of the default's first.
-    An unknown key or any other value raises ConfigError."""
+    a bool takes true/false, an int integers, a float finite integers or
+    floats, a str strings or finite numbers (kept as text).  A list takes a
+    nonempty list or a scalar (one element), each element in the type of the
+    default's first.  An unknown key or any other value raises ConfigError."""
     cfg = {k: v for k, (v, _desc) in schema.items()}
     for key, value in overrides.items():
         if key not in schema:
@@ -106,12 +109,16 @@ def resolve_config(schema: dict, overrides: dict) -> dict:
 
 
 def _parse_df_lengths(values: list[str], d_f: float) -> list[float]:
-    """Focus distances: '<number>' in m or '<number>dF' in Fraunhofer distances."""
+    """Focus distances: '<number>' in m or '<number>dF' in Fraunhofer distances,
+    each finite."""
+    message = f"focus distances {values!r} must be finite '<number>' or '<number>dF'"
     try:
-        return [float(v[:-2]) * d_f if v.endswith("dF") else float(v) for v in values]
+        lengths = [float(v[:-2]) * d_f if v.endswith("dF") else float(v) for v in values]
     except ValueError:
-        raise ConfigError(f"focus distances {values!r} must be '<number>' or "
-                          "'<number>dF'") from None
+        raise ConfigError(message) from None
+    if not all(map(math.isfinite, lengths)):
+        raise ConfigError(message)
+    return lengths
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +490,7 @@ def run_fig11(cfg, seed):
     frac = cfg["spacing_frac"]
     geom = build_upa(n, n, frac * lam, frac * lam, lam)
     m = geom.num_elements
-    dictionary = build_ff_dictionary(geom, 1.0 / cfg["grid_density"])
+    dictionary = build_ff_dictionary(geom, cfg["grid_density"])
     sparsity = cfg["paths"]
     sigma2 = 1.0
     p = cfg["pilot_snr"] * sigma2
@@ -633,7 +640,7 @@ _EXPERIMENTS: dict[str, tuple] = {
         "wavelength": (0.01, "carrier wavelength, m"),
         "n": (8, "UPA elements per side"),
         "spacing_frac": (0.25, "spacing, wavelengths"),
-        "grid_density": (40.0, "dictionary lattice density (atoms at step 1/density)"),
+        "grid_density": (40, "dictionary lattice density (atoms at step 1/density)"),
         "paths": (3, "sparse path count"),
         "pilot_snr": (10.0, "linear pilot SNR (10 dB)"),
         "on_grid": (False, "draw path angles on the dictionary grid"),

@@ -4,16 +4,16 @@ dictionary."""
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
 from .geometry import ArrayGeometry
-from .numerics import RngStream, complex_gaussian
+from .numerics import RngStream, complex_gaussian, svd
 from .channel import (SpatialCorrelation, _as_correlation, correlation_matrix,
                       isotropic_profile, sample_rayleigh)
 from .dof import effective_rank
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _PINV_RTOL = 1e-10  # singular values below this times the largest are zero
+_SUBSPACE_CAPTURE = 0.9999  # trace fraction isotropic_subspace keeps
 
 
 @dataclass(frozen=True)
@@ -56,11 +57,11 @@ class PilotMatrix:
             raise ContractError("pilot matrix must be 2-D")
         tau = phi.shape[0]
         energy = float(np.sum(np.abs(phi) ** 2))
-        if abs(energy - tau) > 1e-8 * max(tau, 1):
+        if not abs(energy - tau) <= 1e-8 * max(tau, 1):  # a NaN energy fails too
             raise ContractError(
                 f"trace(phi^H phi) = {energy:.9g}, expected tau_p = {tau}"
             )
-        if self.power <= 0 or self.noise_power < 0:
+        if not (self.power > 0 and self.noise_power >= 0):
             raise ContractError("power must be > 0 and noise_power >= 0")
         object.__setattr__(self, "phi", phi)
 
@@ -75,27 +76,19 @@ class PilotMatrix:
 
 def orthogonal_pilot(m: int, tau: int, power: float, noise_power: float,
                      stream: RngStream | None = None) -> PilotMatrix:
-    """Pilot with orthonormal rows (unitary when tau = m).
-
-    Deterministic DFT rows when no stream is given, otherwise a seeded random
-    orthonormal set.  For tau > m, DFT blocks are stacked cyclically.
-    """
+    """Pilot with orthonormal rows (unitary when tau = m): row i is row
+    i mod len(F) of F, the m DFT rows without a stream, else Q^H from the thin
+    QR of the first min(tau, m) columns of a seeded complex Gaussian m x m."""
     if tau < 1 or m < 1:
         raise ContractError("tau and m must be >= 1")
     if stream is None:
         n = np.arange(m)
         F = np.exp(-2j * np.pi * np.outer(n, n) / m) / np.sqrt(m)
-        rows = np.vstack([F] * (tau // m + 1))[:tau]
     else:
         g = stream.generator()
         G = g.standard_normal((m, m)) + 1j * g.standard_normal((m, m))
-        if tau <= m:
-            Q, _ = np.linalg.qr(G[:, :tau])  # m x tau orthonormal columns
-            rows = Q.conj().T
-        else:
-            F = np.linalg.qr(G)[0].conj().T  # m x m unitary rows
-            rows = np.vstack([F] * (tau // m + 1))[:tau]
-    return PilotMatrix(rows, power, noise_power)
+        F = np.linalg.qr(G[:, :min(tau, m)])[0].conj().T
+    return PilotMatrix(F[np.arange(tau) % len(F)], power, noise_power)
 
 
 def received_pilot(pilot: PilotMatrix, h: np.ndarray, stream: RngStream) -> np.ndarray:
@@ -109,57 +102,55 @@ def received_pilot(pilot: PilotMatrix, h: np.ndarray, stream: RngStream) -> np.n
     return np.sqrt(pilot.power) * (pilot.phi @ h) + noise
 
 
+def _pinv_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^+ b, A^+ from one numerics.svd by the steps of numpy's pinv at
+    rcond=_PINV_RTOL (so bit for bit its result).  Warns, at the caller of the
+    public estimator, when A has at least as many rows as columns but loses
+    rank."""
+    s, U, V = svd(A.conj())  # numpy's pinv decomposes conj(A)
+    large = s > _PINV_RTOL * s[0]
+    if A.shape[0] >= A.shape[1] and not large.all():
+        warnings.warn(f"rank-deficient {A.shape[0]} x {A.shape[1]} system (rank "
+                      f"{int(large.sum())}); using pseudo-inverse",
+                      RuntimeWarning, stacklevel=3)
+    s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+    return (V.conj() @ (s_inv[:, None] * U.T)) @ b
+
+
 def ls_estimate(y: np.ndarray, pilot: PilotMatrix) -> np.ndarray:
     """Least-squares estimate: the minimizer of ||y - sqrt(p) phi h||^2.
 
-    Uses the pseudo-inverse, which coincides with phi^{-1} y / sqrt(p) for
-    square invertible pilots and extends to tau_p < M (then only the row
-    space of phi is estimated).  A rank-deficient pilot with tau_p >= M
-    degrades to the pseudo-inverse with a warning.
+    phi^+ y / sqrt(p) by _pinv_solve, which coincides with phi^{-1} y /
+    sqrt(p) for square invertible pilots and extends to tau_p < M (then only
+    the row space of phi is estimated).  A rank-deficient pilot with
+    tau_p >= M degrades to the pseudo-inverse with a warning.
 
     y is one received pilot (tau_p,) or a batch (tau_p, T) with one pilot
     per column; the estimate is then (M,) or (M, T).  The map is linear, so
     a batch gives the column-wise estimates and checks the pilot once.
     """
-    phi = pilot.phi
-    s = np.linalg.svd(phi, compute_uv=False)
-    rank = int(np.sum(s > _PINV_RTOL * s[0]))
-    if pilot.tau >= pilot.num_antennas and rank < pilot.num_antennas:
-        warnings.warn("rank-deficient pilot with tau_p >= M; using pseudo-inverse",
-                      RuntimeWarning, stacklevel=2)
-    return np.linalg.pinv(phi, rcond=_PINV_RTOL) @ y / np.sqrt(pilot.power)
-
-
-def _mmse_gain(R: np.ndarray, pilot: PilotMatrix) -> np.ndarray:
-    """W = sqrt(p) R phi^H (p phi R phi^H + sigma^2 I)^{-1}."""
-    p, s2 = pilot.power, pilot.noise_power
-    phi = pilot.phi
-    A = p * (phi @ R @ phi.conj().T) + s2 * np.eye(pilot.tau)
-    B = np.sqrt(p) * (R @ phi.conj().T)
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > 1.0 / _PINV_RTOL:
-        warnings.warn("ill-conditioned MMSE inner matrix; using regularized solve",
-                      RuntimeWarning, stacklevel=3)
-        return B @ np.linalg.pinv(A, rcond=_PINV_RTOL)
-    return np.linalg.solve(A.conj().T, B.conj().T).conj().T
+    return _pinv_solve(pilot.phi, y) / np.sqrt(pilot.power)
 
 
 def mmse_estimate(y: np.ndarray, pilot: PilotMatrix,
                   corr: SpatialCorrelation | np.ndarray):
     """MMSE estimate and its analytic mean squared error.
 
-    hhat = sqrt(p) R phi^H (p phi R phi^H + sigma^2 I)^{-1} y;
-    MSE = tr(R) - tr(p R phi^H (p phi R phi^H + sigma^2 I)^{-1} phi R).
-    Returns (estimate, analytic_mse).
+    hhat = W y with W = sqrt(p) R phi^H A^{-1}, A = p phi R phi^H + sigma^2 I;
+    MSE = tr(R) - sqrt(p) tr(W phi R).  Returns (estimate, analytic_mse).
+    Since A and R are Hermitian, W = (A^+ sqrt(p) phi R)^H with A^+ from
+    _pinv_solve, which warns when A is rank-deficient (sigma^2 = 0 and a
+    singular phi R phi^H).
 
     y is (tau_p,) or a batch (tau_p, T), one received pilot per column; the
     estimate is then (M,) or (M, T), and the analytic MSE, which depends on
     the pilot alone, is the same either way.
     """
     R = _as_correlation(corr).R
-    W = _mmse_gain(R, pilot)
-    mse = float(np.trace(R).real
-                - np.sqrt(pilot.power) * np.trace(W @ pilot.phi @ R).real)
+    p, phi = pilot.power, pilot.phi
+    A = p * (phi @ R @ phi.conj().T) + pilot.noise_power * np.eye(pilot.tau)
+    W = _pinv_solve(A, np.sqrt(p) * (phi @ R)).conj().T
+    mse = float(np.trace(R).real - np.sqrt(p) * np.trace(W @ phi @ R).real)
     return W @ y, mse
 
 
@@ -191,22 +182,20 @@ def mmse_pilot_design(corr: SpatialCorrelation | np.ndarray, power: float,
 def rsls_estimate(y: np.ndarray, pilot: PilotMatrix, subspace: np.ndarray) -> np.ndarray:
     """Reduced-subspace LS: least squares restricted to span(subspace).
 
-    subspace is M x r with orthonormal columns and tau_p >= r.  Noise in the
-    orthogonal complement is removed entirely; the estimate always lies in
-    the subspace.  y is (tau_p,) or a batch (tau_p, T), one received pilot
-    per column; the estimate is then (M,) or (M, T).
+    subspace is M x r with orthonormal columns and tau_p >= r.  The estimate
+    is U (phi U)^+ y / sqrt(p) by _pinv_solve: LS with phi U for phi, so a
+    rank-deficient phi U warns.  Noise in the orthogonal complement is removed
+    entirely; the estimate always lies in the subspace.  y is (tau_p,) or a
+    batch (tau_p, T), one received pilot per column; the estimate is then (M,)
+    or (M, T).
     """
     U = np.asarray(subspace, dtype=complex)
     r = U.shape[1]
-    gram = U.conj().T @ U
-    if np.linalg.norm(gram - np.eye(r)) > 1e-8 * np.sqrt(r):
+    if np.linalg.norm(U.conj().T @ U - np.eye(r)) > 1e-8 * np.sqrt(r):
         raise ContractError("subspace columns must be orthonormal")
     if pilot.tau < r:
         raise ContractError(f"tau_p = {pilot.tau} < subspace dimension {r}")
-    phiU = pilot.phi @ U
-    G = phiU.conj().T @ phiU
-    v = np.linalg.solve(G, phiU.conj().T @ y)
-    return U @ v / np.sqrt(pilot.power)
+    return U @ _pinv_solve(pilot.phi @ U, y) / np.sqrt(pilot.power)
 
 
 def rsls_pilot(subspace: np.ndarray, tau: int, power: float, noise_power: float,
@@ -232,11 +221,11 @@ def rsls_pilot(subspace: np.ndarray, tau: int, power: float, noise_power: float,
     return PilotMatrix(phi, power, noise_power)
 
 
-def isotropic_subspace(geom: ArrayGeometry, capture: float = 0.9999) -> np.ndarray:
-    """Eigenvectors of the isotropic correlation matrix capturing the given
-    trace fraction: the array-dependent worst-case channel subspace."""
+def isotropic_subspace(geom: ArrayGeometry) -> np.ndarray:
+    """Eigenvectors of the isotropic correlation matrix capturing 0.9999 of
+    its trace: the array-dependent worst-case channel subspace."""
     w, U = correlation_matrix(geom, isotropic_profile()).eig
-    r = effective_rank(np.clip(w, 0.0, None), capture)
+    r = effective_rank(np.clip(w, 0.0, None), _SUBSPACE_CAPTURE)
     return U[:, :r]
 
 
@@ -260,29 +249,27 @@ class Dictionary:
         return self.atoms.shape[1]
 
 
-def build_ff_dictionary(geom: ArrayGeometry, step: float) -> Dictionary:
-    """Uniform direction-cosine dictionary with the given sampling period.
+def build_ff_dictionary(geom: ArrayGeometry, density: int) -> Dictionary:
+    """Uniform direction-cosine dictionary at the sampling period 1/density.
 
-    The lattice covers Psi, Omega in [-1, 1] inclusive and keeps the pairs
-    with Psi^2 + Omega^2 <= 1 (closed disk, evaluated in exact integer
-    arithmetic).  At step 1/40 this closed-disk convention yields 5025
-    atoms; the open disk yields 5013 and dropping the +-1 endpoints 5021.
+    The atoms sit at Psi, Omega = k/n for integers |k| <= n = density, kept
+    where Psi^2 + Omega^2 <= 1 (closed disk, evaluated in exact integer
+    arithmetic), so the lattice is symmetric and holds the broadside atom.
+    At density 40 this closed-disk convention yields 5025 atoms; the open
+    disk yields 5013 and dropping the +-1 endpoints 5021.  A density that is
+    not an integer >= 1 raises DomainError.
     """
-    if step <= 0:
-        raise DomainError("step must be positive")
-    n = int(Fraction(1) / Fraction(step).limit_denominator(10 ** 9)) \
-        if float(step) <= 1 else 0
-    if n >= 1 and abs(n * step - 1.0) < 1e-12:
-        idx = np.arange(-n, n + 1)
-        I, J = np.meshgrid(idx, idx, indexing="ij")
-        keep = I * I + J * J <= n * n
-        psi = I[keep] / float(n)
-        omega = J[keep] / float(n)
-    else:
-        vals = np.arange(-1.0, 1.0 + step / 2, step)
-        P, O = np.meshgrid(vals, vals, indexing="ij")
-        keep = P ** 2 + O ** 2 <= 1.0
-        psi, omega = P[keep], O[keep]
+    try:
+        n = operator.index(density)
+    except TypeError:
+        raise DomainError(f"density must be an integer, got {density!r}") from None
+    if n < 1:
+        raise DomainError(f"density must be >= 1, got {n}")
+    idx = np.arange(-n, n + 1)
+    I, J = np.meshgrid(idx, idx, indexing="ij")
+    keep = I * I + J * J <= n * n
+    psi = I[keep] / float(n)
+    omega = J[keep] / float(n)
     x, y = geom.positions[:, 0], geom.positions[:, 1]
     kappa = 2.0 * np.pi / geom.wavelength
     atoms = np.exp(-1j * kappa * (x[:, None] * psi[None, :] + y[:, None] * omega[None, :]))

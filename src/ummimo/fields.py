@@ -6,6 +6,7 @@ propagation phase; every module in the package shares this sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,8 @@ def near_field_factor(z: float, wavelength: float) -> float:
     """
     if z <= 0:
         raise DomainError(f"z must be positive, got {z}")
+    if not (math.isfinite(wavelength) and wavelength > 0):
+        raise DomainError(f"wavelength must be finite and positive, got {wavelength}")
     q = 2.0 * np.pi * z / wavelength
     return 1.0 - q ** -2 + q ** -4
 
@@ -129,6 +132,8 @@ def aperture_gain_subdivided(a: float, b: float, n_x: int, n_y: int,
     """
     if a <= 0 or b <= 0 or z <= 0:
         raise DomainError("a, b, z must be positive")
+    if not (math.isfinite(wavelength) and wavelength > 0):
+        raise DomainError(f"wavelength must be finite and positive, got {wavelength}")
     if n_x < 1 or n_y < 1:
         raise DomainError("subdivision counts must be >= 1")
     xs, wx = _cell_rule(a, n_x, wavelength)

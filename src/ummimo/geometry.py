@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,7 +34,7 @@ class Lattice(NamedTuple):
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Element positions (meters), wavelength, and per-element gain.
+    """Element positions (meters) and wavelength.
 
     Builders place arrays in the xy-plane centered at the origin and record
     their lattice, so the aperture size D counts one spacing-sized cell per
@@ -44,15 +45,14 @@ class ArrayGeometry:
 
     positions: np.ndarray  # (M, 3)
     wavelength: float
-    element_gain: float = 1.0
     lattice: Lattice | None = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise ContractError(f"positions must be (M, 3), got {pos.shape}")
-        if self.wavelength <= 0:
-            raise ContractError("wavelength must be positive")
+        if not (math.isfinite(self.wavelength) and self.wavelength > 0):
+            raise ContractError(f"wavelength must be finite and positive, got {self.wavelength}")
         # exact duplicates by sorting, O(M log M); + 0.0 makes -0.0 equal 0.0
         if np.unique(pos + 0.0, axis=0).shape[0] < pos.shape[0]:
             raise ContractError("element positions must be pairwise distinct")
@@ -97,8 +97,7 @@ class RegionBounds:
     aperture: float      # D
 
 
-def build_upa(n_x: int, n_y: int, dx: float, dy: float, wavelength: float,
-              element_gain: float = 1.0) -> ArrayGeometry:
+def build_upa(n_x: int, n_y: int, dx: float, dy: float, wavelength: float) -> ArrayGeometry:
     """Uniform planar array in the xy-plane, centered at the origin.
 
     Element (n, m) sits at ((n - (N_x+1)/2) dx, (m - (N_y+1)/2) dy, 0) for
@@ -112,13 +111,12 @@ def build_upa(n_x: int, n_y: int, dx: float, dy: float, wavelength: float,
     ys = (np.arange(1, n_y + 1) - (n_y + 1) / 2) * dy
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pos = np.stack([X.ravel(), Y.ravel(), np.zeros(n_x * n_y)], axis=1)
-    return ArrayGeometry(pos, wavelength, element_gain, Lattice(n_x, n_y, dx, dy))
+    return ArrayGeometry(pos, wavelength, Lattice(n_x, n_y, dx, dy))
 
 
-def build_ula(n: int, spacing: float, wavelength: float,
-              element_gain: float = 1.0) -> ArrayGeometry:
+def build_ula(n: int, spacing: float, wavelength: float) -> ArrayGeometry:
     """Uniform linear array along x, centered at the origin."""
-    return build_upa(n, 1, spacing, spacing, wavelength, element_gain)
+    return build_upa(n, 1, spacing, spacing, wavelength)
 
 
 def region_bounds(geom: ArrayGeometry) -> RegionBounds:

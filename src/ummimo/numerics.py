@@ -175,18 +175,18 @@ def sinc(x) -> np.ndarray | float:
 # Linear-algebra contracts (vetted dense routines behind checked interfaces)
 # ---------------------------------------------------------------------------
 
-def hermitian_eig(A: np.ndarray, tol: float = 1e-10):
+def hermitian_eig(A: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns (eigenvalues, eigenvectors) with A = U diag(w) U^H and columns of
     U orthonormal.  Raises ContractError if A deviates from Hermitian by more
-    than tol * ||A||.
+    than 1e-10 * ||A||.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ContractError(f"expected a square matrix, got shape {A.shape}")
     scale = np.linalg.norm(A)
-    if scale > 0 and np.linalg.norm(A - A.conj().T) > tol * scale:
+    if scale > 0 and np.linalg.norm(A - A.conj().T) > 1e-10 * scale:
         raise ContractError("matrix is not Hermitian within tolerance")
     w, U = np.linalg.eigh(0.5 * (A + A.conj().T))
     return w[::-1], U[:, ::-1]

@@ -238,7 +238,7 @@ def test_criterion_06_estimator_ordering():
 def test_criterion_07_omp():
     geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
     m = geom.num_elements
-    dictionary = build_ff_dictionary(geom, 1.0 / 40.0)
+    dictionary = build_ff_dictionary(geom, 40)
 
     def find(psi, om):
         return int(np.argmin((dictionary.grid[:, 0] - psi) ** 2

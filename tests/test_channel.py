@@ -132,8 +132,7 @@ class TestCorrelationMatrix:
 
     def test_unnormalized_profile_rejected(self):
         from ummimo.channel import ScatteringProfile
-        bad = ScatteringProfile("isotropic-hemisphere", 1.0,
-                                lambda az, el: np.full_like(np.asarray(az), 1.0))
+        bad = ScatteringProfile(1.0, lambda az, el: np.full_like(np.asarray(az), 1.0))
         geom = build_ula(2, LAM / 2, LAM)
         with pytest.raises(ContractError):
             correlation_matrix(geom, bad)
@@ -187,10 +186,10 @@ class TestIsotropicClosedForm:
         assert np.max(np.abs(R - _sinc_oracle(geom, 1.0))) > 1e-3
 
     def test_mislabelled_density_is_integrated(self):
-        # the closed form is chosen by the density function, not the kind
+        # the closed form is chosen by the identity of the density function
         from ummimo.channel import ScatteringProfile
         cluster = gaussian_cluster_profile([(0.3, 0.1)], 0.3)
-        prof = ScatteringProfile("isotropic-hemisphere", 1.0, cluster.density)
+        prof = ScatteringProfile(1.0, cluster.density)
         geom = build_ula(8, LAM / 2, LAM)
         R = correlation_matrix(geom, prof).R
         assert np.array_equal(R, correlation_matrix(geom, cluster).R)

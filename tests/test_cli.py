@@ -263,13 +263,23 @@ class TestMainEntry:
         assert code == 3
         # one Monte-Carlo trial has no standard error
         assert main(["fig9", "--out", str(tmp_path), "--trials", "1", "--n", "2"]) == 2
+        # an integer dictionary density below 1
+        assert main(["fig11", "--out", str(tmp_path), "--grid_density", "0"]) == 3
 
     @pytest.mark.parametrize("argv", [
         ["fig9", "--n", "2.5", "--tau_values", "2", "--trials", "3"],
         ["fig9", "--wavelength", "abc"],
         ["fig6-ula", "--spacing_fracs", "0.5,x"],
         ["beam", "--F", "0.05dF,foo"],
-    ], ids=["int-key-float", "float-key-text", "list-element-text", "focus-text"])
+        ["fig11", "--grid_density", "7.5"],
+        ["nf-factor", "--wavelength", "nan", "--points", "3"],
+        ["aperture-gain", "--wavelength", "inf", "--z_lam", "4"],
+        ["aperture-gain", "--z_lam", "4,nan"],
+        ["beam", "--F", "0.05dF,inf"],
+        ["beam", "--F", "infdF"],
+    ], ids=["int-key-float", "float-key-text", "list-element-text", "focus-text",
+            "density-float", "float-key-nan", "float-key-inf", "list-element-nan",
+            "str-list-element-inf", "focus-inf"])
     def test_wrong_type_is_config_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err

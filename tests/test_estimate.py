@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ummimo import estimate
-from ummimo.errors import ConfigError, ContractError
+from ummimo.errors import ConfigError, ContractError, DomainError
 from ummimo.channel import (SpatialCorrelation, correlation_matrix,
                             gaussian_cluster_profile, isotropic_profile,
                             sample_rayleigh)
@@ -42,10 +42,39 @@ def _rand_psd(m, seed, rank=None):
     return 0.5 * (R + R.conj().T)
 
 
+def _three_branch_pilot(m, tau, stream):
+    """Reference builder: a DFT stack, the thin QR for tau <= m, or a stack of
+    the full m x m QR for tau > m."""
+    if stream is None:
+        n = np.arange(m)
+        F = np.exp(-2j * np.pi * np.outer(n, n) / m) / np.sqrt(m)
+        return np.vstack([F] * (tau // m + 1))[:tau]
+    g = stream.generator()
+    G = g.standard_normal((m, m)) + 1j * g.standard_normal((m, m))
+    if tau <= m:
+        Q, _ = np.linalg.qr(G[:, :tau])
+        return Q.conj().T
+    F = np.linalg.qr(G)[0].conj().T
+    return np.vstack([F] * (tau // m + 1))[:tau]
+
+
 class TestPilotMatrix:
     def test_trace_normalization_enforced(self):
         with pytest.raises(ContractError):
             PilotMatrix(2.0 * np.eye(4), 1.0, 1.0)
+
+    def test_nan_rejected(self):
+        # a NaN energy or power must fail the checks, not slip past them
+        with pytest.raises(ContractError, match="trace"):
+            PilotMatrix(np.full((4, 4), np.nan), 1.0, 0.1)
+        with pytest.raises(ContractError, match="power"):
+            PilotMatrix(np.eye(4), np.nan, 0.1)
+
+    @pytest.mark.parametrize("stream", [None, RngStream(5)], ids=["dft", "seeded"])
+    @pytest.mark.parametrize("m, tau", [(64, 4), (64, 64), (64, 100), (8, 3), (1, 5)])
+    def test_orthogonal_pilot_equals_three_branch_builder(self, m, tau, stream):
+        pilot = orthogonal_pilot(m, tau, 1.0, 0.1, stream)
+        assert np.array_equal(pilot.phi, _three_branch_pilot(m, tau, stream))
 
     def test_orthogonal_pilot_unitary(self):
         pilot = orthogonal_pilot(8, 8, 1.0, 0.1)
@@ -146,6 +175,15 @@ class TestLsEstimate:
         pilot = PilotMatrix(phi * np.sqrt(10 / np.sum(np.abs(phi) ** 2)), 2.0, 0.3)
         _assert_columnwise(lambda y: ls_estimate(y, pilot), _batch(10, 7, 9))
 
+    @pytest.mark.parametrize("tau, m", [(10, 6), (6, 6), (4, 9)])
+    def test_equals_numpy_pinv_bit_for_bit(self, tau, m):
+        rng = np.random.default_rng(10 * tau + m)
+        phi = rng.standard_normal((tau, m)) + 1j * rng.standard_normal((tau, m))
+        pilot = PilotMatrix(phi * np.sqrt(tau / np.sum(np.abs(phi) ** 2)), 2.0, 0.3)
+        y = _batch(tau, 5, 19)
+        want = np.linalg.pinv(pilot.phi, rcond=1e-10) @ y / np.sqrt(2.0)
+        assert np.array_equal(ls_estimate(y, pilot), want)
+
 
 class TestMmseEstimate:
     def test_zero_prior_gives_zero(self):
@@ -164,14 +202,32 @@ class TestMmseEstimate:
         assert np.linalg.norm(hhat - ls_estimate(y, pilot)) < 1e-6 * np.linalg.norm(h)
 
     def test_singular_inner_matrix_regularized(self):
-        # sigma^2 = 0 with a rank-deficient phi R phi^H falls back to a
-        # regularized solve and flags it
+        # sigma^2 = 0 with a rank-deficient phi R phi^H falls back to the
+        # pseudo-inverse and flags it
         R = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         pilot = orthogonal_pilot(4, 4, 1.0, 0.0)
         y = np.ones(4, dtype=complex)
         with pytest.warns(RuntimeWarning):
             hhat, _ = mmse_estimate(y, pilot, R)
         assert np.all(np.isfinite(hhat))
+
+    @pytest.mark.parametrize("kind", ["waterfill", "dft", "seeded-short"])
+    def test_equals_dense_solve(self, kind):
+        # reference: W = sqrt(p) R phi^H A^{-1} by a dense solve
+        m, p, sigma2 = 8, 1.3, 0.4
+        R = _rand_psd(m, 26)
+        pilot = {"waterfill": lambda: mmse_pilot_design(R, p, sigma2, 6),
+                 "dft": lambda: orthogonal_pilot(m, m, p, sigma2),
+                 "seeded-short": lambda: orthogonal_pilot(m, 5, p, sigma2, RngStream(27)),
+                 }[kind]()
+        phi = pilot.phi
+        A = p * (phi @ R @ phi.conj().T) + sigma2 * np.eye(pilot.tau)
+        W = np.linalg.solve(A.conj().T, np.sqrt(p) * (phi @ R)).conj().T
+        mse_want = np.trace(R).real - np.sqrt(p) * np.trace(W @ phi @ R).real
+        y = _batch(pilot.tau, 6, 28)
+        hhat, mse = mmse_estimate(y, pilot, R)
+        assert np.linalg.norm(hhat - W @ y) <= 1e-12 * np.linalg.norm(W @ y)
+        assert abs(mse - mse_want) <= 1e-12 * mse_want
 
     def test_batch_equals_columnwise(self):
         R = _rand_psd(8, 24)
@@ -313,6 +369,34 @@ class TestRsLs:
         pilot = rsls_pilot(subspace, 8, 1.0, 0.5)
         _assert_columnwise(lambda y: rsls_estimate(y, pilot, subspace), _batch(8, 7, 103))
 
+    @pytest.mark.parametrize("tau", [None, 8, 12])
+    def test_equals_normal_equations(self, tau):
+        # reference: the normal equations U G^{-1} (phi U)^H y / sqrt(p),
+        # G = (phi U)^H phi U
+        geom = build_ula(8, LAM / 4, LAM)
+        U = isotropic_subspace(geom)
+        p = 1.7
+        pilot = (rsls_pilot(U, U.shape[1], p, 0.5) if tau is None
+                 else orthogonal_pilot(8, tau, p, 0.5, RngStream(104)))
+        phiU = pilot.phi @ U
+        y = _batch(pilot.tau, 6, 105)
+        want = U @ np.linalg.solve(phiU.conj().T @ phiU, phiU.conj().T @ y) / np.sqrt(p)
+        got = rsls_estimate(y, pilot, U)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_rank_deficient_projection_warns(self):
+        # phi never sounds element 1, so phi U loses a rank of U = e_0, e_1
+        phi = np.zeros((4, 4), dtype=complex)
+        phi[[0, 1, 2, 3], [0, 2, 3, 0]] = 1.0
+        pilot = PilotMatrix(phi, 1.0, 0.1)
+        U = np.eye(4, 2, dtype=complex)
+        with pytest.warns(RuntimeWarning, match="rank-deficient") as record:
+            est = rsls_estimate(complex_gaussian(4, RngStream(106)), pilot, U)
+        assert record[0].filename == __file__  # reported at the caller
+        assert np.all(np.isfinite(est))
+        # the minimum-norm solution leaves the unsounded coefficient at zero
+        assert np.all(est[2:] == 0) and abs(est[1]) <= 1e-12 * abs(est[0])
+
     def test_mixing_choice_immaterial(self):
         m, p, sigma2 = 8, 1.0, 0.5
         geom = build_ula(m, LAM / 4, LAM)
@@ -344,7 +428,7 @@ class TestRsLs:
 class TestDictionary:
     def test_coarse_lattice(self):
         geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
-        d = build_ff_dictionary(geom, 1.0)
+        d = build_ff_dictionary(geom, 1)
         assert d.num_atoms == 5
         pairs = {tuple(p) for p in d.grid}
         assert pairs == {(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
@@ -353,12 +437,18 @@ class TestDictionary:
         # closed-disk convention: 5025 lattice points at step 1/40 (the open
         # disk gives 5013, dropping the +-1 endpoints 5021)
         geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
-        d = build_ff_dictionary(geom, 1.0 / 40.0)
+        d = build_ff_dictionary(geom, 40)
         assert d.num_atoms == 5025
+
+    @pytest.mark.parametrize("density", [0.025, 7.5, 0, np.nan, -3])
+    def test_non_integer_or_nonpositive_density_rejected(self, density):
+        geom = build_upa(2, 2, LAM / 4, LAM / 4, LAM)
+        with pytest.raises(DomainError, match="density"):
+            build_ff_dictionary(geom, density)
 
     def test_atom_norms_and_disk(self):
         geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
-        d = build_ff_dictionary(geom, 0.25)
+        d = build_ff_dictionary(geom, 4)
         m = geom.num_elements
         assert np.allclose(np.abs(d.atoms), 1.0)
         assert np.allclose(np.linalg.norm(d.atoms, axis=0), np.sqrt(m))
@@ -373,7 +463,7 @@ class TestOmp:
     def setup_method(self):
         self.geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
         self.m = self.geom.num_elements
-        self.dict = build_ff_dictionary(self.geom, 1.0 / 40.0)
+        self.dict = build_ff_dictionary(self.geom, 40)
 
     def test_single_atom_exact_recovery(self):
         pilot = orthogonal_pilot(self.m, self.m, 10.0, 0.0)
@@ -488,7 +578,7 @@ class TestNmseSweep:
         # then the single-vector estimators per column
         p, sigma2, trials = 1.0, 0.3, 30
         subspace = isotropic_subspace(self.geom)
-        dictionary = build_ff_dictionary(self.geom, 1.0 / 8.0)
+        dictionary = build_ff_dictionary(self.geom, 8)
         taus = [subspace.shape[1], self.m] if est == "rs-ls" else [4, self.m]
         pilot_stream = RngStream(7)
         stream = RngStream(15)

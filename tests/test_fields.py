@@ -37,6 +37,11 @@ class TestNearFieldFactor:
         with pytest.raises(DomainError):
             near_field_factor(0.0, LAM)
 
+    @pytest.mark.parametrize("lam", [-LAM, 0.0, np.nan, np.inf])
+    def test_bad_wavelength_rejected(self, lam):
+        with pytest.raises(DomainError, match="wavelength"):
+            near_field_factor(2 * LAM, lam)
+
 
 class TestEdgePhaseAndPower:
     def test_fraunhofer_phase(self):
@@ -107,6 +112,13 @@ class TestApertureGain:
             aperture_gain_subdivided(a, b, 2, 2, z, LAM)
         with pytest.raises(DomainError):
             aperture_gain(a, b, z, LAM)
+
+    @pytest.mark.parametrize("lam", [-LAM, 0.0, np.nan, np.inf])
+    def test_bad_wavelength_rejected(self, lam):
+        with pytest.raises(DomainError, match="wavelength"):
+            aperture_gain_subdivided(5 * LAM, 5 * LAM, 2, 2, 8 * LAM, lam)
+        with pytest.raises(DomainError, match="wavelength"):
+            aperture_gain(5 * LAM, 5 * LAM, 8 * LAM, lam)
 
     @pytest.mark.parametrize("z_lam", [0.5, 8.0, 1000.0])
     def test_full_is_the_one_cell_case(self, z_lam):

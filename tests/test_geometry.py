@@ -32,6 +32,11 @@ class TestBuildUpa:
         with pytest.raises(ContractError):
             build_upa(0, 1, 0.1, 0.1, 1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0, 0.0])
+    def test_bad_wavelength_rejected(self, lam):
+        with pytest.raises(ContractError, match="wavelength"):
+            build_upa(2, 2, 0.1, 0.1, lam)
+
     def test_duplicate_positions_rejected(self):
         with pytest.raises(ContractError):
             ArrayGeometry(np.zeros((2, 3)), 1.0)
@@ -55,15 +60,15 @@ class TestBuildUpa:
     def test_lattice_must_match_positions(self):
         geom = build_upa(4, 3, 0.1, 0.2, 1.0)
         with pytest.raises(ContractError, match="lattice"):
-            ArrayGeometry(geom.positions, 1.0, 1.0, Lattice(3, 4, 0.1, 0.2))
+            ArrayGeometry(geom.positions, 1.0, Lattice(3, 4, 0.1, 0.2))
         with pytest.raises(ContractError, match="lattice"):
-            ArrayGeometry(geom.positions, 1.0, 1.0, Lattice(4, 3, 0.2, 0.1))
-        shifted = ArrayGeometry(geom.positions + [1.0, -2.0, 0.5], 1.0, 1.0, geom.lattice)
+            ArrayGeometry(geom.positions, 1.0, Lattice(4, 3, 0.2, 0.1))
+        shifted = ArrayGeometry(geom.positions + [1.0, -2.0, 0.5], 1.0, geom.lattice)
         assert shifted.aperture == geom.aperture
 
     def test_plain_tuple_lattice_becomes_record(self):
         geom = build_upa(4, 3, 0.1, 0.2, 1.0)
-        plain = ArrayGeometry(geom.positions, 1.0, 1.0, (np.int64(4), 3, 0.1, 0.2))
+        plain = ArrayGeometry(geom.positions, 1.0, (np.int64(4), 3, 0.1, 0.2))
         assert isinstance(plain.lattice, Lattice) and plain.lattice == geom.lattice
         prof = gaussian_cluster_profile([(0.2, -0.1)], 0.3)
         assert np.array_equal(correlation_matrix(plain, prof).R,
@@ -73,7 +78,7 @@ class TestBuildUpa:
     def test_malformed_lattice_rejected(self, lattice):
         pos = build_upa(4, 3, 0.1, 0.2, 1.0).positions
         with pytest.raises(ContractError, match="lattice"):
-            ArrayGeometry(pos, 1.0, 1.0, lattice)
+            ArrayGeometry(pos, 1.0, lattice)
 
 
 class TestRegionBounds:
