@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import Boltzmann, epsilon_0, speed_of_light
 
 from .errors import ContractError, SingularityError
+from .fields import epsilon_0, speed_of_light
 from .geometry import ArrayGeometry
 from .numerics import QuadratureGrid
 
@@ -30,6 +30,8 @@ __all__ = [
     "noise_covariance",
     "radiation_matrix",
 ]
+
+Boltzmann = 1.380649e-23  # J/K, exact in SI
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import __version__
 from .errors import ConfigError, ContractError, DomainError
@@ -258,25 +257,29 @@ def run_beam(cfg, seed):
     return tables, notes, plots
 
 
+# A(x*) = 1/2 for the depth profile A of beam.depth_gain, which falls from 1
+# on [0, x*]; mpmath: x* = 1.24215761243332578114...
+_HALF_POWER_X = 1.2421576124333258
+
+
 def _numeric_beamdepth(F: float, d_f: float) -> float:
-    """Half-power search (brentq) on depth_gain on each side of the focus.
+    """Exact half-power beamdepth z_far - z_near of the Fresnel depth profile.
 
-    The root tolerance is relative to F: brentq's default is 2e-12 m absolute.
+    depth_gain(F, z) = A(d_F / (8 z_eff)) with z_eff = F z / |F - z|, so both
+    half-power crossings sit at z_eff = d_F / (8 x*): z_near = F z_eff /
+    (F + z_eff) and z_far = F z_eff / (z_eff - F), or inf when z_eff <= F.
+    Each finite crossing is checked through depth_gain: ContractError unless
+    the gain there is 1/2 within 1e-9 (a focus so small that the crossing is
+    not resolved in double precision fails this).
     """
-    def excess(z):
-        return depth_gain(F, z, d_f) - 0.5
-
-    z = F
-    while excess(z) > 0:
-        z *= 2.0
-        if z > 1e7 * max(F, d_f):
-            return np.inf
-    far = brentq(excess, F, z, xtol=1e-15 * F)
-    lo = F
-    while lo > 1e-9 * F and excess(lo) > 0:
-        lo *= 0.5
-    near = brentq(excess, lo, F, xtol=1e-15 * F)
-    return far - near
+    z_eff = d_f / (8.0 * _HALF_POWER_X)
+    z_near = F * z_eff / (F + z_eff)
+    z_far = F * z_eff / (z_eff - F) if z_eff > F else np.inf
+    for z in (z_near, z_far):
+        if math.isfinite(z) and not abs(depth_gain(F, z, d_f) - 0.5) <= 1e-9:
+            raise ContractError(f"depth gain at the half-power crossing z = {z!r} m "
+                                f"of focus {F!r} m is not 1/2 within 1e-9")
+    return z_far - z_near
 
 
 def run_fig4(cfg, seed):

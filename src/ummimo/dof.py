@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.constants import speed_of_light
 
 from .errors import ContractError, DomainError
+from .fields import speed_of_light
 
 __all__ = [
     "DofReport",

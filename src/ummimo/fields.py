@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.constants import epsilon_0, speed_of_light
 
 from .errors import DomainError, SingularityError
 
@@ -27,6 +26,12 @@ __all__ = [
     "dipole_transform",
     "array_field",
 ]
+
+# SI constants as literals, so importing the package loads no scipy module:
+# c is exact in SI; epsilon_0 is the CODATA 2022 value (scipy >= 1.15 carries
+# it; earlier releases carry CODATA 2018, 8.8541878128e-12).
+speed_of_light = 299792458.0  # m/s
+epsilon_0 = 8.8541878188e-12  # F/m
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,10 @@ def near_field_factor(z: float, wavelength: float) -> float:
     wavelengths), so 2 wavelengths is the conventional single-antenna
     far-field boundary.
     """
-    if z <= 0:
-        raise DomainError(f"z must be positive, got {z}")
-    if not (math.isfinite(wavelength) and wavelength > 0):
+    # 0 < v < inf is false for NaN, so one comparison admits finite v > 0
+    if not 0 < z < math.inf:
+        raise DomainError(f"z must be finite and positive, got {z}")
+    if not 0 < wavelength < math.inf:
         raise DomainError(f"wavelength must be finite and positive, got {wavelength}")
     q = 2.0 * np.pi * z / wavelength
     return 1.0 - q ** -2 + q ** -4
@@ -130,9 +136,9 @@ def aperture_gain_subdivided(a: float, b: float, n_x: int, n_y: int,
     error below 1e-4; the integrand is evaluated over row-major chunks of
     cells, so memory does not grow with n_x * n_y.
     """
-    if a <= 0 or b <= 0 or z <= 0:
-        raise DomainError("a, b, z must be positive")
-    if not (math.isfinite(wavelength) and wavelength > 0):
+    if not (0 < a < math.inf and 0 < b < math.inf and 0 < z < math.inf):
+        raise DomainError(f"a, b, z must be finite and positive, got {a}, {b}, {z}")
+    if not 0 < wavelength < math.inf:
         raise DomainError(f"wavelength must be finite and positive, got {wavelength}")
     if n_x < 1 or n_y < 1:
         raise DomainError("subdivision counts must be >= 1")

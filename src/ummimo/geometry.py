@@ -51,6 +51,8 @@ class ArrayGeometry:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise ContractError(f"positions must be (M, 3), got {pos.shape}")
+        if not np.all(np.isfinite(pos)):
+            raise ContractError("element positions must be finite")
         if not (math.isfinite(self.wavelength) and self.wavelength > 0):
             raise ContractError(f"wavelength must be finite and positive, got {self.wavelength}")
         # exact duplicates by sorting, O(M log M); + 0.0 makes -0.0 equal 0.0
@@ -105,8 +107,8 @@ def build_upa(n_x: int, n_y: int, dx: float, dy: float, wavelength: float) -> Ar
     """
     if n_x < 1 or n_y < 1:
         raise ContractError("element counts must be >= 1")
-    if dx <= 0 or dy <= 0:
-        raise ContractError("spacings must be positive")
+    if not (0 < dx < math.inf and 0 < dy < math.inf):
+        raise ContractError(f"spacings must be finite and positive, got {dx}, {dy}")
     xs = (np.arange(1, n_x + 1) - (n_x + 1) / 2) * dx
     ys = (np.arange(1, n_y + 1) - (n_y + 1) / 2) * dy
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -143,6 +145,6 @@ def fraunhofer_square(n: int, spacing: float, wavelength: float) -> float:
     """
     if n < 1:
         raise ContractError("n must be >= 1")
-    if spacing <= 0 or wavelength <= 0:
-        raise ContractError("spacing and wavelength must be positive")
+    if not (0 < spacing < math.inf and 0 < wavelength < math.inf):
+        raise ContractError("spacing and wavelength must be finite and positive")
     return 4.0 * n ** 2 * spacing ** 2 / wavelength

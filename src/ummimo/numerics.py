@@ -2,9 +2,9 @@
 
 Everything downstream (channel statistics, beam geometry, estimators, circuit
 models) builds on the primitives in this module, so the contracts here are
-deliberately strict: Fresnel integrals from scipy.special.fresnel behind a
-finite-argument check, eigen/SVD reconstruction to 1e-8 relative, and
-bitwise-reproducible random streams.
+deliberately strict: Fresnel integrals from scipy.special.fresnel (imported
+on first use) behind a finite-argument check, eigen/SVD reconstruction to
+1e-8 relative, and bitwise-reproducible random streams.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import fresnel
 
 from .errors import ContractError, DomainError
 
@@ -158,10 +157,12 @@ def fresnel_cs(x: float) -> tuple[float, float]:
     """Fresnel integrals C(x) = int_0^x cos(pi t^2/2) dt and S(x) likewise.
 
     A checked wrapper over scipy.special.fresnel, which returns (S, C); this
-    returns (C, S).  Both are odd in x.
+    returns (C, S).  Both are odd in x.  scipy.special is imported on the
+    first call, so importing the package loads numpy only.
     """
     if not math.isfinite(x):
         raise DomainError(f"fresnel_cs requires finite x, got {x}")
+    from scipy.special import fresnel
     s, c = fresnel(x)
     return float(c), float(s)
 

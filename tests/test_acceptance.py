@@ -26,7 +26,6 @@ and tests the stated number where it holds:
 
 import numpy as np
 import pytest
-from scipy.constants import epsilon_0, speed_of_light
 from scipy.integrate import quad
 
 from ummimo.beam import beamdepth_3db, depth_gain, _depth_profile
@@ -39,9 +38,11 @@ from ummimo.dof import bbu_rate, dof_1d, dof_2d, dof_report
 from ummimo.estimate import (build_ff_dictionary, isotropic_subspace, ls_estimate,
                              mmse_estimate, mmse_pilot_design, nmse_sweep,
                              omp_estimate, orthogonal_pilot, received_pilot)
+# the package's SI constants (CODATA 2022 epsilon_0 on every scipy release;
+# tests/test_api.py checks them against scipy.constants)
 from ummimo.fields import (DipoleSegment, aperture_gain, aperture_gain_subdivided,
-                           dipole_field, isotropic_area, near_field_factor,
-                           _amplitudes)
+                           dipole_field, epsilon_0, isotropic_area, near_field_factor,
+                           speed_of_light, _amplitudes)
 from ummimo.geometry import build_ula, build_upa
 from ummimo.mux import (UplinkScenario, lmmse_combiners, optimal_spacing,
                         su_capacity, uplink_se)

@@ -1,7 +1,13 @@
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import scipy.constants
 
 import ummimo
 
@@ -28,3 +34,47 @@ def test_package_exports_layer_api(layer):
     module = importlib.import_module(f"ummimo.{layer}")
     missing = [name for name in module.__all__ if not hasattr(ummimo, name)]
     assert missing == []
+
+
+COLD_START = """
+import json, sys
+import ummimo, ummimo.cli
+before = sorted(name for name in sys.modules if name.startswith("scipy"))
+c, s = ummimo.fresnel_cs(1.0)
+print(json.dumps({"before": before, "c": c, "s": s,
+                  "special": "scipy.special" in sys.modules}))
+"""
+
+
+def test_import_loads_no_scipy_until_fresnel():
+    # a fresh interpreter: `import ummimo, ummimo.cli` loads numpy only, and
+    # the first fresnel_cs call brings in scipy.special
+    src = str(Path(ummimo.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["before"] == []
+    # mpmath at 30 digits: C(1) = 0.77989340037682282947..., S(1) = 0.43825914739035476607...
+    assert abs(got["c"] - 0.7798934003768228) <= 1e-15
+    assert abs(got["s"] - 0.4382591473903548) <= 1e-15
+    assert got["special"]
+
+
+@pytest.mark.parametrize("layer, name", [
+    ("fields", "speed_of_light"), ("circuit", "speed_of_light"), ("dof", "speed_of_light"),
+    ("circuit", "Boltzmann")])
+def test_exact_si_constants_match_scipy(layer, name):
+    module = importlib.import_module(f"ummimo.{layer}")
+    assert getattr(module, name) == getattr(scipy.constants, name)
+
+
+@pytest.mark.parametrize("layer", ["fields", "circuit"])
+def test_epsilon_0_is_codata_2022(layer):
+    # scipy >= 1.15 carries CODATA 2022; older releases carry CODATA 2018
+    # (8.8541878128e-12), 6.8e-10 relative away
+    eps = importlib.import_module(f"ummimo.{layer}").epsilon_0
+    assert eps == 8.8541878188e-12
+    assert abs(eps - scipy.constants.epsilon_0) <= 1e-9 * scipy.constants.epsilon_0

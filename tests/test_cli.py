@@ -4,11 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ummimo.beam import beamdepth_3db
-from ummimo.errors import ConfigError
+from ummimo.beam import beamdepth_3db, depth_gain
+from ummimo.errors import ConfigError, ContractError
 from ummimo.geometry import fraunhofer_square
 from ummimo.cli import (list_experiments, main, parse_config_file, resolve_config,
-                        run, _EXPERIMENTS)
+                        run, _EXPERIMENTS, _HALF_POWER_X, _numeric_beamdepth)
 
 REQUIRED_IDS = {"nf-factor", "aperture-gain", "beam", "fig4-mu", "fig5-su",
                 "fig6-ula", "fig6-upa", "fig9", "fig10", "fig11", "bbu",
@@ -251,6 +251,54 @@ class TestReferenceScale:
             assert margin >= 0
         notes = json.loads((d / "manifest.json").read_text())["notes"]
         assert any("100x50 run" in note for note in notes)
+
+
+class TestNumericBeamdepth:
+    D_F = 40.96  # the beam defaults: 64 x 64 at lambda/2, lambda = 0.01 m
+
+    def test_half_power_x_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            def excess(x):
+                t = mp.sqrt(x)
+                return ((mp.fresnelc(t) ** 2 + mp.fresnels(t) ** 2) / x) ** 2 - mp.mpf(1) / 2
+            ref = float(mp.findroot(excess, mp.mpf("1.24")))
+        assert abs(_HALF_POWER_X - ref) <= 1e-15
+
+    @pytest.mark.parametrize("d_f", [D_F, 409.6])
+    def test_crossings_are_half_power(self, d_f):
+        z_eff = d_f / (8.0 * _HALF_POWER_X)
+        for F in np.linspace(1e-4, 0.0999, 60) * d_f:
+            z_near = F * z_eff / (F + z_eff)
+            z_far = F * z_eff / (z_eff - F)
+            assert abs(depth_gain(F, z_near, d_f) - 0.5) <= 1e-9
+            assert abs(depth_gain(F, z_far, d_f) - 0.5) <= 1e-9
+            # the nearest crossings: the gain is above 1/2 just inside them
+            assert depth_gain(F, z_near * (1 + 1e-6), d_f) > 0.5
+            assert depth_gain(F, z_far * (1 - 1e-6), d_f) > 0.5
+            assert _numeric_beamdepth(F, d_f) == z_far - z_near
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.5, 10.0])
+    def test_infinite_beyond_z_eff(self, ratio):
+        z_eff = self.D_F / (8.0 * _HALF_POWER_X)
+        assert _numeric_beamdepth(ratio * z_eff, self.D_F) == np.inf
+
+    def test_matches_root_finder_at_defaults(self, tmp_path):
+        # bd_numeric_m of a bracketing root search (brentq, xtol 1e-15 F) on
+        # depth_gain at the beam defaults
+        search = [0.3390151488349361, 2.702267642367735, 6.459463281564407, np.inf]
+        _, rows = _read_csv(run("beam", {}, seed=3, out=tmp_path) / "beam_depth.csv")
+        got = [float(r[3]) for r in rows]
+        assert len(got) == len(search)
+        for g, want in zip(got, search):
+            assert g == want if np.isinf(want) else abs(g - want) <= 2e-15 * want
+
+    def test_unresolved_crossing_refused(self, tmp_path, capsys):
+        # at F = 1e-10 d_F the near crossing lies within 1e-9 F of the focus,
+        # where one rounding of z moves the gain by more than 1e-9
+        with pytest.raises(ContractError, match="half-power"):
+            _numeric_beamdepth(1e-10 * self.D_F, self.D_F)
+        assert main(["beam", "--F", "1e-10dF", "--out", str(tmp_path)]) == 3
 
 
 class TestMainEntry:

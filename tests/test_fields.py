@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from scipy.constants import epsilon_0, speed_of_light
 
 from ummimo.errors import DomainError, SingularityError
+# the package's SI constants (CODATA 2022 epsilon_0 on every scipy release;
+# tests/test_api.py checks them against scipy.constants)
 from ummimo.fields import (DipoleSegment, aperture_gain, aperture_gain_subdivided,
-                           array_field, dipole_field, edge_phase_and_power,
-                           isotropic_area, near_field_factor, _amplitudes,
-                           _basis_matrix)
+                           array_field, dipole_field, edge_phase_and_power, epsilon_0,
+                           isotropic_area, near_field_factor, speed_of_light,
+                           _amplitudes, _basis_matrix)
 
 LAM = 0.01
 
@@ -41,6 +42,12 @@ class TestNearFieldFactor:
     def test_bad_wavelength_rejected(self, lam):
         with pytest.raises(DomainError, match="wavelength"):
             near_field_factor(2 * LAM, lam)
+
+    @pytest.mark.parametrize("z", [np.nan, np.inf])
+    def test_nonfinite_distance_rejected(self, z):
+        # NaN passes a `z <= 0` test, and inf read as the far-field limit 1
+        with pytest.raises(DomainError, match="z must be finite"):
+            near_field_factor(z, LAM)
 
 
 class TestEdgePhaseAndPower:
@@ -111,6 +118,15 @@ class TestApertureGain:
         with pytest.raises(DomainError):
             aperture_gain_subdivided(a, b, 2, 2, z, LAM)
         with pytest.raises(DomainError):
+            aperture_gain(a, b, z, LAM)
+
+    @pytest.mark.parametrize("a, b, z", [(np.nan, LAM, LAM), (LAM, np.nan, LAM),
+                                         (LAM, LAM, np.nan), (np.inf, LAM, LAM),
+                                         (LAM, LAM, np.inf)])
+    def test_nonfinite_sizes_rejected(self, a, b, z):
+        with pytest.raises(DomainError, match="must be finite"):
+            aperture_gain_subdivided(a, b, 2, 2, z, LAM)
+        with pytest.raises(DomainError, match="must be finite"):
             aperture_gain(a, b, z, LAM)
 
     @pytest.mark.parametrize("lam", [-LAM, 0.0, np.nan, np.inf])

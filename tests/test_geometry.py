@@ -3,8 +3,8 @@ import pytest
 
 from ummimo.channel import correlation_matrix, gaussian_cluster_profile
 from ummimo.errors import ContractError
-from ummimo.geometry import (ArrayGeometry, Lattice, build_upa, fraunhofer_square,
-                             region_bounds)
+from ummimo.geometry import (ArrayGeometry, Lattice, build_ula, build_upa,
+                             fraunhofer_square, region_bounds)
 
 
 class TestBuildUpa:
@@ -36,6 +36,23 @@ class TestBuildUpa:
     def test_bad_wavelength_rejected(self, lam):
         with pytest.raises(ContractError, match="wavelength"):
             build_upa(2, 2, 0.1, 0.1, lam)
+
+    @pytest.mark.parametrize("dx, dy", [(np.nan, 0.1), (0.1, np.nan), (np.inf, 0.1)])
+    def test_nonfinite_spacing_rejected(self, dx, dy):
+        with pytest.raises(ContractError, match="spacings"):
+            build_upa(2, 2, dx, dy, 1.0)
+
+    @pytest.mark.parametrize("spacing", [np.nan, np.inf])
+    def test_ula_nonfinite_spacing_rejected(self, spacing):
+        with pytest.raises(ContractError, match="spacings"):
+            build_ula(4, spacing, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_position_rejected(self, bad):
+        pos = build_upa(2, 2, 0.1, 0.1, 1.0).positions.copy()
+        pos[1, 0] = bad
+        with pytest.raises(ContractError, match="finite"):
+            ArrayGeometry(pos, 1.0)
 
     def test_duplicate_positions_rejected(self):
         with pytest.raises(ContractError):
@@ -115,6 +132,12 @@ class TestFraunhoferSquare:
         val = fraunhofer_square(n, d, lam)
         assert abs(val - 100.0) < 1e-9
         assert abs(val - expected) < 1e-9 * expected
+
+    @pytest.mark.parametrize("spacing, lam", [(np.nan, 0.01), (0.005, np.nan),
+                                              (np.inf, 0.01), (0.005, np.inf)])
+    def test_nonfinite_rejected(self, spacing, lam):
+        with pytest.raises(ContractError, match="finite"):
+            fraunhofer_square(8, spacing, lam)
 
     def test_quadratic_scaling(self):
         assert fraunhofer_square(64, 0.01, 0.02) * 4 == fraunhofer_square(128, 0.01, 0.02)
