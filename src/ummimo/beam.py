@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import ContractError, DomainError, SingularityError
 from .geometry import ArrayGeometry
 from .numerics import fresnel_cs, sinc
 
@@ -35,10 +36,25 @@ class BeamSpec:
             raise DomainError("phases must be finite")
 
 
+def _finite_point(name: str, point) -> np.ndarray:
+    point = np.asarray(point, dtype=float)
+    if point.shape != (3,):
+        raise ContractError(f"{name} must be a (3,) point, got shape {point.shape}")
+    if not np.all(np.isfinite(point)):
+        raise DomainError(f"{name} must be finite, got {point}")
+    return point
+
+
+def _finite_positive(**values: float) -> None:
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0):
+            raise DomainError(f"{name} must be finite and positive, got {v!r}")
+
+
 def focus_phases(geom: ArrayGeometry, point) -> BeamSpec:
     """Phases psi_m = (2 pi / lambda) dist(point, p_m) that cancel the
-    propagation phase at the focus point."""
-    point = np.asarray(point, dtype=float)
+    propagation phase at the focus point, a finite (3,) point."""
+    point = _finite_point("focus point", point)
     d = np.linalg.norm(point[None, :] - geom.positions, axis=1)
     if np.any(d == 0):
         raise SingularityError("focus point coincides with an array element")
@@ -46,8 +62,9 @@ def focus_phases(geom: ArrayGeometry, point) -> BeamSpec:
 
 
 def array_gain(geom: ArrayGeometry, spec: BeamSpec, rx) -> float:
-    """Array gain (1/M) |sum_m e^{-j kappa d_m(rx)} e^{j psi_m}|^2 in [0, M]."""
-    rx = np.asarray(rx, dtype=float)
+    """Array gain (1/M) |sum_m e^{-j kappa d_m(rx)} e^{j psi_m}|^2 in [0, M]
+    at a finite (3,) receive point rx."""
+    rx = _finite_point("receive point", rx)
     d = np.linalg.norm(rx[None, :] - geom.positions, axis=1)
     if np.any(d == 0):
         raise SingularityError("receive point coincides with an array element")
@@ -93,10 +110,10 @@ def depth_gain(focus: float, z: float, d_fraunhofer: float) -> float:
     """Normalized array gain at depth z when focused at depth `focus`.
 
     Evaluates A(d_F / (8 z_eff)) with z_eff = F z / |F - z|; equals 1 at
-    z = focus and is symmetric under swapping (focus, z).
+    z = focus and is symmetric under swapping (focus, z).  All three
+    arguments must be finite and positive.
     """
-    if focus <= 0 or z <= 0:
-        raise DomainError("focus and z must be positive")
+    _finite_positive(focus=focus, z=z, d_fraunhofer=d_fraunhofer)
     if focus == z:
         return 1.0
     z_eff = focus * z / abs(focus - z)
@@ -117,10 +134,9 @@ def beamdepth_3db(focus: float, d_fraunhofer: float) -> BeamdepthInterval:
 
     Finite only for focus < d_F / 10: then 20 d_F F^2 / (d_F^2 - 100 F^2).
     Beyond that boundary the beam extends to infinity and only the near
-    endpoint is finite.
+    endpoint is finite.  Both arguments must be finite and positive.
     """
-    if focus <= 0 or d_fraunhofer <= 0:
-        raise DomainError("focus and d_fraunhofer must be positive")
+    _finite_positive(focus=focus, d_fraunhofer=d_fraunhofer)
     z_near = d_fraunhofer * focus / (d_fraunhofer + 10.0 * focus)
     if focus >= d_fraunhofer / 10.0:
         return BeamdepthInterval(np.inf, z_near, np.inf)

@@ -181,7 +181,8 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
     coefficient lambda / (4 pi z) with z the broadside (normal
     component) distance of the transmitter; "per-element" uses each exact
     distance instead (for asymptotic studies where power variation matters).
-    A (3,) tx gives the (M,) channel, a (K, 3) batch the (M, K) matrix of them.
+    A (3,) tx gives the (M,) channel, a (K, 3) batch the (M, K) matrix of them;
+    every coordinate must be finite.
     """
     if mode not in ("exact", "fresnel"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -190,6 +191,8 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
     tx = np.asarray(tx, dtype=float)
     if tx.shape[-1:] != (3,) or tx.ndim > 2:
         raise ContractError(f"tx must be (3,) or (K, 3), got shape {tx.shape}")
+    if not np.all(np.isfinite(tx)):
+        raise DomainError("tx must be finite: a transmitter position holds NaN or inf")
     t = np.atleast_2d(tx)[:, None, :]  # (K, 1, 3) against the (M, 3) elements
     lam = geom.wavelength
     pos = geom.positions
@@ -244,19 +247,30 @@ def _lag_table(geom: ArrayGeometry, grid: QuadratureGrid, g: np.ndarray) -> np.n
     (l_x, l_y) of a builder array, shape (2 N_x - 1, 2 N_y - 1), with
     g = f * w * beta at the grid nodes.
 
-    Only the half-plane l_x >= 0 is built; T[-l] = conj T[l] gives the rest,
-    so R gathered from T is exactly Hermitian.
+    T = sum_q g_q A_q^T B_q with A_q = exp(-j kappa u_x l_x dx), which
+    varies with the node, and B_q = exp(-j kappa u_y l_y dy), where
+    u_y = sin(el) depends on the elevation alone.  So g A is summed over the
+    nodes of each elevation ring (found by sorting, whatever the node order
+    of the grid), in node chunks, and multiplied once by B at the distinct
+    elevations.  Only the half-plane l_x >= 0 is built; T[-l] = conj T[l]
+    gives the rest, so R gathered from T is exactly Hermitian.
     """
     n_x, n_y, dx, dy = geom.lattice
     kappa = 2.0 * np.pi / geom.wavelength
     lx = np.arange(n_x) * dx
     ly = np.arange(n_y) * dy
-    half = np.zeros((n_x, 2 * n_y - 1), dtype=complex)
-    for s in _chunks(grid.size, n_x + 2 * n_y - 1):
-        u = unit_directions(grid.azimuth[s], grid.elevation[s])
-        A = np.exp(-1j * kappa * np.outer(u[:, 0], lx))
-        B = np.exp(-1j * kappa * np.outer(u[:, 1], ly))  # l_y >= 0; conj for l_y < 0
-        half += (A.T * g[s]) @ np.concatenate([B[:, :0:-1].conj(), B], axis=1)
+    order = np.argsort(grid.elevation, kind="stable")
+    az, el, g = grid.azimuth[order], grid.elevation[order], g[order]
+    first = np.concatenate([[True], el[1:] != el[:-1]])  # each ring's first node
+    ring = np.cumsum(first) - 1
+    rings = np.zeros((n_x, int(first.sum())), dtype=complex)  # g A summed per ring
+    for s in _chunks(grid.size, n_x):
+        starts = np.flatnonzero(np.r_[True, first[s][1:]])  # ring boundaries in the chunk
+        # (l_x, node) layout: the ring sums run along contiguous memory
+        gA = np.exp(-1j * kappa * np.outer(lx, np.sin(az[s]) * np.cos(el[s]))) * g[s]
+        rings[:, ring[s][starts]] += np.add.reduceat(gA, starts, axis=1)
+    B = np.exp(-1j * kappa * np.outer(np.sin(el[first]), ly))  # l_y >= 0; conj for l_y < 0
+    half = rings @ np.concatenate([B[:, :0:-1].conj(), B], axis=1)
     # the l_x = 0 row from its l_y >= 0 half, with a real centre
     half[0, :n_y - 1] = half[0, :n_y - 1:-1].conj()
     half[0, n_y - 1] = half[0, n_y - 1].real
@@ -283,15 +297,17 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
       over the elements.  The grid (default hemisphere_grid()) only serves
       the normalisation check.
     * any other profile or array: quadrature beta * sum_q f_q w_q s_q s_q^H,
-      accumulated over node chunks.  A builder array fills its lag table as
-      A^T diag(f w beta) B, A = exp(-j kappa u_x l_x dx) and B likewise from
-      u_y and l_y dy, and gathers R from it; an array from caller positions
-      forms the dense sum and is symmetrised.  With grid=None the grid has
-      n nodes per axis, n from kappa * D_max (D_max the largest element
-      separation), and never fewer than 180 x 90; a caller's grid with fewer
-      than n distinct azimuth or elevation nodes raises ContractError.
+      accumulated over node chunks.  A builder array fills its lag table
+      (see _lag_table: f w beta A summed per elevation ring, then one product
+      with the elevation factor B) and gathers R from it; an array from
+      caller positions forms the dense sum and is symmetrised.  With
+      grid=None the grid has n nodes per axis, n from kappa * D_max (D_max
+      the largest element separation), and never fewer than 180 x 90; a
+      caller's grid with fewer than n distinct azimuth or elevation nodes
+      raises ContractError.
 
-    R is complex, and exactly Hermitian on the closed-form and lag-table
+    R is complex and read-only, so the operators estimators prepare from it
+    cannot go stale, and exactly Hermitian on the closed-form and lag-table
     paths.
     """
     closed_form = profile.density is _isotropic_density and _is_planar_in_z(geom)
@@ -313,16 +329,20 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
     if closed_form:
         x, y = geom.positions[:, 0], geom.positions[:, 1]
         d = np.hypot(np.subtract.outer(x, x), np.subtract.outer(y, y))
-        return SpatialCorrelation(beta * sinc(2.0 * d / geom.wavelength) + 0j, beta)
-    g = profile.density(grid.azimuth, grid.elevation) * grid.weights * beta
-    if geom.lattice is not None:
-        return SpatialCorrelation(_gather(geom, _lag_table(geom, grid, g)), beta)
-    m = geom.num_elements
-    R = np.zeros((m, m), dtype=complex)
-    for s in _chunks(grid.size, m):
-        S = steering_matrix(geom, grid.azimuth[s], grid.elevation[s])
-        R += (S.T * g[s]) @ S.conj()
-    return SpatialCorrelation(0.5 * (R + R.conj().T), beta)
+        R = beta * sinc(2.0 * d / geom.wavelength) + 0j
+    else:
+        g = profile.density(grid.azimuth, grid.elevation) * grid.weights * beta
+        if geom.lattice is not None:
+            R = _gather(geom, _lag_table(geom, grid, g))
+        else:
+            m = geom.num_elements
+            R = np.zeros((m, m), dtype=complex)
+            for s in _chunks(grid.size, m):
+                S = steering_matrix(geom, grid.azimuth[s], grid.elevation[s])
+                R += (S.T * g[s]) @ S.conj()
+            R = 0.5 * (R + R.conj().T)
+    R.flags.writeable = False
+    return SpatialCorrelation(R, beta)
 
 
 def sample_rayleigh(corr: SpatialCorrelation | np.ndarray, stream: RngStream,

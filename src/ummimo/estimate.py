@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -38,6 +38,8 @@ __all__ = [
 
 _PINV_RTOL = 1e-10  # singular values below this times the largest are zero
 _SUBSPACE_CAPTURE = 0.9999  # trace fraction isotropic_subspace keeps
+_OPERATORS_PER_PILOT = 8  # prepared operators one PilotMatrix keeps, oldest dropped first
+_OMP_BLOCK_ENTRIES = 1 << 19  # columns x atoms of one OMP correlation block
 
 
 @dataclass(frozen=True)
@@ -45,14 +47,17 @@ class PilotMatrix:
     """Pilot sequence matrix (tau_p x M), pilot power, and noise power.
 
     The average pilot power is normalized to one: trace(phi^H phi) = tau_p.
+    phi is a read-only copy of the caller's matrix, so the operators the
+    estimators prepare from it (see `_prepared`) cannot go stale.
     """
 
     phi: np.ndarray
     power: float
     noise_power: float
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=complex)
+        phi = np.array(self.phi, dtype=complex)
         if phi.ndim != 2:
             raise ContractError("pilot matrix must be 2-D")
         tau = phi.shape[0]
@@ -63,6 +68,7 @@ class PilotMatrix:
             )
         if not (self.power > 0 and self.noise_power >= 0):
             raise ContractError("power must be > 0 and noise_power >= 0")
+        phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
 
     @property
@@ -72,6 +78,41 @@ class PilotMatrix:
     @property
     def num_antennas(self) -> int:
         return self.phi.shape[1]
+
+    def _prepared(self, kind: str, stats, inputs_read_only: bool,
+                  build: Callable[[], tuple]):
+        """The operator build() forms for this pilot and the statistics object
+        `stats`, from build()'s (operator, rank-deficiency warning or None).
+
+        When every input of build() is read-only the operator is kept, keyed
+        by (kind, id(stats)), beside a reference to `stats` so the id stays
+        taken; at most _OPERATORS_PER_PILOT are kept, oldest dropped first.
+        The warning is issued on every call, at the caller of the public
+        estimator that calls this.
+        """
+        key = (kind, id(stats))
+        entry = self._operators.get(key)
+        if entry is None:
+            entry = (stats, *build())
+            if inputs_read_only:
+                if len(self._operators) >= _OPERATORS_PER_PILOT:
+                    del self._operators[next(iter(self._operators))]
+                self._operators[key] = entry
+        _, op, warning = entry
+        if warning is not None:
+            warnings.warn(warning, RuntimeWarning, stacklevel=3)
+        return op
+
+
+def _read_only(a) -> bool:
+    return isinstance(a, np.ndarray) and not a.flags.writeable
+
+
+def _freeze(*arrays):
+    """Make arrays read-only, as prepared operators are shared by later calls."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def orthogonal_pilot(m: int, tau: int, power: float, noise_power: float,
@@ -102,34 +143,45 @@ def received_pilot(pilot: PilotMatrix, h: np.ndarray, stream: RngStream) -> np.n
     return np.sqrt(pilot.power) * (pilot.phi @ h) + noise
 
 
-def _pinv_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A^+ b, A^+ from one numerics.svd by the steps of numpy's pinv at
-    rcond=_PINV_RTOL (so bit for bit its result).  Warns, at the caller of the
-    public estimator, when A has at least as many rows as columns but loses
-    rank."""
+def _pinv(A: np.ndarray) -> tuple[np.ndarray, str | None]:
+    """Read-only A^+ from one numerics.svd by the steps of numpy's pinv at
+    rcond=_PINV_RTOL (so A^+ @ b is bit for bit pinv(A) @ b), and the warning
+    text when A has at least as many rows as columns but loses rank, else
+    None."""
     s, U, V = svd(A.conj())  # numpy's pinv decomposes conj(A)
     large = s > _PINV_RTOL * s[0]
+    warning = None
     if A.shape[0] >= A.shape[1] and not large.all():
-        warnings.warn(f"rank-deficient {A.shape[0]} x {A.shape[1]} system (rank "
-                      f"{int(large.sum())}); using pseudo-inverse",
-                      RuntimeWarning, stacklevel=3)
+        warning = (f"rank-deficient {A.shape[0]} x {A.shape[1]} system (rank "
+                   f"{int(large.sum())}); using pseudo-inverse")
     s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
-    return (V.conj() @ (s_inv[:, None] * U.T)) @ b
+    return _freeze(V.conj() @ (s_inv[:, None] * U.T))[0], warning
 
 
 def ls_estimate(y: np.ndarray, pilot: PilotMatrix) -> np.ndarray:
     """Least-squares estimate: the minimizer of ||y - sqrt(p) phi h||^2.
 
-    phi^+ y / sqrt(p) by _pinv_solve, which coincides with phi^{-1} y /
+    phi^+ y / sqrt(p) with phi^+ from _pinv, which coincides with phi^{-1} y /
     sqrt(p) for square invertible pilots and extends to tau_p < M (then only
     the row space of phi is estimated).  A rank-deficient pilot with
-    tau_p >= M degrades to the pseudo-inverse with a warning.
+    tau_p >= M degrades to the pseudo-inverse with a warning, on every call.
 
     y is one received pilot (tau_p,) or a batch (tau_p, T) with one pilot
     per column; the estimate is then (M,) or (M, T).  The map is linear, so
-    a batch gives the column-wise estimates and checks the pilot once.
+    a batch gives the column-wise estimates.  phi^+ is prepared once per
+    pilot and kept on it.
     """
-    return _pinv_solve(pilot.phi, y) / np.sqrt(pilot.power)
+    P = pilot._prepared("ls", None, True, lambda: _pinv(pilot.phi))
+    return P @ y / np.sqrt(pilot.power)
+
+
+def _mmse_operator(pilot: PilotMatrix, R: np.ndarray):
+    p, phi = pilot.power, pilot.phi
+    A = p * (phi @ R @ phi.conj().T) + pilot.noise_power * np.eye(pilot.tau)
+    P, warning = _pinv(A)
+    W = (P @ (np.sqrt(p) * (phi @ R))).conj().T
+    mse = float(np.trace(R).real - np.sqrt(p) * np.trace(W @ phi @ R).real)
+    return (_freeze(W)[0], mse), warning
 
 
 def mmse_estimate(y: np.ndarray, pilot: PilotMatrix,
@@ -139,18 +191,18 @@ def mmse_estimate(y: np.ndarray, pilot: PilotMatrix,
     hhat = W y with W = sqrt(p) R phi^H A^{-1}, A = p phi R phi^H + sigma^2 I;
     MSE = tr(R) - sqrt(p) tr(W phi R).  Returns (estimate, analytic_mse).
     Since A and R are Hermitian, W = (A^+ sqrt(p) phi R)^H with A^+ from
-    _pinv_solve, which warns when A is rank-deficient (sigma^2 = 0 and a
-    singular phi R phi^H).
+    _pinv, which warns when A is rank-deficient (sigma^2 = 0 and a singular
+    phi R phi^H).
 
     y is (tau_p,) or a batch (tau_p, T), one received pilot per column; the
     estimate is then (M,) or (M, T), and the analytic MSE, which depends on
-    the pilot alone, is the same either way.
+    the pilot alone, is the same either way.  W and the MSE are prepared once
+    per (pilot, corr) and kept on the pilot when corr is a SpatialCorrelation
+    with a read-only R, as correlation_matrix returns.
     """
-    R = _as_correlation(corr).R
-    p, phi = pilot.power, pilot.phi
-    A = p * (phi @ R @ phi.conj().T) + pilot.noise_power * np.eye(pilot.tau)
-    W = _pinv_solve(A, np.sqrt(p) * (phi @ R)).conj().T
-    mse = float(np.trace(R).real - np.sqrt(p) * np.trace(W @ phi @ R).real)
+    c = _as_correlation(corr)
+    W, mse = pilot._prepared("mmse", c, c is corr and _read_only(c.R),
+                             lambda: _mmse_operator(pilot, c.R))
     return W @ y, mse
 
 
@@ -179,23 +231,32 @@ def mmse_pilot_design(corr: SpatialCorrelation | np.ndarray, power: float,
     return PilotMatrix(phi, power, noise_power)
 
 
-def rsls_estimate(y: np.ndarray, pilot: PilotMatrix, subspace: np.ndarray) -> np.ndarray:
-    """Reduced-subspace LS: least squares restricted to span(subspace).
-
-    subspace is M x r with orthonormal columns and tau_p >= r.  The estimate
-    is U (phi U)^+ y / sqrt(p) by _pinv_solve: LS with phi U for phi, so a
-    rank-deficient phi U warns.  Noise in the orthogonal complement is removed
-    entirely; the estimate always lies in the subspace.  y is (tau_p,) or a
-    batch (tau_p, T), one received pilot per column; the estimate is then (M,)
-    or (M, T).
-    """
-    U = np.asarray(subspace, dtype=complex)
+def _rsls_operator(pilot: PilotMatrix, subspace: np.ndarray):
+    U = np.array(subspace, dtype=complex)  # a copy: freezing it leaves the caller's flags
     r = U.shape[1]
     if np.linalg.norm(U.conj().T @ U - np.eye(r)) > 1e-8 * np.sqrt(r):
         raise ContractError("subspace columns must be orthonormal")
     if pilot.tau < r:
         raise ContractError(f"tau_p = {pilot.tau} < subspace dimension {r}")
-    return U @ _pinv_solve(pilot.phi @ U, y) / np.sqrt(pilot.power)
+    P, warning = _pinv(pilot.phi @ U)
+    return _freeze(U, P), warning
+
+
+def rsls_estimate(y: np.ndarray, pilot: PilotMatrix, subspace: np.ndarray) -> np.ndarray:
+    """Reduced-subspace LS: least squares restricted to span(subspace).
+
+    subspace is M x r with orthonormal columns and tau_p >= r.  The estimate
+    is U (phi U)^+ y / sqrt(p) with (phi U)^+ from _pinv: LS with phi U for
+    phi, so a rank-deficient phi U warns.  Noise in the orthogonal complement
+    is removed entirely; the estimate always lies in the subspace.  y is
+    (tau_p,) or a batch (tau_p, T), one received pilot per column; the
+    estimate is then (M,) or (M, T).  The checks and (phi U)^+ run once per
+    (pilot, subspace) and are kept on the pilot when subspace is a read-only
+    array, as isotropic_subspace returns.
+    """
+    U, P = pilot._prepared("rs-ls", subspace, _read_only(subspace),
+                           lambda: _rsls_operator(pilot, subspace))
+    return U @ (P @ y) / np.sqrt(pilot.power)
 
 
 def rsls_pilot(subspace: np.ndarray, tau: int, power: float, noise_power: float,
@@ -239,6 +300,8 @@ class Dictionary:
 
     grid holds the (Psi, Omega) = (sin az cos el, sin el) pair per atom; all
     pairs satisfy Psi^2 + Omega^2 <= 1 and every atom has norm sqrt(M).
+    build_ff_dictionary returns both arrays read-only, which lets omp_estimate
+    keep the sensing matrix it prepares from them.
     """
 
     atoms: np.ndarray
@@ -257,7 +320,9 @@ def build_ff_dictionary(geom: ArrayGeometry, density: int) -> Dictionary:
     arithmetic), so the lattice is symmetric and holds the broadside atom.
     At density 40 this closed-disk convention yields 5025 atoms; the open
     disk yields 5013 and dropping the +-1 endpoints 5021.  A density that is
-    not an integer >= 1 raises DomainError.
+    not an integer >= 1 raises DomainError.  Atom (i, j) is Ex[:, i] * Ey[:, j],
+    the product of per-axis phase tables exp(-j kappa x i/n) and
+    exp(-j kappa y j/n) over the 2n + 1 lattice lines.
     """
     try:
         n = operator.index(density)
@@ -268,12 +333,53 @@ def build_ff_dictionary(geom: ArrayGeometry, density: int) -> Dictionary:
     idx = np.arange(-n, n + 1)
     I, J = np.meshgrid(idx, idx, indexing="ij")
     keep = I * I + J * J <= n * n
-    psi = I[keep] / float(n)
-    omega = J[keep] / float(n)
-    x, y = geom.positions[:, 0], geom.positions[:, 1]
+    grid = np.stack([I[keep], J[keep]], axis=1) / float(n)
+    # M (2n + 1) exps per axis instead of one per element and atom
     kappa = 2.0 * np.pi / geom.wavelength
-    atoms = np.exp(-1j * kappa * (x[:, None] * psi[None, :] + y[:, None] * omega[None, :]))
-    return Dictionary(atoms, np.stack([psi, omega], axis=1))
+    Ex, Ey = (np.exp(-1j * kappa * np.outer(geom.positions[:, axis], idx / float(n)))
+              for axis in (0, 1))
+    atoms = Ex[:, I[keep] + n] * Ey[:, J[keep] + n]
+    return Dictionary(*_freeze(atoms, grid))
+
+
+def _omp_operator(pilot: PilotMatrix, dictionary: Dictionary):
+    A = np.sqrt(pilot.power) * (pilot.phi @ dictionary.atoms)
+    norms = np.linalg.norm(A, axis=0)
+    norms[norms == 0] = 1.0
+    return _freeze(A, norms), None
+
+
+def _omp_block(A: np.ndarray, norms: np.ndarray, Y: np.ndarray, sparsity: int,
+               residual_threshold: float | None):
+    """The greedy loop on all columns of Y (tau_p x T) at once: selections
+    (T, sparsity), coefficients (T, sparsity) and the number of selections
+    per column; a column stopped by residual_threshold keeps zeros past its
+    count."""
+    T = Y.shape[1]
+    selected = np.zeros((T, sparsity), dtype=np.intp)
+    coef = np.zeros((T, sparsity), dtype=complex)
+    count = np.full(T, sparsity)
+    active = np.arange(T)
+    Yt = Y.T
+    residual = Yt
+    for k in range(sparsity):
+        # |r^H a_j| / ||a_j|| for every column r and atom j; the conjugate
+        # of the residual block, never of the tau_p x K sensing matrix
+        corr = np.abs(residual.conj() @ A) / norms
+        corr[np.arange(active.size)[:, None], selected[active, :k]] = -1.0
+        selected[active, k] = np.argmax(corr, axis=1)  # the lowest index wins ties
+        As = A[:, selected[active, :k + 1]].transpose(1, 0, 2)  # (T_active, tau_p, k + 1)
+        # the lstsq(rcond=None) cut-off: max(tau_p, k + 1) eps times the largest
+        c = np.linalg.pinv(As, rcond=max(As.shape[1:]) * np.finfo(float).eps) @ Yt[active, :, None]
+        coef[active, :k + 1] = c[..., 0]
+        residual = Yt[active] - (As @ c)[..., 0]
+        if residual_threshold is not None:
+            done = np.linalg.norm(residual, axis=1) <= residual_threshold
+            count[active[done]] = k + 1
+            active, residual = active[~done], residual[~done]
+            if not active.size:
+                break
+    return selected, coef, count
 
 
 def omp_estimate(y: np.ndarray, pilot: PilotMatrix, dictionary: Dictionary,
@@ -287,10 +393,15 @@ def omp_estimate(y: np.ndarray, pilot: PilotMatrix, dictionary: Dictionary,
     Returns (estimate, selected_indices).
 
     y is (tau_p,) or a batch (tau_p, T) with one received pilot per column.
-    The sensing matrix and its column norms are formed once per call; the
-    greedy loop and residual_threshold then act on each column alone, so a
-    batch returns the (M, T) estimates and a list of T selections, equal to
-    T separate calls.
+    The sensing matrix and its column norms are prepared once per (pilot,
+    dictionary) and kept on the pilot when the atoms are read-only, as
+    build_ff_dictionary returns them.  One greedy loop serves a block of
+    columns: each iteration forms every column's correlations in one matrix
+    product and refits every column by one stacked pseudo-inverse, and a
+    column that meets residual_threshold leaves the block with its
+    selections and coefficients.  A batch returns the (M, T) estimates and a
+    list of T selections, equal to T separate calls up to float rounding.
+    Blocks hold at most _OMP_BLOCK_ENTRIES columns x atoms.
     """
     if sparsity < 1:
         raise ContractError("sparsity must be >= 1")
@@ -298,30 +409,18 @@ def omp_estimate(y: np.ndarray, pilot: PilotMatrix, dictionary: Dictionary,
         raise ContractError("sparsity exceeds the dictionary size")
     if pilot.tau < sparsity:
         raise ContractError("tau_p must be >= the sparsity level")
+    A, norms = pilot._prepared("omp", dictionary, _read_only(dictionary.atoms),
+                               lambda: _omp_operator(pilot, dictionary))
     y = np.asarray(y, dtype=complex)
-    A = np.sqrt(pilot.power) * (pilot.phi @ dictionary.atoms)
-    Ah = A.conj().T
-    norms = np.linalg.norm(A, axis=0)
-    norms[norms == 0] = 1.0
-    columns = np.ascontiguousarray(y.reshape(len(y), -1).T)
-    estimates = np.empty((dictionary.atoms.shape[0], len(columns)), dtype=complex)
+    Y = y.reshape(len(y), -1)
+    estimates = np.empty((dictionary.atoms.shape[0], Y.shape[1]), dtype=complex)
     selections: list[list[int]] = []
-    for t, yt in enumerate(columns):
-        selected: list[int] = []
-        residual = yt
-        coef = np.zeros(0, dtype=complex)
-        for _ in range(sparsity):
-            corr = np.abs(Ah @ residual) / norms
-            if selected:
-                corr[selected] = -1.0
-            selected.append(int(np.argmax(corr)))  # argmax takes the lowest index on ties
-            As = A[:, selected]
-            coef, *_ = np.linalg.lstsq(As, yt, rcond=None)
-            residual = yt - As @ coef
-            if residual_threshold is not None and np.linalg.norm(residual) <= residual_threshold:
-                break
-        estimates[:, t] = dictionary.atoms[:, selected] @ coef
-        selections.append(selected)
+    step = max(1, _OMP_BLOCK_ENTRIES // dictionary.num_atoms)
+    for s in range(0, Y.shape[1], step):
+        selected, coef, count = _omp_block(A, norms, Y[:, s:s + step], sparsity,
+                                           residual_threshold)
+        estimates[:, s:s + step] = np.einsum("mtk,tk->mt", dictionary.atoms[:, selected], coef)
+        selections.extend(row[:k].tolist() for row, k in zip(selected, count))
     if y.ndim == 1:
         return estimates[:, 0], selections[0]
     return estimates, selections

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ummimo.errors import DomainError
+from ummimo.errors import ContractError, DomainError
 from ummimo.beam import (angular_taper, array_gain, beamdepth_3db, beamwidth_3db,
                          depth_gain, focus_phases, _depth_profile)
 from ummimo.geometry import build_upa, fraunhofer_square
@@ -205,3 +205,41 @@ class TestBeamdepth:
         for z in (interval.z_near, interval.z_far):
             g = array_gain(geom, spec, np.array([0.0, 0.0, z])) / m
             assert abs(g - 0.5) < 0.01
+
+
+class TestNonFiniteRefused:
+    """NaN passes every comparison with 0, so each argument has its own gate
+    and the DomainError names it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_beamdepth_arguments(self, bad):
+        with pytest.raises(DomainError, match="focus must be finite"):
+            beamdepth_3db(bad, 40.96)
+        with pytest.raises(DomainError, match="d_fraunhofer must be finite"):
+            beamdepth_3db(1.0, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_depth_gain_arguments(self, bad):
+        with pytest.raises(DomainError, match="^z must be finite"):
+            depth_gain(1.0, bad, 40.96)
+        with pytest.raises(DomainError, match="focus must be finite"):
+            depth_gain(bad, 1.0, 40.96)
+        with pytest.raises(DomainError, match="d_fraunhofer must be finite"):
+            depth_gain(1.0, 2.0, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_focus_and_receive_points(self, bad):
+        geom = build_upa(4, 4, LAM / 2, LAM / 2, LAM)
+        with pytest.raises(DomainError, match="focus point must be finite"):
+            focus_phases(geom, [0.0, bad, 1.0])
+        spec = focus_phases(geom, [0.0, 0.0, 1.0])
+        with pytest.raises(DomainError, match="receive point must be finite"):
+            array_gain(geom, spec, [bad, 0.0, 1.0])
+
+    def test_points_must_be_three_vectors(self):
+        geom = build_upa(4, 4, LAM / 2, LAM / 2, LAM)
+        with pytest.raises(ContractError, match="focus point must be a"):
+            focus_phases(geom, [[0.0, 0.0, 1.0]])
+        spec = focus_phases(geom, [0.0, 0.0, 1.0])
+        with pytest.raises(ContractError, match="receive point must be a"):
+            array_gain(geom, spec, [0.0, 1.0])

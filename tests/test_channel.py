@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from ummimo import channel
-from ummimo.errors import ContractError, SingularityError
+from ummimo.errors import ContractError, DomainError, SingularityError
 from ummimo.channel import (array_response, correlation_matrix,
                             gaussian_cluster_profile, isotropic_profile,
                             los_channel, sample_rayleigh, steering_matrix)
 from ummimo.geometry import ArrayGeometry, build_ula, build_upa, region_bounds
-from ummimo.numerics import RngStream, complex_gaussian, hemisphere_grid
+from ummimo.numerics import QuadratureGrid, RngStream, complex_gaussian, hemisphere_grid
 
 LAM = 0.01
 
@@ -91,6 +91,13 @@ class TestLosChannel:
             with pytest.raises(ContractError):
                 los_channel(geom, tx)
 
+    @pytest.mark.parametrize("mode", ["exact", "fresnel"])
+    def test_non_finite_transmitter_rejected(self, mode):
+        geom = build_ula(4, LAM / 2, LAM)
+        for tx in ([np.nan, 0.0, 1.0], [[0.1, 0.0, 1.0], [0.0, np.inf, 2.0]]):
+            with pytest.raises(DomainError, match="tx must be finite"):
+                los_channel(geom, tx, mode)
+
 
 class TestCorrelationMatrix:
     def test_clarke_sinc_oracle(self):
@@ -151,6 +158,17 @@ def _random_clusters(rng):
                                     weights=rng.dirichlet(np.ones(k)))
 
 
+def test_correlation_matrix_read_only_on_every_path():
+    geom = build_upa(4, 3, LAM / 2, LAM / 3, LAM)
+    cluster = gaussian_cluster_profile([(0.2, 0.1)], np.deg2rad(20))
+    for g, profile in ((geom, isotropic_profile()), (geom, cluster),
+                       (ArrayGeometry(geom.positions, LAM), cluster)):
+        R = correlation_matrix(g, profile).R
+        assert not R.flags.writeable
+        with pytest.raises(ValueError):
+            R[0, 0] = 0.0
+
+
 class TestIsotropicClosedForm:
     @pytest.mark.parametrize("seed", range(12))
     def test_equals_sinc(self, seed):
@@ -209,6 +227,24 @@ class TestLagTable:
             profile = _random_clusters(rng)
             R, R_dense = (correlation_matrix(g, profile).R for g in (geom, dense))
             assert np.max(np.abs(R - R_dense)) < 1e-12 * np.max(np.abs(R_dense))
+
+    @pytest.mark.parametrize("n_x, n_y, fx, fy", [(8, 8, 0.25, 0.25), (6, 5, 1.0, 0.35)])
+    def test_rings_found_in_any_node_order(self, n_x, n_y, fx, fy, monkeypatch):
+        # the same nodes shuffled: the per-elevation-ring sums must not
+        # depend on the grid listing each ring's nodes together, nor on node
+        # chunks splitting a ring
+        monkeypatch.setattr(channel, "_CHUNK_ENTRIES", 1000)
+        rng = np.random.default_rng(n_x * 10 + n_y)
+        geom = build_upa(n_x, n_y, fx * LAM, fy * LAM, LAM)
+        n = max(90, channel._nodes_needed(geom))
+        grid = hemisphere_grid(n, n)
+        perm = rng.permutation(grid.size)
+        shuffled = QuadratureGrid(grid.azimuth[perm], grid.elevation[perm], grid.weights[perm])
+        profile = _random_clusters(rng)
+        R = correlation_matrix(geom, profile, shuffled).R
+        R_dense = correlation_matrix(ArrayGeometry(geom.positions, LAM), profile, grid).R
+        assert np.max(np.abs(R - R_dense)) < 1e-12 * np.max(np.abs(R_dense))
+        assert np.array_equal(R, R.conj().T)
 
     @pytest.mark.parametrize("n_x, n_y", [(8, 8), (5, 3), (12, 1), (1, 6)])
     def test_exactly_hermitian_with_trace_m_beta(self, n_x, n_y):
