@@ -10,9 +10,12 @@ the structure it is given:
   the hemisphere average equals the full-sphere Clarke correlation by up/down
   symmetry, so no quadrature runs;
 * any other profile is integrated on a Gauss-Legendre grid that resolves the
-  aperture.  On a builder array (one with a Lattice) R[m, n] depends only on
-  the index lag, so one (2 N_x - 1) x (2 N_y - 1) lag table is filled and R
-  gathered from it; arrays built from caller positions form the dense sum.
+  aperture.
+
+On a builder array (one with a Lattice) R[m, n] depends only on the index
+lag, so either way one (2 N_x - 1) x (2 N_y - 1) lag table is filled and R
+gathered from it; arrays built from caller positions form the pairwise
+closed form or the dense sum.
 """
 
 from __future__ import annotations
@@ -293,9 +296,10 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
     trace(R) then equals M beta to the same accuracy.  Which path runs:
 
     * the profile of isotropic_profile() on an array in one plane z = const:
-      the exact closed form beta * sinc(2 |p_m - p_n| / lambda), pairwise
-      over the elements.  The grid (default hemisphere_grid()) only serves
-      the normalisation check.
+      the exact closed form beta * sinc(2 |p_m - p_n| / lambda).  A builder
+      array fills its lag table T[l] = beta * sinc(2 hypot(l_x dx, l_y dy) /
+      lambda) and gathers R from it; caller positions take it pairwise.  The
+      grid (default hemisphere_grid()) only serves the normalisation check.
     * any other profile or array: quadrature beta * sum_q f_q w_q s_q s_q^H,
       accumulated over node chunks.  A builder array fills its lag table
       (see _lag_table: f w beta A summed per elevation ring, then one product
@@ -308,7 +312,10 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
 
     R is complex and read-only, so the operators estimators prepare from it
     cannot go stale, and exactly Hermitian on the closed-form and lag-table
-    paths.
+    paths.  The isotropic R of a builder array is also exactly centrosymmetric,
+    R[::-1, ::-1] == R: reversing the element order negates every lag, and
+    hypot(-a, -b) == hypot(a, b) bit for bit.  dof_report relies on this to
+    split the spectrum into two half-size blocks.
     """
     closed_form = profile.density is _isotropic_density and _is_planar_in_z(geom)
     if grid is None:
@@ -326,7 +333,11 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
             f"scattering density integrates to {total:.6f} on this grid, not 1"
         )
     beta = profile.beta
-    if closed_form:
+    if closed_form and geom.lattice is not None:
+        n_x, n_y, dx, dy = geom.lattice
+        lags = np.hypot.outer(np.arange(1 - n_x, n_x) * dx, np.arange(1 - n_y, n_y) * dy)
+        R = _gather(geom, (beta * sinc(2.0 * lags / geom.wavelength)).astype(complex))
+    elif closed_form:
         x, y = geom.positions[:, 0], geom.positions[:, 1]
         d = np.hypot(np.subtract.outer(x, x), np.subtract.outer(y, y))
         R = beta * sinc(2.0 * d / geom.wavelength) + 0j

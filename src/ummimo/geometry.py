@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -22,6 +23,50 @@ __all__ = [
 ]
 
 
+# elements closer than this many wavelengths are refused as coincident
+_MIN_SEPARATION = 1e-6
+
+
+def _has_close_pair(pos: np.ndarray, tol: float) -> bool:
+    """Whether two rows of pos lie closer than tol, in O(M log M).
+
+    Each point falls in a cube of side tol, so a pair closer than tol lies in
+    one cube or in two that touch, and only those pairs are measured.  A cube
+    holds at most 8 points pairwise tol apart (one per half-side subcube), so a
+    fuller one settles the question.
+    """
+    cells = np.floor((pos - pos.min(axis=0)) / tol)
+    axes = [np.unique(c) for c in cells.T]
+
+    def key(offset):
+        # the cube at offset from each point's cube, numbered over the occupied
+        # coordinates of each axis (below M**3), or -1 where it is empty
+        k, hit = np.zeros(len(pos), dtype=np.int64), np.ones(len(pos), dtype=bool)
+        for u, c, o in zip(axes, cells.T, offset):
+            i = np.minimum(np.searchsorted(u, c + o), len(u) - 1)
+            hit &= u[i] == c + o
+            k = k * len(u) + i
+        return np.where(hit, k, -1)
+
+    own = key((0, 0, 0))
+    order = np.argsort(own, kind="stable")
+    occupied = own[order]
+    if np.unique(occupied, return_counts=True)[1].max() > 8:
+        return True
+    # the own cube and the 13 neighbours after it in lexicographic order: each
+    # touching pair of cubes is visited once
+    for offset in list(itertools.product((-1, 0, 1), repeat=3))[13:]:
+        k = key(offset)
+        lo, hi = np.searchsorted(occupied, k), np.searchsorted(occupied, k, "right")
+        for j in range(int((hi - lo).max())):
+            p = np.flatnonzero(lo + j < hi)
+            q = order[lo[p] + j]
+            p, q = p[p != q], q[p != q]
+            if np.any(np.sum((pos[p] - pos[q]) ** 2, axis=1) < tol ** 2):
+                return True
+    return False
+
+
 class Lattice(NamedTuple):
     """Grid layout of a builder array: n_x by n_y elements at spacings dx, dy
     (meters).  Element m sits at grid index (m // n_y, m % n_y)."""
@@ -40,7 +85,9 @@ class ArrayGeometry:
     their lattice, so the aperture size D counts one spacing-sized cell per
     element (a 100 x 50 grid at 0.01 m spacing spans 1 m x 0.5 m).  For
     caller-supplied position lists without a lattice, D falls back to the
-    bounding-box diagonal of the positions.
+    bounding-box diagonal of the positions.  Two elements closer than 1e-6
+    wavelengths are refused as coincident: a lattice by its spacings, caller
+    positions by a neighbour search over cubes of that side.
     """
 
     positions: np.ndarray  # (M, 3)
@@ -55,10 +102,13 @@ class ArrayGeometry:
             raise ContractError("element positions must be finite")
         if not (math.isfinite(self.wavelength) and self.wavelength > 0):
             raise ContractError(f"wavelength must be finite and positive, got {self.wavelength}")
-        # exact duplicates by sorting, O(M log M); + 0.0 makes -0.0 equal 0.0
-        if np.unique(pos + 0.0, axis=0).shape[0] < pos.shape[0]:
-            raise ContractError("element positions must be pairwise distinct")
-        if self.lattice is not None:
+        tol = _MIN_SEPARATION * self.wavelength
+        close = ContractError("element positions must be pairwise distinct: two lie closer "
+                              f"than {_MIN_SEPARATION:g} wavelengths")
+        if self.lattice is None:
+            if _has_close_pair(pos, tol):
+                raise close
+        else:
             try:
                 n_x, n_y, dx, dy = self.lattice
                 lattice = Lattice(operator.index(n_x), operator.index(n_y), float(dx), float(dy))
@@ -73,6 +123,9 @@ class ArrayGeometry:
             scale = max(float(np.abs(pos).max()), self.wavelength)
             if np.abs(pos - pos[0] - offsets).max() > 1e-9 * scale:
                 raise ContractError("lattice does not match the element positions")
+            # the closest elements of a lattice are neighbours along one axis
+            if (n_x > 1 and abs(dx) < tol) or (n_y > 1 and abs(dy) < tol):
+                raise close
         object.__setattr__(self, "positions", pos)
 
     @property

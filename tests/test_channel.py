@@ -186,6 +186,9 @@ class TestIsotropicClosedForm:
         geom = build_upa(n_x, n_y, dx, dy, lam)
         R = correlation_matrix(geom, isotropic_profile(beta)).R
         assert np.max(np.abs(R - _sinc_oracle(geom, beta))) < 1e-12 * beta
+        # gathered from one lag table: reversing the element order negates
+        # every lag, so R is exactly centrosymmetric
+        assert np.array_equal(R, R[::-1, ::-1])
         perm = rng.permutation(geom.num_elements)
         loose = ArrayGeometry(geom.positions[perm] + rng.normal(size=3) * [lam, lam, 0.0], lam)
         R_loose = correlation_matrix(loose, isotropic_profile(beta)).R

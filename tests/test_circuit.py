@@ -255,6 +255,29 @@ class TestTxPower:
         assert coupled > diagonal_only * 1.5
 
 
+class TestPowerBalance:
+    def test_tx_power_equals_far_field_poynting_integral(self):
+        # the circuit layer's (1/2) I^H Re(Z_T) I against the field layer's
+        # r^2 / (2 eta0) times the integral of |E|^2 over the sphere; the
+        # residue is the 1/(kappa r)^2 near-field terms at r = 2000 lambda
+        from ummimo.fields import DipoleSegment, array_field
+        from ummimo.numerics import unit_directions
+        geom = build_ula(4, LAM / 4, LAM)
+        rng = np.random.default_rng(11)
+        I = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        far = ArrayGeometry(geom.positions + [0.0, 0.0, 10 * LAM], LAM)
+        power = tx_power(I, impedance_set(geom, far, L0).Z_T)
+        segs = [DipoleSegment(p, np.array([0.0, 0.0, 1.0])) for p in geom.positions]
+        mats = [np.outer([0.0, 0.0, L0], e) for e in np.eye(4)]
+        r = 2000 * LAM
+        grid = sphere_grid(32, 16)
+        e2 = [np.sum(np.abs(array_field(segs, mats, I, r * u, LAM).E) ** 2)
+              for u in unit_directions(grid.azimuth, grid.elevation)]
+        eta0 = 1.0 / (epsilon_0 * speed_of_light)
+        flux = r ** 2 / (2 * eta0) * grid.integrate(np.array(e2))
+        assert abs(flux - power) < 1e-7 * power
+
+
 class TestNoiseCovariance:
     def test_johnson_noise_white(self):
         r = 50.0

@@ -96,7 +96,9 @@ class TestRunArtifacts:
         ("fig11", {"tau_values": [8, 16], "n": 4, "trials": 10, "grid_density": 10},
          "nmse_omp.csv"),
         ("fig4-mu", {"k_values": [4], "drops": 2, "nx": 8, "ny": 4}, "mu_mimo_se.csv"),
-    ], ids=["fig9", "fig10", "fig11", "fig4-mu"])
+        ("fig6-ula", {"n": 16}, "eigenvalues.csv"),
+        ("fig6-upa", {"n": 8}, "eigenvalues.csv"),
+    ], ids=["fig9", "fig10", "fig11", "fig4-mu", "fig6-ula", "fig6-upa"])
     def test_monte_carlo_bytes_reproducible(self, exp, cfg, csv, tmp_path):
         d1 = run(exp, seed=5, config=cfg, out=tmp_path / "a")
         d2 = run(exp, seed=5, config=cfg, out=tmp_path / "b")

@@ -106,6 +106,41 @@ class TestDofReport:
         assert np.allclose(dof_report(R, 1.0).eigen_spectrum, w / w[0], rtol=0.0, atol=1e-13)
 
 
+class TestCentrosymmetricSplit:
+    @staticmethod
+    def _full(R):
+        w = np.clip(np.linalg.eigvalsh(R)[::-1], 0.0, None)
+        return w / w[0]
+
+    @pytest.mark.parametrize("geom", [
+        build_upa(5, 5, LAM / 2, LAM / 2, LAM),
+        build_upa(8, 7, LAM / 3, LAM / 2, LAM),
+        build_upa(16, 16, LAM / 2, LAM / 2, LAM),
+        build_ula(20, LAM / 4, LAM),
+    ], ids=["5x5", "8x7", "16x16", "ula20"])
+    def test_half_blocks_equal_full_solver(self, geom):
+        # even and odd M: the two half-block spectra are R's spectrum
+        R = correlation_matrix(geom, isotropic_profile(1.7)).R
+        report = dof_report(R, 1.0)
+        w = self._full(R)
+        assert np.max(np.abs(report.eigen_spectrum - w)) < 1e-13
+        assert report.effective_rank == effective_rank(w)
+
+    def test_general_symmetric_matrix_uses_full_solver(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((9, 9))
+        R = A @ A.T
+        assert not np.array_equal(R, R[::-1, ::-1])
+        assert np.array_equal(dof_report(R, 1.0).eigen_spectrum, self._full(R))
+
+    def test_one_ulp_off_centrosymmetric_uses_full_solver(self):
+        R = correlation_matrix(build_upa(4, 3, LAM / 2, LAM / 2, LAM), isotropic_profile()).R
+        R = R.real.copy()
+        R[0, 1] = R[1, 0] = np.nextafter(R[0, 1], 1.0)
+        assert not np.array_equal(R, R[::-1, ::-1])
+        assert np.array_equal(dof_report(R, 1.0).eigen_spectrum, self._full(R))
+
+
 class TestDeploymentArithmetic:
     def test_bbu_reference_rates(self):
         r1 = bbu_rate(10.0, 1e8, 16, 3e9)

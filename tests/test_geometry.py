@@ -69,6 +69,26 @@ class TestBuildUpa:
         with pytest.raises(ContractError, match="distinct"):
             ArrayGeometry(pos, 1.0)
 
+    def test_near_coincident_builder_rejected(self):
+        # spacing 1e-10 wavelengths: the lattice check refuses it
+        with pytest.raises(ContractError, match="distinct"):
+            build_ula(4, 1e-12, 0.01)
+        with pytest.raises(ContractError, match="distinct"):
+            build_upa(3, 2, 0.005, 1e-9, 0.01)
+        assert build_upa(3, 2, 0.005, 2e-8, 0.01).num_elements == 6
+
+    def test_near_coincident_positions_rejected(self):
+        # a permuted UPA plus one element 1e-12 m (1e-10 wavelengths) off another
+        lam = 0.01
+        pos = build_upa(6, 5, lam / 2, lam / 3, lam).positions
+        extra = pos[11] + [1e-12, -1e-12, 0.0]
+        rows = np.random.default_rng(4).permutation(np.vstack([pos, extra]))
+        with pytest.raises(ContractError, match="distinct"):
+            ArrayGeometry(rows, lam)
+        # 2e-6 wavelengths apart, out of the plane, is far enough
+        ok = np.vstack([pos, pos[11] + [0.0, 0.0, 2e-8]])
+        assert ArrayGeometry(ok, lam).num_elements == 31
+
     def test_reference_array_builds(self):
         geom = build_upa(100, 50, 0.01, 0.01, 0.01)
         assert geom.num_elements == 5000
