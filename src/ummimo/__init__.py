@@ -35,8 +35,8 @@ from .estimate import (Dictionary, EstimatorResult, PilotMatrix,
                        omp_estimate, orthogonal_pilot, received_pilot,
                        rsls_estimate, rsls_pilot)
 from .mux import (UplinkScenario, lmmse_combiner, lmmse_combiners,
-                  optimal_spacing, su_capacity, uplink_se, uplink_se_bound,
-                  waterfill_powers)
+                  optimal_spacing, parallel_capacity, su_capacity, uplink_se,
+                  uplink_se_bound, waterfill_powers)
 from .circuit import (ImpedanceSet, LnaParams, end_to_end_channel,
                       impedance_set, mutual_impedance_z_dipoles,
                       mutual_impedance_z_loops, noise_covariance,

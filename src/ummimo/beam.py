@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError, SingularityError
+from .errors import ContractError, DomainError, SingularityError, check_finite_positive
 from .geometry import ArrayGeometry
 from .numerics import fresnel_cs, sinc
 
@@ -45,12 +44,6 @@ def _finite_point(name: str, point) -> np.ndarray:
     return point
 
 
-def _finite_positive(**values: float) -> None:
-    for name, v in values.items():
-        if not (math.isfinite(v) and v > 0):
-            raise DomainError(f"{name} must be finite and positive, got {v!r}")
-
-
 def focus_phases(geom: ArrayGeometry, point) -> BeamSpec:
     """Phases psi_m = (2 pi / lambda) dist(point, p_m) that cancel the
     propagation phase at the focus point, a finite (3,) point."""
@@ -72,20 +65,33 @@ def array_gain(geom: ArrayGeometry, spec: BeamSpec, rx) -> float:
     return float(abs(total) ** 2 / geom.num_elements)
 
 
-def angular_taper(n: int, spacing: float, wavelength: float, phi: float) -> float:
+def angular_taper(n: int, spacing: float, wavelength: float, phi):
     """Off-focus array gain M sinc^2(N Delta sin(phi) / lambda), M = N^2.
 
     phi is the angular offset between the focused direction and the
     observation direction at equal range; independent of the range itself.
+    phi broadcasts: an array of offsets gives the array of gains, and a
+    scalar phi the float.  Both take the same array arithmetic, so element i
+    of angular_taper(n, d, lam, phis) equals angular_taper(n, d, lam,
+    phis[i]) bit for bit.  Every phi must be finite, and spacing and
+    wavelength finite and positive.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    m = n * n
-    return float(m * sinc(n * spacing * np.sin(phi) / wavelength) ** 2)
+    check_finite_positive(spacing=spacing, wavelength=wavelength)
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise DomainError(f"phi must be finite, got {float(phi[~np.isfinite(phi)].flat[0])!r}")
+    # a 1-d operand keeps numpy's array power loop: a 0-d one would turn into
+    # a numpy scalar, whose ** rounds differently in the last place
+    gain = n * n * sinc(n * spacing * np.sin(phi.reshape(-1)) / wavelength) ** 2
+    return float(gain[0]) if phi.ndim == 0 else gain.reshape(phi.shape)
 
 
 def beamwidth_3db(n: int, spacing: float, wavelength: float) -> float:
-    """Half-power angular beamwidth 0.886 lambda / (N Delta) in radians."""
+    """Half-power angular beamwidth 0.886 lambda / (N Delta) in radians;
+    spacing and wavelength must be finite and positive."""
+    check_finite_positive(spacing=spacing, wavelength=wavelength)
     if n * spacing <= 0.443 * wavelength:
         raise DomainError("array is electrically too small for a 3 dB width")
     return 0.886 * wavelength / (n * spacing)
@@ -113,7 +119,7 @@ def depth_gain(focus: float, z: float, d_fraunhofer: float) -> float:
     z = focus and is symmetric under swapping (focus, z).  All three
     arguments must be finite and positive.
     """
-    _finite_positive(focus=focus, z=z, d_fraunhofer=d_fraunhofer)
+    check_finite_positive(focus=focus, z=z, d_fraunhofer=d_fraunhofer)
     if focus == z:
         return 1.0
     z_eff = focus * z / abs(focus - z)
@@ -136,7 +142,7 @@ def beamdepth_3db(focus: float, d_fraunhofer: float) -> BeamdepthInterval:
     Beyond that boundary the beam extends to infinity and only the near
     endpoint is finite.  Both arguments must be finite and positive.
     """
-    _finite_positive(focus=focus, d_fraunhofer=d_fraunhofer)
+    check_finite_positive(focus=focus, d_fraunhofer=d_fraunhofer)
     z_near = d_fraunhofer * focus / (d_fraunhofer + 10.0 * focus)
     if focus >= d_fraunhofer / 10.0:
         return BeamdepthInterval(np.inf, z_near, np.inf)

@@ -8,6 +8,7 @@ CSVs (round-trip floats, LF, UTF-8), a JSON manifest, and with --svg the SVGs.
 
 Usage: umm <experiment-id> [--config PATH] [--seed N] [--out DIR] [--svg]
            [--<key> <value> ...]
+       (or python -m ummimo <experiment-id> ...)
 Exit codes: 0 success, 2 config error, 3 numerical-contract violation.
 """
 
@@ -17,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,8 @@ from .channel import (correlation_matrix, gaussian_cluster_profile,
 from .beam import angular_taper, beamdepth_3db, beamwidth_3db, depth_gain
 from .dof import active_rf_chains, bbu_rate, dof_1d, dof_2d, dof_report
 from .estimate import build_ff_dictionary, isotropic_subspace, nmse_sweep
-from .mux import UplinkScenario, lmmse_combiners, optimal_spacing, su_capacity, uplink_se
+from .mux import (UplinkScenario, lmmse_combiners, optimal_spacing, parallel_capacity,
+                  uplink_se)
 from .circuit import (LnaParams, end_to_end_channel, impedance_set,
                       mutual_impedance_z_dipoles, noise_covariance, self_resistance)
 
@@ -134,9 +137,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _column_formatter(column: tuple):
+    """float.__repr__ for a column of floats (np.float64 is one), else _fmt:
+    the same text, without the type dispatch per value."""
+    return float.__repr__ if all(map(isinstance, column, repeat(float))) else _fmt
+
+
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """The header line, then one line per row with each value as _fmt writes
+    it, formatted one column at a time.  The header names at least one
+    column, and every row has one value per name."""
+    width = len(header)
+    if width == 0:
+        raise ContractError(f"{path.name}: a table needs at least one column")
+    ragged = next((i for i, row in enumerate(rows) if len(row) != width), None)
+    if ragged is not None:
+        raise ContractError(f"{path.name}: row {ragged} has {len(rows[ragged])} values "
+                            f"for {width} columns")
+    # lazy columns: each value's text lives only until its line is joined
+    columns = [map(_column_formatter(col), col) for col in zip(*rows)]
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(map(",".join, zip(*columns)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -212,7 +233,7 @@ def _cols(rows, *idx) -> tuple[list, ...]:
 def run_nf_factor(cfg, seed):
     lam = cfg["wavelength"]
     zs = np.linspace(cfg["z_min_lam"], cfg["z_max_lam"], cfg["points"])
-    rows = [(z, near_field_factor(z * lam, lam)) for z in zs]
+    rows = list(zip(zs.tolist(), near_field_factor(zs * lam, lam).tolist()))
     tables = {"nf_factor.csv": (["z_over_lambda", "factor"], rows)}
     plots = {"nf_factor.svg": ("near-field factor", "z/lambda", "factor",
                                {"factor": _cols(rows, 0, 1)})}
@@ -247,7 +268,7 @@ def run_beam(cfg, seed):
         iv = beamdepth_3db(F, d_f)
         rows.append((F, d_f, iv.depth, _numeric_beamdepth(F, d_f), iv.z_near, iv.z_far))
     phis = np.linspace(-cfg["phi_max_rad"], cfg["phi_max_rad"], cfg["points"])
-    taper_rows = [(phi, angular_taper(n, spacing, lam, phi)) for phi in phis]
+    taper_rows = list(zip(phis.tolist(), angular_taper(n, spacing, lam, phis).tolist()))
     tables = {"beam_depth.csv": (["focus_m", "d_fraunhofer_m", "bd_analytic_m",
                                   "bd_numeric_m", "z_near_m", "z_far_m"], rows),
               "beam_taper.csv": (["phi_rad", "array_gain"], taper_rows)}
@@ -337,16 +358,17 @@ def run_fig5(cfg, seed):
     beta = (lam / (4 * np.pi * d)) ** 2
     sigma2 = 1.0
     p_total = cfg["single_layer_snr"] * sigma2 / (m * beta)
-    rows = []
-    for dt in sweep:
-        tx_x = (np.arange(m) - (m - 1) / 2) * dt
-        tx = np.stack([tx_x, np.zeros(m), np.full(m, d)], axis=1)
-        H = los_channel(rx, tx, mode="exact")
-        Hf = los_channel(rx, tx, mode="fresnel")
-        se = su_capacity(H, p_total, sigma2, "waterfilling")
-        s_ex = np.linalg.svd(H, compute_uv=False)
-        s_fr = np.linalg.svd(Hf, compute_uv=False)
-        rows.append((dt, se, s_ex.min() / s_ex.max(), s_fr.min() / s_fr.max()))
+    # all len(sweep) x m transmitters at once; channel (s, :, n) is transmitter
+    # n of spacing s, and each model gets one batched SVD
+    tx_x = (np.arange(m) - (m - 1) / 2) * np.array(sweep)[:, None]
+    tx = np.stack([tx_x, np.zeros_like(tx_x), np.full_like(tx_x, d)], axis=-1).reshape(-1, 3)
+    sv = {}
+    for mode in ("exact", "fresnel"):
+        H = los_channel(rx, tx, mode=mode).T.reshape(len(sweep), m, m).swapaxes(1, 2)
+        sv[mode] = np.linalg.svd(H, compute_uv=False)
+    se = parallel_capacity(sv["exact"] ** 2 / sigma2, p_total, "waterfilling")
+    ratios = {mode: (s.min(axis=1) / s.max(axis=1)).tolist() for mode, s in sv.items()}
+    rows = list(zip(sweep, se.tolist(), ratios["exact"], ratios["fresnel"]))
     tables = {"su_mimo_se.csv": (
         ["tx_spacing_m", "se_waterfilling", "sv_ratio_exact", "sv_ratio_fresnel"], rows)}
     best = max(rows, key=lambda r: r[1])

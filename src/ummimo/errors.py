@@ -1,4 +1,6 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the finite-positive check."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -15,3 +17,12 @@ class ContractError(ValueError):
 
 class ConfigError(ValueError):
     """Experiment configuration is malformed or names unknown keys."""
+
+
+def check_finite_positive(**values: float) -> None:
+    """DomainError("<name> must be finite and positive, got <v>") for the
+    first value that is not; a NaN is neither."""
+    for name, v in values.items():
+        # 0 < v < inf is false for NaN, so one comparison admits finite v > 0
+        if not 0 < v < math.inf:
+            raise DomainError(f"{name} must be finite and positive, got {v!r}")

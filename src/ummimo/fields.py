@@ -1,4 +1,4 @@
-"""Scalar near-field factors, aperture gain integrals, and Hertzian-dipole fields.
+"""Near-field factors, aperture gain integrals, and Hertzian-dipole fields.
 
 Phasor convention is e^{-j omega t}, so outgoing waves carry e^{-j kappa r}
 propagation phase; every module in the package shares this sign.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, check_finite_positive
 
 __all__ = [
     "DipoleSegment",
@@ -59,21 +59,29 @@ class FieldSample:
     E: np.ndarray  # (3,) complex: (radial, elevation, azimuthal) components
 
 
-def near_field_factor(z: float, wavelength: float) -> float:
+def near_field_factor(z, wavelength: float):
     """Squared magnitude of the point-source field correction, 1 - q^-2 + q^-4.
 
     q = 2 pi z / lambda.  Approaches 1 rapidly with distance: 0.9937 at z = 2
     wavelengths and >= 0.99 from there on (0.99 is first reached at 1.583
     wavelengths), so 2 wavelengths is the conventional single-antenna
     far-field boundary.
+
+    z broadcasts: an array of distances gives the array of factors, and a
+    scalar z the float.  Both take the same array arithmetic, so element i
+    of near_field_factor(zs, lam) equals near_field_factor(zs[i], lam) bit
+    for bit.  Every z must be finite and positive.
     """
-    # 0 < v < inf is false for NaN, so one comparison admits finite v > 0
-    if not 0 < z < math.inf:
-        raise DomainError(f"z must be finite and positive, got {z}")
-    if not 0 < wavelength < math.inf:
-        raise DomainError(f"wavelength must be finite and positive, got {wavelength}")
-    q = 2.0 * np.pi * z / wavelength
-    return 1.0 - q ** -2 + q ** -4
+    z = np.asarray(z, dtype=float)
+    bad = ~((0 < z) & (z < math.inf))
+    if bad.any():
+        raise DomainError(f"z must be finite and positive, got {float(z[bad].flat[0])!r}")
+    check_finite_positive(wavelength=wavelength)
+    # a 1-d operand keeps numpy's array power loop: a 0-d one would turn into
+    # a numpy scalar, whose ** rounds differently in the last place
+    q = 2.0 * np.pi * z.reshape(-1) / wavelength
+    f = 1.0 - q ** -2 + q ** -4
+    return float(f[0]) if z.ndim == 0 else f.reshape(z.shape)
 
 
 def edge_phase_and_power(z: float, D: float, wavelength: float) -> tuple[float, float]:
@@ -81,8 +89,10 @@ def edge_phase_and_power(z: float, D: float, wavelength: float) -> tuple[float, 
 
     Uses the exact path difference Delta = sqrt(z^2 + D^2/4) - z, not its
     Taylor form.  Returns (phase rad, power ratio z^2/(z+Delta)^2).  Only
-    meaningful when the source is beyond the aperture half-size (z > D/2).
+    meaningful when the source is beyond the aperture half-size (z > D/2);
+    all three arguments must be finite and positive.
     """
+    check_finite_positive(z=z, D=D, wavelength=wavelength)
     if z <= D / 2:
         raise DomainError("requires z > D/2")
     delta = np.hypot(z, D / 2.0) - z
@@ -92,11 +102,14 @@ def edge_phase_and_power(z: float, D: float, wavelength: float) -> tuple[float, 
 
 
 def isotropic_area(wavelength: float) -> float:
-    """Effective area lambda^2 / (4 pi) of an isotropic reference antenna."""
+    """Effective area lambda^2 / (4 pi) of an isotropic reference antenna;
+    the wavelength must be finite and positive."""
+    check_finite_positive(wavelength=wavelength)
     return wavelength ** 2 / (4.0 * np.pi)
 
 
 _CHUNK_ENTRIES = 1 << 14  # integrand entries per chunk of cells
+_GL_NODES, _GL_WEIGHTS = leggauss(8)  # the 8-node rule of every panel
 
 
 def _cell_rule(length: float, n_cells: int, wavelength: float):
@@ -107,10 +120,9 @@ def _cell_rule(length: float, n_cells: int, wavelength: float):
     bounds = np.linspace(-length / 2, length / 2, n_cells + 1)
     n_panels = max(2, int(np.ceil(length / n_cells / (wavelength / 2.0))))
     edges = np.linspace(bounds[:-1], bounds[1:], n_panels + 1, axis=1)
-    xg, wg = leggauss(8)
     mids, half = (edges[:, :-1] + edges[:, 1:]) / 2, (edges[:, 1:] - edges[:, :-1]) / 2
-    return ((mids[..., None] + half[..., None] * xg).reshape(n_cells, -1),
-            (half[..., None] * wg).reshape(n_cells, -1))
+    return ((mids[..., None] + half[..., None] * _GL_NODES).reshape(n_cells, -1),
+            (half[..., None] * _GL_WEIGHTS).reshape(n_cells, -1))
 
 
 def aperture_gain(a: float, b: float, z: float, wavelength: float) -> float:
@@ -136,10 +148,7 @@ def aperture_gain_subdivided(a: float, b: float, n_x: int, n_y: int,
     error below 1e-4; the integrand is evaluated over row-major chunks of
     cells, so memory does not grow with n_x * n_y.
     """
-    if not (0 < a < math.inf and 0 < b < math.inf and 0 < z < math.inf):
-        raise DomainError(f"a, b, z must be finite and positive, got {a}, {b}, {z}")
-    if not 0 < wavelength < math.inf:
-        raise DomainError(f"wavelength must be finite and positive, got {wavelength}")
+    check_finite_positive(a=a, b=b, z=z, wavelength=wavelength)
     if n_x < 1 or n_y < 1:
         raise DomainError("subdivision counts must be >= 1")
     xs, wx = _cell_rule(a, n_x, wavelength)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, check_finite_positive
 
 __all__ = [
     "UplinkScenario",
@@ -16,6 +16,7 @@ __all__ = [
     "uplink_se",
     "uplink_se_bound",
     "su_capacity",
+    "parallel_capacity",
     "waterfill_powers",
     "optimal_spacing",
 ]
@@ -119,12 +120,14 @@ def uplink_se_bound(scenario: UplinkScenario, k: int) -> float:
 def waterfill_powers(gains: np.ndarray, total_power: float) -> np.ndarray:
     """Water-filling allocation maximizing sum log2(1 + p_i g_i), sum p_i = total.
 
-    gains are channel power gains per layer (mu_i^2 / sigma^2).  Exact
-    sort-based water level, no iteration.
+    gains are channel power gains per layer (mu_i^2 / sigma^2); an infinite
+    gain is admitted, a NaN one is not.  Exact sort-based water level, no
+    iteration.
     """
     g = np.asarray(gains, dtype=float)
-    if total_power <= 0:
-        raise DomainError("total power must be positive")
+    check_finite_positive(total_power=total_power)
+    if np.isnan(g).any():
+        raise DomainError("gains must not be NaN")
     p = np.zeros_like(g)
     active = np.where(g > 0)[0]
     if active.size == 0:
@@ -141,27 +144,53 @@ def waterfill_powers(gains: np.ndarray, total_power: float) -> np.ndarray:
     return p
 
 
-def su_capacity(H: np.ndarray, total_power: float, noise_power: float,
-                allocation: str = "waterfilling") -> float:
-    """Single-user MIMO capacity sum log2(1 + p_i mu_i^2 / sigma^2).
+def parallel_capacity(gains: np.ndarray, total_power: float,
+                      allocation: str = "waterfilling"):
+    """Capacity sum log2(1 + p_i g_i) of parallel Gaussian layers with power
+    gains g_i >= 0 under the budget sum p_i = total_power.
 
     allocation "waterfilling" maximizes over the power split; "equal" puts
-    total_power / M_min on each of the M_min layers.  A zero channel has
-    capacity 0.
+    total_power / L on each of the L layers.  All-zero gains have capacity
+    0.  gains of shape (..., L) give the (...) array of capacities, each
+    computed as for its own row; a 1-d gains gives the float.
     """
     if allocation not in ("waterfilling", "equal"):
         raise DomainError(f"unknown allocation {allocation!r}")
-    if total_power <= 0:
-        raise DomainError("total power must be positive")
-    s = np.linalg.svd(np.asarray(H, dtype=complex), compute_uv=False)
-    gains = s ** 2 / noise_power
-    if np.all(gains == 0):
-        return 0.0
-    if allocation == "equal":
-        p = np.full(len(gains), total_power / len(gains))
-    else:
-        p = waterfill_powers(gains, total_power)
-    return float(np.sum(np.log2(1.0 + p * gains)))
+    check_finite_positive(total_power=total_power)
+    g = np.asarray(gains, dtype=float)
+    if g.ndim < 1:
+        raise ContractError("gains must have a layer axis")
+    caps = np.empty(g.shape[:-1])
+    for idx in np.ndindex(caps.shape):
+        row = g[idx]
+        if np.all(row == 0):
+            caps[idx] = 0.0
+            continue
+        if allocation == "equal":
+            p = np.full(len(row), total_power / len(row))
+        else:
+            p = waterfill_powers(row, total_power)
+        caps[idx] = np.sum(np.log2(1.0 + p * row))
+    return float(caps) if g.ndim == 1 else caps
+
+
+def su_capacity(H: np.ndarray, total_power: float, noise_power: float,
+                allocation: str = "waterfilling"):
+    """Single-user MIMO capacity sum log2(1 + p_i mu_i^2 / sigma^2).
+
+    The parallel_capacity of the power gains mu_i^2 / sigma^2 of H's
+    singular values mu_i.  A zero channel has capacity 0.  H may be a
+    (..., M, N) stack: one batched SVD, and the (...) array of capacities,
+    each equal bit for bit to su_capacity of its own matrix; an M x N H
+    gives the float.  total_power and noise_power must be finite and
+    positive.
+    """
+    check_finite_positive(total_power=total_power, noise_power=noise_power)
+    H = np.asarray(H, dtype=complex)
+    if H.ndim < 2:
+        raise ContractError(f"H must be an M x N matrix or a stack of them, got shape {H.shape}")
+    s = np.linalg.svd(H, compute_uv=False)
+    return parallel_capacity(s ** 2 / noise_power, total_power, allocation)
 
 
 def optimal_spacing(wavelength: float, distance: float, m: int,
@@ -170,8 +199,10 @@ def optimal_spacing(wavelength: float, distance: float, m: int,
 
     Derived under the joint Fresnel (paraxial) channel model for two parallel
     M-element ULAs at range d; the exact spherical model deviates when the
-    resulting aperture is comparable to d.
+    resulting aperture is comparable to d.  wavelength, distance and
+    rx_spacing must be finite and positive, and m >= 1.
     """
-    if wavelength <= 0 or distance <= 0 or m < 1 or rx_spacing <= 0:
-        raise DomainError("arguments must be positive")
+    check_finite_positive(wavelength=wavelength, distance=distance, rx_spacing=rx_spacing)
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m!r}")
     return wavelength * distance / (m * rx_spacing)

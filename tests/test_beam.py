@@ -74,6 +74,23 @@ class TestAngularTaper:
         assert angular_taper(n, LAM / 2, LAM, phi) < 1e-20 * n * n
 
 
+    def test_array_equals_scalar_calls_bit_for_bit(self):
+        phis = np.linspace(-0.1, 0.1, 2001)
+        got = angular_taper(64, LAM / 2, LAM, phis)
+        assert got.shape == phis.shape
+        assert np.array_equal(got, [angular_taper(64, LAM / 2, LAM, p) for p in phis])
+        assert type(angular_taper(64, LAM / 2, LAM, phis[3])) is float
+        grid = phis[:10].reshape(2, 5)
+        assert np.array_equal(angular_taper(64, LAM / 2, LAM, grid), got[:10].reshape(2, 5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_array_with_one_nonfinite_angle_rejected(self, bad):
+        phis = np.linspace(-0.1, 0.1, 11)
+        phis[5] = bad
+        with pytest.raises(DomainError, match="phi must be finite"):
+            angular_taper(8, LAM / 2, LAM, phis)
+
+
 class TestBeamwidth:
     def test_half_wavelength_form(self):
         for n in [8, 64, 256]:
@@ -226,6 +243,17 @@ class TestNonFiniteRefused:
             depth_gain(bad, 1.0, 40.96)
         with pytest.raises(DomainError, match="d_fraunhofer must be finite"):
             depth_gain(1.0, 2.0, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_beamwidth_and_taper_arguments(self, bad):
+        with pytest.raises(DomainError, match="wavelength must be finite"):
+            beamwidth_3db(8, 0.005, bad)
+        with pytest.raises(DomainError, match="spacing must be finite"):
+            beamwidth_3db(8, bad, 0.01)
+        with pytest.raises(DomainError, match="phi must be finite"):
+            angular_taper(8, 0.005, 0.01, bad)
+        with pytest.raises(DomainError, match="wavelength must be finite"):
+            angular_taper(8, 0.005, bad, 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_focus_and_receive_points(self, bad):

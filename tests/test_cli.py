@@ -1,14 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ummimo
 from ummimo.beam import beamdepth_3db, depth_gain
 from ummimo.errors import ConfigError, ContractError
 from ummimo.geometry import fraunhofer_square
+from ummimo.channel import los_channel
 from ummimo.cli import (list_experiments, main, parse_config_file, resolve_config,
-                        run, _EXPERIMENTS, _HALF_POWER_X, _numeric_beamdepth)
+                        run, run_fig5, write_csv, _EXPERIMENTS, _HALF_POWER_X, _fmt,
+                        _numeric_beamdepth)
+from ummimo.geometry import build_ula
+from ummimo.mux import optimal_spacing, su_capacity
 
 REQUIRED_IDS = {"nf-factor", "aperture-gain", "beam", "fig4-mu", "fig5-su",
                 "fig6-ula", "fig6-upa", "fig9", "fig10", "fig11", "bbu",
@@ -158,6 +166,78 @@ class TestRunArtifacts:
                 config={"points": 9})
         svg = (d / "nf_factor.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+
+class TestWriter:
+    """write_csv formats column by column; the bytes are those of joining
+    _fmt of every value row by row."""
+
+    @staticmethod
+    def _per_value(path: Path, header, rows) -> None:
+        lines = [",".join(header)]
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+    def _assert_same_bytes(self, tmp_path, header, rows):
+        write_csv(tmp_path / "columns.csv", header, rows)
+        self._per_value(tmp_path / "values.csv", header, rows)
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+
+    def test_mixed_types_match_per_value_join(self, tmp_path):
+        specials = [float("nan"), float("inf"), float("-inf"), -0.0, 0.1, 1e-300, 2.5e17]
+        header = ["bool", "np_bool", "int", "np_int64", "float", "np_float64",
+                  "np_float32", "str", "float_and_int", "float_and_np_float64"]
+        rows = [(i % 2 == 0, np.bool_(i % 3 == 0), i - 3, np.int64(10 ** 12 + i), x,
+                 np.float64(-x), np.float32(x), f"s{i}", x if i % 2 else i,
+                 x if i % 2 else np.float64(x / 3))
+                for i, x in enumerate(specials)]
+        self._assert_same_bytes(tmp_path, header, rows)
+        text = (tmp_path / "columns.csv").read_text(encoding="utf-8")
+        assert "nan,nan" in text and "inf,-inf" in text and "-0.0,0.0" in text
+
+    def test_empty_rows(self, tmp_path):
+        self._assert_same_bytes(tmp_path, ["a", "b"], [])
+        assert (tmp_path / "columns.csv").read_text(encoding="utf-8") == "a,b\n"
+
+    def test_ragged_row_and_empty_header_rejected(self, tmp_path):
+        with pytest.raises(ContractError, match="row 1 has 1 values for 2 columns"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2), (3,)])
+        with pytest.raises(ContractError, match="at least one column"):
+            write_csv(tmp_path / "t.csv", [], [(), ()])
+
+
+def _fig5_rows_per_spacing(cfg):
+    """fig5-su's rows as one loop over the spacings: per spacing, two channel
+    builds, su_capacity and two SVDs."""
+    lam, d, m = cfg["wavelength"], cfg["distance"], cfg["m"]
+    dr = cfg["rx_spacing_lam"] * lam
+    sweep = sorted(set([dr] + cfg["tx_spacings"] + [optimal_spacing(lam, d, m, dr)]))
+    rx = build_ula(m, dr, lam)
+    beta = (lam / (4 * np.pi * d)) ** 2
+    p_total = cfg["single_layer_snr"] / (m * beta)
+    rows = []
+    for dt in sweep:
+        tx_x = (np.arange(m) - (m - 1) / 2) * dt
+        tx = np.stack([tx_x, np.zeros(m), np.full(m, d)], axis=1)
+        H = los_channel(rx, tx, mode="exact")
+        Hf = los_channel(rx, tx, mode="fresnel")
+        se = su_capacity(H, p_total, 1.0, "waterfilling")
+        s_ex = np.linalg.svd(H, compute_uv=False)
+        s_fr = np.linalg.svd(Hf, compute_uv=False)
+        rows.append((dt, se, s_ex.min() / s_ex.max(), s_fr.min() / s_fr.max()))
+    return rows
+
+
+@pytest.mark.parametrize("overrides", [{}, {"m": 5, "tx_spacings": [0.25, 3.0, 40.0]}],
+                         ids=["default", "m5"])
+def test_fig5_batched_rows_equal_per_spacing_loop(overrides):
+    cfg = resolve_config(_EXPERIMENTS["fig5-su"][2], overrides)
+    tables, _notes, _plots = run_fig5(cfg, 0)
+    _header, rows = tables["su_mimo_se.csv"]
+    want = _fig5_rows_per_spacing(cfg)
+    assert len(rows) == len(want)
+    for got_row, want_row in zip(rows, want):
+        assert [_fmt(v) for v in got_row] == [_fmt(v) for v in want_row]
 
 
 class TestAllExperimentsRun:
@@ -334,6 +414,15 @@ class TestMainEntry:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(ummimo.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "ummimo", "list-experiments"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == list_experiments()
 
     def test_trials_is_an_ordinary_key(self, tmp_path):
         # fig5-su has no Monte-Carlo trials, so the key is unknown there

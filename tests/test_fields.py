@@ -50,6 +50,24 @@ class TestNearFieldFactor:
             near_field_factor(z, LAM)
 
 
+    def test_array_equals_scalar_calls_bit_for_bit(self):
+        zs = np.linspace(0.5, 20.0, 2001) * LAM
+        got = near_field_factor(zs, LAM)
+        assert got.shape == zs.shape
+        assert np.array_equal(got, [near_field_factor(z, LAM) for z in zs])
+        assert type(near_field_factor(zs[7], LAM)) is float
+        # any shape, element by element
+        grid = zs[:12].reshape(3, 4)
+        assert np.array_equal(near_field_factor(grid, LAM), got[:12].reshape(3, 4))
+
+    @pytest.mark.parametrize("z", [np.nan, np.inf, 0.0, -LAM])
+    def test_array_with_one_bad_distance_rejected(self, z):
+        zs = np.linspace(1.0, 5.0, 9) * LAM
+        zs[4] = z
+        with pytest.raises(DomainError, match="z must be finite and positive"):
+            near_field_factor(zs, LAM)
+
+
 class TestEdgePhaseAndPower:
     def test_fraunhofer_phase(self):
         D = 0.5
@@ -70,6 +88,23 @@ class TestEdgePhaseAndPower:
     def test_regime_guard(self):
         with pytest.raises(DomainError):
             edge_phase_and_power(0.2, 0.5, LAM)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_arguments_rejected(self, bad):
+        # NaN passes `z <= D/2`, so each argument has its own gate
+        with pytest.raises(DomainError, match="^z must be finite"):
+            edge_phase_and_power(bad, 0.5, LAM)
+        with pytest.raises(DomainError, match="^D must be finite"):
+            edge_phase_and_power(1.0, bad, LAM)
+        with pytest.raises(DomainError, match="wavelength must be finite"):
+            edge_phase_and_power(1.0, 0.5, bad)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -LAM])
+def test_isotropic_area_rejects_bad_wavelength(lam):
+    with pytest.raises(DomainError, match="wavelength must be finite"):
+        isotropic_area(lam)
 
 
 def _gain_by_cells(a, b, n_x, n_y, z, lam, refine=1):

@@ -5,8 +5,8 @@ from ummimo.errors import ContractError, DomainError
 from ummimo.channel import los_channel
 from ummimo.geometry import build_ula
 from ummimo.mux import (UplinkScenario, lmmse_combiner, lmmse_combiners,
-                        optimal_spacing, su_capacity, uplink_se, uplink_se_bound,
-                        waterfill_powers)
+                        optimal_spacing, parallel_capacity, su_capacity, uplink_se,
+                        uplink_se_bound, waterfill_powers)
 
 LAM = 0.01
 
@@ -215,6 +215,40 @@ class TestSuCapacity:
                             + 1j * rng.standard_normal((5, 5)))
         assert abs(su_capacity(H, 2.0, 0.7) - su_capacity(Q @ H, 2.0, 0.7)) < 1e-9
 
+    @pytest.mark.parametrize("allocation", ["waterfilling", "equal"])
+    def test_stack_equals_per_matrix_calls_bit_for_bit(self, allocation):
+        rng = np.random.default_rng(10)
+        H = rng.standard_normal((2, 3, 5, 4)) + 1j * rng.standard_normal((2, 3, 5, 4))
+        H[1, 2] = 0.0  # a zero channel inside the stack has capacity 0
+        got = su_capacity(H, 2.0, 0.7, allocation)
+        assert got.shape == (2, 3) and got[1, 2] == 0.0
+        want = [[su_capacity(H[i, j], 2.0, 0.7, allocation) for j in range(3)]
+                for i in range(2)]
+        assert np.array_equal(got, want)
+        assert type(su_capacity(H[0, 0], 2.0, 0.7, allocation)) is float
+
+    def test_parallel_capacity_is_su_capacity_of_the_gains(self):
+        rng = np.random.default_rng(11)
+        H = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        s = np.linalg.svd(H, compute_uv=False)
+        assert parallel_capacity(s ** 2 / 0.3, 5.0) == su_capacity(H, 5.0, 0.3)
+        assert parallel_capacity(np.zeros(3), 1.0) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_powers_rejected(self, bad):
+        H = np.eye(3)
+        with pytest.raises(DomainError, match="total_power must be finite"):
+            su_capacity(H, bad, 1.0)
+        with pytest.raises(DomainError, match="noise_power must be finite"):
+            su_capacity(H, 1.0, bad)
+        with pytest.raises(DomainError, match="total_power must be finite"):
+            waterfill_powers(np.array([1.0, 0.5]), bad)
+
+    def test_nan_gain_rejected(self):
+        # a NaN gain would fail `g > 0` and be read as an idle layer
+        with pytest.raises(DomainError, match="NaN"):
+            waterfill_powers(np.array([1.0, np.nan]), 1.0)
+
     def test_waterfill_budget(self):
         g = np.array([3.0, 1.0, 0.2, 0.0])
         p = waterfill_powers(g, 5.0)
@@ -249,3 +283,12 @@ class TestOptimalSpacing:
     def test_bad_arguments_rejected(self):
         with pytest.raises(DomainError):
             optimal_spacing(0.0, 1.0, 4, 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_arguments_rejected(self, bad):
+        with pytest.raises(DomainError, match="wavelength must be finite"):
+            optimal_spacing(bad, 50.0, 16, 0.005)
+        with pytest.raises(DomainError, match="distance must be finite"):
+            optimal_spacing(0.01, bad, 16, 0.005)
+        with pytest.raises(DomainError, match="rx_spacing must be finite"):
+            optimal_spacing(0.01, 50.0, 16, bad)
