@@ -13,9 +13,9 @@ the structure it is given:
   aperture.
 
 On a builder array (one with a Lattice) R[m, n] depends only on the index
-lag, so either way one (2 N_x - 1) x (2 N_y - 1) lag table is filled and R
-gathered from it; arrays built from caller positions form the pairwise
-closed form or the dense sum.
+lag, so either way one (2 N_x - 1) x (2 N_y - 1) lag table is filled, and R
+is gathered from it only when it is read; arrays built from caller positions
+form the pairwise closed form or the dense sum.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularityError
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, Lattice
 from .numerics import (QuadratureGrid, RngStream, complex_gaussian, hemisphere_grid,
                        hermitian_eig, sinc, unit_directions)
 
@@ -58,16 +58,59 @@ class ScatteringProfile:
         return float(np.real(grid.integrate(self.density(grid.azimuth, grid.elevation))))
 
 
-@dataclass(frozen=True)
 class SpatialCorrelation:
-    """Hermitian PSD spatial correlation matrix with its average gain."""
+    """Hermitian PSD spatial correlation matrix R with its average gain beta.
 
-    R: np.ndarray
-    beta: float
+    SpatialCorrelation(R, beta) wraps a formed matrix.  correlation_matrix on
+    a builder array keeps the (2 N_x - 1) x (2 N_y - 1) lag table T and the
+    lattice instead, and gathers R[m, n] = T at the index lag of elements m
+    and n on the first read of R; num_antennas and, for a real table even in
+    each axis, spectrum never read it.  R is read-only, so every later caller
+    can share it.
+    """
+
+    def __init__(self, R: np.ndarray, beta: float):
+        self._R = R
+        self._lags = None
+        self.beta = beta
+
+    @classmethod
+    def _from_lags(cls, T: np.ndarray, lattice: Lattice, beta: float) -> SpatialCorrelation:
+        """The correlation of a builder array with lattice `lattice`, from its
+        lag table T (see _gather), with R gathered on first access."""
+        T.flags.writeable = False
+        corr = cls(None, beta)
+        corr._lags = (T, lattice)
+        return corr
+
+    @property
+    def R(self) -> np.ndarray:
+        if self._R is None:
+            self._R = _gather(*self._lags)
+            self._R.flags.writeable = False
+        return self._R
 
     @property
     def num_antennas(self) -> int:
+        if self._lags is not None:
+            return self._lags[1].n_x * self._lags[1].n_y
         return self.R.shape[0]
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of R, descending and read-only, computed once.
+
+        A lag table that is exactly real and even in each axis (the isotropic
+        closed form: hypot(-a, b) == hypot(a, b) bit for bit) makes R commute
+        with the reflection of either lattice axis, so the spectrum is that of
+        the four parity blocks (see _parity_spectrum), each about M/4 on a
+        side and gathered from T; R is never formed.  Any other correlation
+        takes one eigvalsh of R (see _full_spectrum).
+        """
+        T = None if self._lags is None else _real_even(self._lags[0])
+        w = _full_spectrum(self.R) if T is None else _parity_spectrum(T, self._lags[1])
+        w.flags.writeable = False
+        return w
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -89,6 +132,70 @@ class SpatialCorrelation:
         root, Uh = U * np.sqrt(np.clip(w, 0.0, None)), U.conj().T
         root.flags.writeable = Uh.flags.writeable = False
         return root, Uh
+
+
+def _full_spectrum(R) -> np.ndarray:
+    """Eigenvalues of a Hermitian R, descending, from one eigvalsh.  A complex
+    R whose imaginary part is all zero goes to the real symmetric solver,
+    which gives the same spectrum at a fraction of the cost."""
+    R = np.asarray(R)
+    if np.iscomplexobj(R) and not np.any(R.imag):
+        R = R.real
+    return np.linalg.eigvalsh(R)[::-1]
+
+
+def _real_even(T: np.ndarray) -> np.ndarray | None:
+    """The real part of a lag table that is exactly real and even in each
+    axis, T[-l_x, l_y] == T[l_x, l_y] == T[l_x, -l_y]; None for any other."""
+    if np.any(T.imag):
+        return None
+    T = T.real
+    return T if np.array_equal(T, T[::-1]) and np.array_equal(T, T[:, ::-1]) else None
+
+
+def _fold(T: np.ndarray, n: int, s: int) -> np.ndarray:
+    """The parity-s block (s = 1 even, -1 odd) of one lattice axis of n
+    elements, gathered along the first axis of T, which holds the lags
+    1 - n .. n - 1 and is even in them: shape (h, h) + T.shape[1:].
+
+    The even vectors are (e_a + e_{n-1-a}) / sqrt 2 for a < n // 2, plus the
+    middle element e_{n // 2} for odd n; the odd ones take a minus sign.  So
+    B[a, b] = T[a - b] + s T[a + b - n + 1], except that the middle row and
+    column of an even block hold sqrt 2 T[a - n // 2] and its corner T[0],
+    so a single element (n = 1) is its own even block, T[0].  For one axis
+    this is Cantoni and Butler's split of a centrosymmetric matrix (Linear
+    Algebra Appl. 13, 1976) into A + B and A - B.
+    """
+    h = (n + (s > 0)) // 2
+    a = np.arange(h)
+    direct = T[np.subtract.outer(a, a) + n - 1]
+    B = direct + s * T[np.add.outer(a, a)]
+    if n % 2 and s > 0:
+        m = h - 1
+        B[:m, m] = np.sqrt(2.0) * direct[:m, m]
+        B[m, :m] = np.sqrt(2.0) * direct[m, :m]
+        B[m, m] = direct[m, m]
+    return B
+
+
+def _parity_spectrum(T: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Eigenvalues, descending, of the R gathered from a real lag table T
+    even in each axis, from its parity blocks: even or odd under the
+    reflection of the x axis, by even or odd under that of the y axis
+    (an axis of one element has only the even one).  The block of parities
+    (s_x, s_y) has entries B[(a, c), (b, d)] = T(a - b, c - d)
+    + s_x T(a + b - N_x + 1, c - d) + s_y T(a - b, c + d - N_y + 1)
+    + s_x s_y T(a + b - N_x + 1, c + d - N_y + 1), the x fold taken first
+    (see _fold)."""
+    n_x, n_y = lattice.n_x, lattice.n_y
+    w = []
+    for s_x in (1, -1)[:min(n_x, 2)]:
+        U = np.moveaxis(_fold(T, n_x, s_x), 2, 0)  # (2 N_y - 1, h_x, h_x)
+        for s_y in (1, -1)[:min(n_y, 2)]:
+            V = _fold(U, n_y, s_y)  # (h_y, h_y, h_x, h_x)
+            h = V.shape[0] * V.shape[2]
+            w.append(np.linalg.eigvalsh(V.transpose(2, 0, 3, 1).reshape(h, h)))
+    return np.sort(np.concatenate(w))[::-1]
 
 
 def _as_correlation(corr: SpatialCorrelation | np.ndarray) -> SpatialCorrelation:
@@ -280,10 +387,10 @@ def _lag_table(geom: ArrayGeometry, grid: QuadratureGrid, g: np.ndarray) -> np.n
     return np.concatenate([half[:0:-1, ::-1].conj(), half])
 
 
-def _gather(geom: ArrayGeometry, T: np.ndarray) -> np.ndarray:
-    """R[m, n] = T at the index lag of elements m and n."""
-    n_x, n_y = geom.lattice.n_x, geom.lattice.n_y
-    ix, iy = np.divmod(np.arange(geom.num_elements), n_y)
+def _gather(T: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """R[m, n] = T at the index lag of elements m and n of the lattice."""
+    n_x, n_y = lattice.n_x, lattice.n_y
+    ix, iy = np.divmod(np.arange(n_x * n_y), n_y)
     k = ix * (2 * n_y - 1) + iy
     return T.ravel()[np.subtract.outer(k, k) + (n_x - 1) * (2 * n_y - 1) + n_y - 1]
 
@@ -298,24 +405,28 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
     * the profile of isotropic_profile() on an array in one plane z = const:
       the exact closed form beta * sinc(2 |p_m - p_n| / lambda).  A builder
       array fills its lag table T[l] = beta * sinc(2 hypot(l_x dx, l_y dy) /
-      lambda) and gathers R from it; caller positions take it pairwise.  The
-      grid (default hemisphere_grid()) only serves the normalisation check.
+      lambda); caller positions take it pairwise.  The grid (default
+      hemisphere_grid()) only serves the normalisation check.
     * any other profile or array: quadrature beta * sum_q f_q w_q s_q s_q^H,
       accumulated over node chunks.  A builder array fills its lag table
       (see _lag_table: f w beta A summed per elevation ring, then one product
-      with the elevation factor B) and gathers R from it; an array from
-      caller positions forms the dense sum and is symmetrised.  With
+      with the elevation factor B); an array from caller positions forms the
+      dense sum and is symmetrised.  With
       grid=None the grid has n nodes per axis, n from kappa * D_max (D_max
       the largest element separation), and never fewer than 180 x 90; a
       caller's grid with fewer than n distinct azimuth or elevation nodes
       raises ContractError.
 
-    R is complex and read-only, so the operators estimators prepare from it
-    cannot go stale, and exactly Hermitian on the closed-form and lag-table
-    paths.  The isotropic R of a builder array is also exactly centrosymmetric,
-    R[::-1, ::-1] == R: reversing the element order negates every lag, and
-    hypot(-a, -b) == hypot(a, b) bit for bit.  dof_report relies on this to
-    split the spectrum into two half-size blocks.
+    On a builder array the result keeps the lag table and gathers R from it
+    on first access (see SpatialCorrelation), so a caller that needs only the
+    spectrum never forms the M x M matrix.  R is complex and read-only, so
+    the operators estimators prepare from it cannot go stale, and exactly
+    Hermitian on the closed-form and lag-table paths.  The isotropic lag
+    table of a builder array is real and even in each axis, because
+    hypot(-a, b) == hypot(a, b) bit for bit, so its R commutes with the
+    reflection of either lattice axis (and is exactly centrosymmetric,
+    R[::-1, ::-1] == R); SpatialCorrelation.spectrum splits it into four
+    parity blocks.
     """
     closed_form = profile.density is _isotropic_density and _is_planar_in_z(geom)
     if grid is None:
@@ -336,22 +447,22 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
     if closed_form and geom.lattice is not None:
         n_x, n_y, dx, dy = geom.lattice
         lags = np.hypot.outer(np.arange(1 - n_x, n_x) * dx, np.arange(1 - n_y, n_y) * dy)
-        R = _gather(geom, (beta * sinc(2.0 * lags / geom.wavelength)).astype(complex))
-    elif closed_form:
+        T = (beta * sinc(2.0 * lags / geom.wavelength)).astype(complex)
+        return SpatialCorrelation._from_lags(T, geom.lattice, beta)
+    if closed_form:
         x, y = geom.positions[:, 0], geom.positions[:, 1]
         d = np.hypot(np.subtract.outer(x, x), np.subtract.outer(y, y))
         R = beta * sinc(2.0 * d / geom.wavelength) + 0j
     else:
         g = profile.density(grid.azimuth, grid.elevation) * grid.weights * beta
         if geom.lattice is not None:
-            R = _gather(geom, _lag_table(geom, grid, g))
-        else:
-            m = geom.num_elements
-            R = np.zeros((m, m), dtype=complex)
-            for s in _chunks(grid.size, m):
-                S = steering_matrix(geom, grid.azimuth[s], grid.elevation[s])
-                R += (S.T * g[s]) @ S.conj()
-            R = 0.5 * (R + R.conj().T)
+            return SpatialCorrelation._from_lags(_lag_table(geom, grid, g), geom.lattice, beta)
+        m = geom.num_elements
+        R = np.zeros((m, m), dtype=complex)
+        for s in _chunks(grid.size, m):
+            S = steering_matrix(geom, grid.azimuth[s], grid.elevation[s])
+            R += (S.T * g[s]) @ S.conj()
+        R = 0.5 * (R + R.conj().T)
     R.flags.writeable = False
     return SpatialCorrelation(R, beta)
 

@@ -385,7 +385,7 @@ def _eigen_tables(cases) -> dict:
     """Isotropic eigen-spectra and ranks of (spacing_frac, geometry, dof formula) cases."""
     spec_rows, summaries = [], []
     for frac, geom, eta in cases:
-        report = dof_report(correlation_matrix(geom, isotropic_profile()).R, eta)
+        report = dof_report(correlation_matrix(geom, isotropic_profile()), eta)
         spec_rows.extend((repr(frac), i + 1, v) for i, v in enumerate(report.eigen_spectrum))
         summaries.append((repr(frac), geom.num_elements, eta, report.effective_rank))
     return {"eigenvalues.csv": (["spacing_frac", "index", "normalized_eigenvalue"], spec_rows),

@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import SpatialCorrelation, _full_spectrum
 from .errors import ContractError, DomainError
 from .fields import speed_of_light
 
@@ -74,34 +75,18 @@ class DofReport:
     capture_fraction: float
 
 
-def dof_report(R: np.ndarray, eta: float, capture_fraction: float = 0.99) -> DofReport:
-    """Summarize a correlation matrix against a DoF formula prediction.
+def dof_report(corr: SpatialCorrelation | np.ndarray, eta: float,
+               capture_fraction: float = 0.99) -> DofReport:
+    """Summarize a correlation against a DoF formula prediction.
 
-    Only eigenvalues are needed, so a complex R whose imaginary part is all
-    zero (the isotropic closed form) goes to the real symmetric solver, which
-    gives the same spectrum at a fraction of the cost.
-
-    A real R that is exactly centrosymmetric, R[::-1, ::-1] == R (the
-    isotropic R of a builder array), is split into its half blocks (Cantoni &
-    Butler, Linear Algebra Appl. 13, 1976): with h = M // 2, A = R[:h, :h]
-    and B the top-right h x h block with its columns reversed, the spectrum
-    is that of A - B together with that of A + B, bordered for odd M by the
-    middle row sqrt(2) R[:h, h] and R[h, h].  Two half-size solves cost
-    about a quarter of the full one.  Any other R takes the full solver.
+    A SpatialCorrelation gives its cached spectrum: for the isotropic
+    correlation of a builder array that comes from four quarter-size parity
+    blocks of the lag table, and the M x M matrix is never formed.  A bare
+    matrix takes one eigvalsh, on the real part when its imaginary part is
+    all zero.  Eigenvalues are clipped at zero and normalized to a maximum
+    of 1.
     """
-    R = np.asarray(R)
-    if np.iscomplexobj(R) and not np.any(R.imag):
-        R = R.real
-    m, h = len(R), len(R) // 2
-    if R.shape == (m, m) and not np.iscomplexobj(R) and np.array_equal(R, R[::-1, ::-1]):
-        A, B = R[:h, :h], R[:h, :m - h - 1:-1]
-        sym = A + B
-        if m % 2:
-            c = np.sqrt(2.0) * R[:h, h:h + 1]
-            sym = np.block([[sym, c], [c.T, R[h:h + 1, h:h + 1]]])
-        w = np.sort(np.concatenate([np.linalg.eigvalsh(sym), np.linalg.eigvalsh(A - B)]))[::-1]
-    else:
-        w = np.linalg.eigvalsh(R)[::-1]
+    w = corr.spectrum if isinstance(corr, SpatialCorrelation) else _full_spectrum(corr)
     w = np.clip(w, 0.0, None)
     rank = effective_rank(w, capture_fraction)
     top = w[0] if w[0] > 0 else 1.0

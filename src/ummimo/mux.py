@@ -24,7 +24,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UplinkScenario:
-    """Per-UE channels (columns of H), transmit powers, and noise power."""
+    """Per-UE channels (columns of H), transmit powers, and noise power.
+
+    Powers and noise power must be finite (DomainError) and nonnegative
+    (ContractError); zero is allowed.
+    """
 
     H: np.ndarray        # (M, K) complex
     powers: np.ndarray   # (K,) watts
@@ -37,6 +41,9 @@ class UplinkScenario:
             raise ContractError("H must be an M x K matrix with K >= 1")
         if p.shape != (H.shape[1],):
             raise ContractError("powers must have one entry per UE")
+        if not (np.all(np.isfinite(p)) and np.isfinite(self.noise_power)):
+            raise DomainError(f"powers and noise power must be finite, got powers {p} "
+                              f"and noise power {self.noise_power!r}")
         if np.any(p < 0) or self.noise_power < 0:
             raise ContractError("powers and noise power must be nonnegative")
         object.__setattr__(self, "H", H)

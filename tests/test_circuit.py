@@ -283,7 +283,8 @@ class TestNoiseCovariance:
         r = 50.0
         lna = LnaParams(R_v=0.0, G_i=0.0, beta=0.0, temperature=290.0)
         Rn = noise_covariance(r * np.eye(4), lna)
-        assert np.allclose(Rn, 4 * Boltzmann * 290.0 * r * np.eye(4), rtol=1e-12)
+        # entries are about 8e-19, so the absolute tolerance must be zero
+        assert np.allclose(Rn, 4 * Boltzmann * 290.0 * r * np.eye(4), rtol=1e-12, atol=0.0)
 
     def test_voltage_noise_dominated(self):
         lna = LnaParams(R_v=1e6, G_i=0.0, beta=0.0)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ummimo.errors import ContractError, DomainError
-from ummimo.channel import correlation_matrix, isotropic_profile
+from ummimo.channel import (SpatialCorrelation, correlation_matrix, gaussian_cluster_profile,
+                            isotropic_profile)
 from ummimo.dof import (active_rf_chains, bbu_rate, dof_1d, dof_2d, dof_report,
                         effective_rank)
 from ummimo.geometry import build_ula, build_upa
@@ -106,39 +109,105 @@ class TestDofReport:
         assert np.allclose(dof_report(R, 1.0).eigen_spectrum, w / w[0], rtol=0.0, atol=1e-13)
 
 
-class TestCentrosymmetricSplit:
-    @staticmethod
-    def _full(R):
-        w = np.clip(np.linalg.eigvalsh(R)[::-1], 0.0, None)
-        return w / w[0]
+def _full(R):
+    """The full solver's normalized spectrum."""
+    w = np.clip(np.linalg.eigvalsh(R)[::-1], 0.0, None)
+    return w / w[0]
 
-    @pytest.mark.parametrize("geom", [
-        build_upa(5, 5, LAM / 2, LAM / 2, LAM),
-        build_upa(8, 7, LAM / 3, LAM / 2, LAM),
-        build_upa(16, 16, LAM / 2, LAM / 2, LAM),
-        build_ula(20, LAM / 4, LAM),
-    ], ids=["5x5", "8x7", "16x16", "ula20"])
-    def test_half_blocks_equal_full_solver(self, geom):
-        # even and odd M: the two half-block spectra are R's spectrum
-        R = correlation_matrix(geom, isotropic_profile(1.7)).R
-        report = dof_report(R, 1.0)
-        w = self._full(R)
-        assert np.max(np.abs(report.eigen_spectrum - w)) < 1e-13
-        assert report.effective_rank == effective_rank(w)
+
+class TestCentrosymmetricSplit:
+    """The spectrum of a builder array's isotropic correlation from the four
+    parity blocks of its lag table (each lattice axis folded into halves by
+    its reflection), against one eigvalsh of R; everything else takes the
+    full solver."""
+
+    @pytest.mark.parametrize("shape, fx, fy", [
+        ((5, 5), 1 / 2, 1 / 2), ((8, 7), 1 / 3, 1 / 2), ((16, 16), 1 / 2, 1 / 2),
+        ((20, 1), 1 / 4, 1 / 4), ((7, 9), 0.3, 0.45), ((1, 9), 0.4, 0.4), ((6, 1), 0.7, 0.7),
+        ((1, 1), 0.5, 0.5), ((2, 3), 0.35, 0.6)],
+        ids=["5x5", "8x7", "16x16", "ula20", "7x9", "1x9", "6x1", "1x1", "2x3"])
+    def test_half_blocks_equal_full_solver(self, shape, fx, fy):
+        corr = correlation_matrix(build_upa(*shape, fx * LAM, fy * LAM, LAM),
+                                  isotropic_profile(1.7))
+        w = corr.spectrum
+        assert corr._R is None  # the blocks come from the lag table alone
+        assert not w.flags.writeable and corr.spectrum is w
+        assert np.all(np.diff(w) <= 0)
+        full = np.linalg.eigvalsh(corr.R.real)[::-1]
+        assert np.max(np.abs(w - full)) <= 1e-13 * full[0]
+        report = dof_report(corr, 1.0)
+        assert np.max(np.abs(report.eigen_spectrum - _full(corr.R))) < 1e-13
+        assert report.effective_rank == dof_report(corr.R, 1.0).effective_rank
+
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_one_axis_fold_is_the_centrosymmetric_half_split(self, n):
+        # one lattice axis: the even and odd blocks are A + B (bordered by
+        # the middle row for odd M) and A - B of R's half blocks, bit for bit
+        corr = correlation_matrix(build_ula(n, LAM / 4, LAM), isotropic_profile())
+        R, h = corr.R.real, n // 2
+        A, B = R[:h, :h], R[:h, :n - h - 1:-1]
+        even = A + B
+        if n % 2:
+            c = np.sqrt(2.0) * R[:h, h:h + 1]
+            even = np.block([[even, c], [c.T, R[h:h + 1, h:h + 1]]])
+        halves = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(A - B)])
+        assert np.array_equal(corr.spectrum, np.sort(halves)[::-1])
+
+    def test_quadrature_lag_table_uses_full_solver(self):
+        # a clustered profile's lag table is complex: one eigvalsh of R
+        profile = gaussian_cluster_profile([(0.3, 0.1), (-0.5, 0.2)], np.deg2rad(12))
+        corr = correlation_matrix(build_upa(6, 5, LAM / 2, LAM / 3, LAM), profile)
+        assert np.array_equal(corr.spectrum, np.linalg.eigvalsh(corr.R)[::-1])
+        assert np.array_equal(dof_report(corr, 1.0).eigen_spectrum, _full(corr.R))
 
     def test_general_symmetric_matrix_uses_full_solver(self):
+        # a bare matrix, and a SpatialCorrelation wrapping one, have no lag table
         rng = np.random.default_rng(5)
         A = rng.standard_normal((9, 9))
         R = A @ A.T
         assert not np.array_equal(R, R[::-1, ::-1])
-        assert np.array_equal(dof_report(R, 1.0).eigen_spectrum, self._full(R))
+        assert np.array_equal(dof_report(R, 1.0).eigen_spectrum, _full(R))
+        assert np.array_equal(SpatialCorrelation(R, 1.0).spectrum, np.linalg.eigvalsh(R)[::-1])
 
     def test_one_ulp_off_centrosymmetric_uses_full_solver(self):
         R = correlation_matrix(build_upa(4, 3, LAM / 2, LAM / 2, LAM), isotropic_profile()).R
         R = R.real.copy()
         R[0, 1] = R[1, 0] = np.nextafter(R[0, 1], 1.0)
         assert not np.array_equal(R, R[::-1, ::-1])
-        assert np.array_equal(dof_report(R, 1.0).eigen_spectrum, self._full(R))
+        assert np.array_equal(dof_report(R, 1.0).eigen_spectrum, _full(R))
+
+    def test_num_antennas_does_not_gather(self):
+        corr = correlation_matrix(build_upa(6, 4, LAM / 2, LAM / 2, LAM), isotropic_profile())
+        assert corr.num_antennas == 24 and corr._R is None
+        R = corr.R
+        assert R.shape == (24, 24) and not R.flags.writeable and corr.R is R
+
+
+class TestSpectrumMemory:
+    def test_dof_report_never_forms_r(self):
+        # 32 x 32 lambda/2 UPA: a quarter of R's 16 M^2 bytes bounds the
+        # peak of building the correlation and its report
+        geom = build_upa(32, 32, LAM / 2, LAM / 2, LAM)
+        m = geom.num_elements
+        tracemalloc.start()
+        try:
+            corr = correlation_matrix(geom, isotropic_profile())
+            dof_report(corr, dof_2d(16 * LAM, 16 * LAM, LAM).eta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 16 / 4
+        assert corr._R is None
+
+    def test_reference_array_spectrum_sums_to_trace(self):
+        # the paper's 100 x 50 lambda-spaced array, M = 5000: the trace of R
+        # is M beta, its diagonal being beta
+        beta = 2.5
+        corr = correlation_matrix(build_upa(100, 50, LAM, LAM, LAM), isotropic_profile(beta))
+        w = corr.spectrum
+        assert w.shape == (5000,)
+        assert abs(w.sum() - 5000 * beta) <= 1e-9 * 5000 * beta
+        assert corr._R is None
 
 
 class TestDeploymentArithmetic:

@@ -69,16 +69,30 @@ class TestNearFieldFactor:
 
 
 class TestEdgePhaseAndPower:
+    @staticmethod
+    def _exact(z, D):
+        delta = np.hypot(z, D / 2) - z
+        return 2 * np.pi / LAM * delta, z ** 2 / (z + delta) ** 2
+
     def test_fraunhofer_phase(self):
+        # pi/8 at the Fraunhofer distance is the rounded value of the
+        # exact path-difference phase
         D = 0.5
         d_f = 2 * D ** 2 / LAM
-        phase, _ = edge_phase_and_power(d_f, D, LAM)
-        assert abs(phase - np.pi / 8) < 0.02 * np.pi / 8
+        phase, ratio = edge_phase_and_power(d_f, D, LAM)
+        want_phase, want_ratio = self._exact(d_f, D)
+        assert abs(phase - want_phase) <= 1e-12 * want_phase
+        assert abs(ratio - want_ratio) <= 1e-12 * want_ratio
+        assert round(phase, 3) == round(np.pi / 8, 3)
 
     def test_power_at_2d(self):
+        # 0.94 at z = 2D is the rounded value of z^2 / (z + Delta)^2
         D = 0.5
-        _, ratio = edge_phase_and_power(2 * D, D, LAM)
-        assert abs(ratio - 0.94) < 0.005
+        phase, ratio = edge_phase_and_power(2 * D, D, LAM)
+        want_phase, want_ratio = self._exact(2 * D, D)
+        assert abs(phase - want_phase) <= 1e-12 * want_phase
+        assert abs(ratio - want_ratio) <= 1e-12 * want_ratio
+        assert round(ratio, 2) == 0.94
 
     def test_far_limit(self):
         phase, ratio = edge_phase_and_power(1e9, 0.5, LAM)
@@ -99,6 +113,11 @@ class TestEdgePhaseAndPower:
             edge_phase_and_power(1.0, bad, LAM)
         with pytest.raises(DomainError, match="wavelength must be finite"):
             edge_phase_and_power(1.0, 0.5, bad)
+
+
+def test_isotropic_area_is_lambda_squared_over_four_pi():
+    for lam in (LAM, 0.5, 3.0):
+        assert abs(isotropic_area(lam) - lam ** 2 / (4 * np.pi)) <= 1e-15 * lam ** 2
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -LAM])
@@ -134,6 +153,14 @@ class TestApertureGain:
         a = b = 5 * LAM
         ratio = aperture_gain(a, b, 8 * LAM, LAM) / (a * b / isotropic_area(LAM))
         assert abs(ratio - 0.35) < 0.02
+
+    def test_far_field_gain_is_four_pi_area_over_lambda_squared(self):
+        # a 3 x 2 wavelength aperture 1000 Fraunhofer distances away: the
+        # phase is flat to 1e-4 rad, so the gain is 4 pi a b / lambda^2
+        a, b = 3 * LAM, 2 * LAM
+        z = 1000 * 2 * (a ** 2 + b ** 2) / LAM
+        want = 4 * np.pi * a * b / LAM ** 2
+        assert abs(aperture_gain(a, b, z, LAM) - want) <= 1e-7 * want
 
     def test_far_field_recovery(self):
         a = b = 5 * LAM

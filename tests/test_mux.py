@@ -18,6 +18,20 @@ def _random_scenario(m, k, seed, sigma2=0.1):
     return UplinkScenario(H, powers, sigma2)
 
 
+class TestUplinkScenario:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_noise_power_rejected(self, bad):
+        # NaN passes `noise_power < 0` and would give NaN spectral efficiencies
+        with pytest.raises(DomainError, match="must be finite"):
+            UplinkScenario(np.eye(4, 2), [1.0, 1.0], bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_ue_power_rejected(self, bad):
+        # a NaN power would give one NaN and one zero SE
+        with pytest.raises(DomainError, match="must be finite"):
+            UplinkScenario(np.eye(4, 2), [1.0, bad], 1.0)
+
+
 class TestLmmseCombiner:
     def test_single_ue_matched_filter(self):
         scen = _random_scenario(8, 1, 0)
