@@ -1,7 +1,7 @@
 """Experiment runner: reproduces the library's reference curves at desk scale.
 
 Each experiment `(cfg, seed) -> (tables, notes, plots)` returns data only:
-`tables` maps a CSV name to (header, rows), `plots` an SVG name to (title,
+`tables` maps a CSV name to (header, columns), `plots` an SVG name to (title,
 xlabel, ylabel, series[, logy]).  `run()` writes them into
 <out>/<experiment>/seed-<N>/, so a new seed never touches a prior run: tidy
 CSVs (round-trip floats, LF, UTF-8), a JSON manifest, and with --svg the SVGs.
@@ -137,27 +137,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _column_formatter(column: tuple):
+def _column_formatter(column: list):
     """float.__repr__ for a column of floats (np.float64 is one), else _fmt:
     the same text, without the type dispatch per value."""
     return float.__repr__ if all(map(isinstance, column, repeat(float))) else _fmt
 
 
-def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+def write_csv(path: Path, header: list[str], columns: list) -> None:
     """The header line, then one line per row with each value as _fmt writes
-    it, formatted one column at a time.  The header names at least one
-    column, and every row has one value per name."""
-    width = len(header)
-    if width == 0:
+    it, formatted one column at a time.  `columns` holds one sequence per
+    header name (a NumPy array or a list), all of one length; the header
+    names at least one column."""
+    if not header:
         raise ContractError(f"{path.name}: a table needs at least one column")
-    ragged = next((i for i, row in enumerate(rows) if len(row) != width), None)
-    if ragged is not None:
-        raise ContractError(f"{path.name}: row {ragged} has {len(rows[ragged])} values "
-                            f"for {width} columns")
+    if len(columns) != len(header):
+        raise ContractError(f"{path.name}: {len(columns)} columns for "
+                            f"{len(header)} header names")
+    # an array's values as Python scalars, converted once per column
+    values = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
+    lengths = [len(col) for col in values]
+    if len(set(lengths)) > 1:
+        raise ContractError(f"{path.name}: columns of unequal lengths {lengths}")
     # lazy columns: each value's text lives only until its line is joined
-    columns = [map(_column_formatter(col), col) for col in zip(*rows)]
+    text = [map(_column_formatter(col), col) for col in values]
     lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*columns)))
+    lines.extend(map(",".join, zip(*text)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -225,18 +229,13 @@ def write_svg(path: Path, title: str, xlabel: str, ylabel: str,
 # experiments
 # ---------------------------------------------------------------------------
 
-def _cols(rows, *idx) -> tuple[list, ...]:
-    """Columns `idx` of `rows`, one list each: the (xs, ys) of a plot series."""
-    return tuple([r[i] for r in rows] for i in idx)
-
-
 def run_nf_factor(cfg, seed):
     lam = cfg["wavelength"]
     zs = np.linspace(cfg["z_min_lam"], cfg["z_max_lam"], cfg["points"])
-    rows = list(zip(zs.tolist(), near_field_factor(zs * lam, lam).tolist()))
-    tables = {"nf_factor.csv": (["z_over_lambda", "factor"], rows)}
+    factor = near_field_factor(zs * lam, lam)
+    tables = {"nf_factor.csv": (["z_over_lambda", "factor"], [zs, factor])}
     plots = {"nf_factor.svg": ("near-field factor", "z/lambda", "factor",
-                               {"factor": _cols(rows, 0, 1)})}
+                               {"factor": (zs, factor)})}
     return tables, [], plots
 
 
@@ -245,16 +244,16 @@ def run_aperture_gain(cfg, seed):
     a, b = cfg["a_lam"] * lam, cfg["b_lam"] * lam
     nx, ny = cfg["sub_nx"], cfg["sub_ny"]
     gmax = a * b / isotropic_area(lam)
-    rows = []
-    for z_lam in cfg["z_lam"]:
-        z = z_lam * lam
-        rows.append((z_lam, aperture_gain(a, b, z, lam) / gmax,
-                     aperture_gain_subdivided(a, b, nx, ny, z, lam) / gmax))
+    z_lams = cfg["z_lam"]
+    full = [aperture_gain(a, b, z_lam * lam, lam) / gmax for z_lam in z_lams]
+    subdivided = [aperture_gain_subdivided(a, b, nx, ny, z_lam * lam, lam) / gmax
+                  for z_lam in z_lams]
     tables = {"aperture_gain.csv": (
-        ["z_over_lambda", "gain_ratio_full", "gain_ratio_subdivided"], rows)}
+        ["z_over_lambda", "gain_ratio_full", "gain_ratio_subdivided"],
+        [z_lams, full, subdivided])}
     plots = {"aperture_gain.svg": ("aperture gain ratio", "z/lambda", "ratio",
-                                   {"full": _cols(rows, 0, 1),
-                                    "subdivided": _cols(rows, 0, 2)})}
+                                   {"full": (z_lams, full),
+                                    "subdivided": (z_lams, subdivided)})}
     return tables, [], plots
 
 
@@ -268,13 +267,12 @@ def run_beam(cfg, seed):
         iv = beamdepth_3db(F, d_f)
         rows.append((F, d_f, iv.depth, _numeric_beamdepth(F, d_f), iv.z_near, iv.z_far))
     phis = np.linspace(-cfg["phi_max_rad"], cfg["phi_max_rad"], cfg["points"])
-    taper_rows = list(zip(phis.tolist(), angular_taper(n, spacing, lam, phis).tolist()))
+    gain = angular_taper(n, spacing, lam, phis)
     tables = {"beam_depth.csv": (["focus_m", "d_fraunhofer_m", "bd_analytic_m",
-                                  "bd_numeric_m", "z_near_m", "z_far_m"], rows),
-              "beam_taper.csv": (["phi_rad", "array_gain"], taper_rows)}
+                                  "bd_numeric_m", "z_near_m", "z_far_m"], list(zip(*rows))),
+              "beam_taper.csv": (["phi_rad", "array_gain"], [phis, gain])}
     notes = [f"half-power beamwidth {beamwidth_3db(n, spacing, lam)!r} rad"]
-    plots = {"beam_taper.svg": ("angular taper", "phi (rad)", "gain",
-                                {"gain": _cols(taper_rows, 0, 1)})}
+    plots = {"beam_taper.svg": ("angular taper", "phi (rad)", "gain", {"gain": (phis, gain)})}
     return tables, notes, plots
 
 
@@ -332,18 +330,19 @@ def run_fig4(cfg, seed):
             se_ff.append(uplink_se(scen, lmmse_combiners(scen_ff)).sum())
         rows.append((K, float(np.mean(se_ex)), float(np.mean(se_ff)),
                      float(np.min(np.array(se_ex) - np.array(se_ff)))))
+    ks, exact, mismatch, margin = zip(*rows)
     tables = {"mu_mimo_se.csv": (
-        ["num_ues", "sum_se_exact", "sum_se_farfield_mismatch", "min_margin"], rows)}
+        ["num_ues", "sum_se_exact", "sum_se_farfield_mismatch", "min_margin"],
+        [ks, exact, mismatch, margin])}
     notes = [
         "reference large-scale setup quotes a 100x50 grid filling 1 m x 0.5 m at "
         "lambda = 0.01 m, which implies lambda spacing rather than lambda/2; this "
         f"{nx}x{ny} run uses a lambda/2-spaced grid ({nx * ny} of the reference 5000 "
         "elements)",
-        f"min exact-vs-mismatch margin over all drops: {min(r[3] for r in rows)!r} bit/s/Hz",
+        f"min exact-vs-mismatch margin over all drops: {min(margin)!r} bit/s/Hz",
     ]
     plots = {"mu_mimo_se.svg": ("uplink sum SE", "K", "bit/s/Hz",
-                                {"exact": _cols(rows, 0, 1),
-                                 "far-field mismatch": _cols(rows, 0, 2)})}
+                                {"exact": (ks, exact), "far-field mismatch": (ks, mismatch)})}
     return tables, notes, plots
 
 
@@ -367,30 +366,34 @@ def run_fig5(cfg, seed):
         H = los_channel(rx, tx, mode=mode).T.reshape(len(sweep), m, m).swapaxes(1, 2)
         sv[mode] = np.linalg.svd(H, compute_uv=False)
     se = parallel_capacity(sv["exact"] ** 2 / sigma2, p_total, "waterfilling")
-    ratios = {mode: (s.min(axis=1) / s.max(axis=1)).tolist() for mode, s in sv.items()}
-    rows = list(zip(sweep, se.tolist(), ratios["exact"], ratios["fresnel"]))
+    ratios = {mode: s.min(axis=1) / s.max(axis=1) for mode, s in sv.items()}
     tables = {"su_mimo_se.csv": (
-        ["tx_spacing_m", "se_waterfilling", "sv_ratio_exact", "sv_ratio_fresnel"], rows)}
-    best = max(rows, key=lambda r: r[1])
+        ["tx_spacing_m", "se_waterfilling", "sv_ratio_exact", "sv_ratio_fresnel"],
+        [sweep, se, ratios["exact"], ratios["fresnel"]])}
     notes = [
-        f"spacing rule predicts {dt_star!r} m; exact-model SE peaks at {best[0]!r} m "
+        f"spacing rule predicts {dt_star!r} m; exact-model SE peaks at "
+        f"{sweep[int(np.argmax(se))]!r} m "
         "(the gap is expected: sidelobe effects are outside the paraxial rule)",
     ]
     plots = {"su_mimo_se.svg": ("SU-MIMO SE vs tx spacing", "spacing (m)", "bit/s/Hz",
-                                {"SE": _cols(rows, 0, 1)})}
+                                {"SE": (sweep, se)})}
     return tables, notes, plots
 
 
 def _eigen_tables(cases) -> dict:
     """Isotropic eigen-spectra and ranks of (spacing_frac, geometry, dof formula) cases."""
-    spec_rows, summaries = [], []
+    fracs, indices, spectra, summaries = [], [], [], []
     for frac, geom, eta in cases:
         report = dof_report(correlation_matrix(geom, isotropic_profile()), eta)
-        spec_rows.extend((repr(frac), i + 1, v) for i, v in enumerate(report.eigen_spectrum))
+        m = len(report.eigen_spectrum)
+        fracs.extend([repr(frac)] * m)
+        indices.append(np.arange(1, m + 1))
+        spectra.append(report.eigen_spectrum)
         summaries.append((repr(frac), geom.num_elements, eta, report.effective_rank))
-    return {"eigenvalues.csv": (["spacing_frac", "index", "normalized_eigenvalue"], spec_rows),
+    return {"eigenvalues.csv": (["spacing_frac", "index", "normalized_eigenvalue"],
+                                [fracs, np.concatenate(indices), np.concatenate(spectra)]),
             "dof_summary.csv": (["spacing_frac", "num_antennas", "dof_formula",
-                                 "effective_rank"], summaries)}
+                                 "effective_rank"], list(zip(*summaries)))}
 
 
 def run_fig6_ula(cfg, seed):
@@ -428,7 +431,7 @@ def run_fig9(cfg, seed):
     stream = RngStream(seed)
     profiles = {"isotropic": isotropic_profile(),
                 "clustered": _three_clusters(cfg["cluster_std_deg"])}
-    rows, notes = [], []
+    rows, notes, series = [], [], {}
     for pi, (name, profile) in enumerate(profiles.items()):
         corr = correlation_matrix(geom, profile)
         sigma2 = p * float(np.trace(corr.R).real) / (m * snr)
@@ -437,15 +440,15 @@ def run_fig9(cfg, seed):
                              stream=stream.split(100 + 10 * pi + ei),
                              corr=corr, pilot_stream=stream.split(7))
             rows.extend((r.tau, est, r.nmse, r.stderr, name) for r in res)
+            series[f"{name}/{est}"] = ([r.tau for r in res], [r.nmse for r in res])
         w = corr.eig[0]
         rank = int(np.sum(w > 1e-6 * w[0]))
         res = nmse_sweep("mmse", [rank], power=p, noise_power=sigma2, trials=trials,
                          stream=stream.split(100 + 10 * pi + 5), corr=corr)
         rows.append((rank, "mmse-at-rank", res[0].nmse, res[0].stderr, name))
         notes.append(f"{name}: numerical rank (eig > 1e-6 max) = {rank}")
-    tables = {"nmse_vs_tau.csv": (["tau_p", "estimator", "nmse", "stderr", "profile"], rows)}
-    series = {f"{name}/{est}": _cols([r for r in rows if r[4] == name and r[1] == est], 0, 2)
-              for name in profiles for est in ("ls", "mmse")}
+    tables = {"nmse_vs_tau.csv": (["tau_p", "estimator", "nmse", "stderr", "profile"],
+                                  list(zip(*rows)))}
     plots = {"nmse_vs_tau.svg": ("NMSE vs pilot length", "tau_p", "NMSE", series, True)}
     return tables, notes, plots
 
@@ -459,7 +462,7 @@ def run_fig10(cfg, seed):
     trials = cfg["trials"]
     stream = RngStream(seed)
     profile = _three_clusters(cfg["cluster_std_deg"])
-    rows = []
+    rows, series = [], {}
     for fi, frac in enumerate(cfg["spacing_fracs"]):
         geom = build_upa(n, n, frac * lam, frac * lam, lam)
         corr = correlation_matrix(geom, profile)
@@ -476,12 +479,13 @@ def run_fig10(cfg, seed):
                              corr=corr, pilot_stream=stream.split(11), **extra)
             label = est if tau == m else f"{est}-rbar"
             rows.append((frac, label, tau, res[0].nmse, res[0].stderr))
+            xs, ys = series.setdefault(label, ([], []))
+            xs.append(frac)
+            ys.append(res[0].nmse)
     tables = {"nmse_vs_spacing.csv": (
-        ["spacing_frac", "estimator", "tau_p", "nmse", "stderr"], rows)}
-    series = {lab: _cols([r for r in rows if r[1] == lab], 0, 3)
-              for lab in sorted({r[1] for r in rows})}
+        ["spacing_frac", "estimator", "tau_p", "nmse", "stderr"], list(zip(*rows)))}
     plots = {"nmse_vs_spacing.svg": ("NMSE vs spacing", "spacing/lambda", "NMSE",
-                                     series, True)}
+                                     dict(sorted(series.items())), True)}
     return tables, [], plots
 
 
@@ -526,7 +530,7 @@ def run_fig11(cfg, seed):
     sampler = _sparse_sampler(geom, dictionary, sparsity, cfg["on_grid"], angle_limit)
     subspace = isotropic_subspace(geom)
     rbar = subspace.shape[1]
-    rows = []
+    rows, series = [], {}
     run_list = [("ls", taus, {}), ("omp", taus, {"dictionary": dictionary, "sparsity": sparsity})]
     run_list.append(("rs-ls", [t for t in taus if t >= rbar], {"subspace": subspace}))
     for j, (est, tvals, extra) in enumerate(run_list):
@@ -537,12 +541,11 @@ def run_fig11(cfg, seed):
                          sampler=sampler, trace_r=float(m),
                          pilot_stream=stream.split(13), **extra)
         rows.extend((est, r.tau, r.nmse, r.stderr) for r in res)
-    tables = {"nmse_omp.csv": (["estimator", "tau_p", "nmse", "stderr"], rows)}
+        series[est] = ([r.tau for r in res], [r.nmse for r in res])
+    tables = {"nmse_omp.csv": (["estimator", "tau_p", "nmse", "stderr"], list(zip(*rows)))}
     notes = [f"dictionary atoms: {dictionary.num_atoms}", f"isotropic subspace dim: {rbar}"]
-    series = {lab: _cols([r for r in rows if r[0] == lab], 1, 2)
-              for lab in sorted({r[0] for r in rows})}
     plots = {"nmse_omp.svg": ("NMSE vs pilot length (sparse)", "tau_p", "NMSE",
-                              series, True)}
+                              dict(sorted(series.items())), True)}
     return tables, notes, plots
 
 
@@ -552,14 +555,14 @@ def run_bbu(cfg, seed):
         (10.0, 1e9, 16, 3e10),
         (cfg["area"], cfg["bandwidth"], cfg["bits"], cfg["carrier"]),
     ]
-    rows = [(a, b, bits, fc, bbu_rate(a, b, bits, fc)) for a, b, bits, fc in cases]
-    area, density = cfg["area"], cfg["chain_density"]
-    chain_rows = [(area, tau, density, active_rf_chains(area, tau, density))
-                  for tau in cfg["tau_values"]]
-    return {"bbu_rate.csv": (["area_m2", "bandwidth_hz", "bits_per_sample", "carrier_hz",
-                              "rate_bit_s"], rows),
-            "active_chains.csv": (["area_m2", "active_fraction", "chains_per_m2", "chains"],
-                                  chain_rows)}, [], {}
+    rates = [bbu_rate(*case) for case in cases]
+    area, density, taus = cfg["area"], cfg["chain_density"], cfg["tau_values"]
+    chains = [active_rf_chains(area, tau, density) for tau in taus]
+    tables = {"bbu_rate.csv": (["area_m2", "bandwidth_hz", "bits_per_sample", "carrier_hz",
+                                "rate_bit_s"], [*zip(*cases), rates]),
+              "active_chains.csv": (["area_m2", "active_fraction", "chains_per_m2", "chains"],
+                                    [[area] * len(taus), taus, [density] * len(taus), chains])}
+    return tables, [], {}
 
 
 def run_circuit_demo(cfg, seed):
@@ -588,7 +591,7 @@ def run_circuit_demo(cfg, seed):
     ]
     notes = [f"LNA params: R_v={lna.R_v} ohm, G_i={lna.G_i} S, beta={lna.beta}, "
              f"T={lna.temperature} K (configuration values)"]
-    return {"circuit_summary.csv": (["quantity", "value"], rows)}, notes, {}
+    return {"circuit_summary.csv": (["quantity", "value"], list(zip(*rows)))}, notes, {}
 
 
 _EXPERIMENTS: dict[str, tuple] = {
@@ -715,8 +718,8 @@ def run(experiment: str, config: dict | None = None, *, seed: int = 0,
     tables, notes, plots = fn(cfg, seed)
     run_dir = Path(out) / experiment / f"seed-{seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        write_csv(run_dir / name, header, rows)
+    for name, (header, columns) in tables.items():
+        write_csv(run_dir / name, header, columns)
     if svg:
         for name, spec in plots.items():
             write_svg(run_dir / name, *spec)

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import SpatialCorrelation, _full_spectrum
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, check_finite_nonnegative, check_finite_positive
 from .fields import speed_of_light
 
 __all__ = [
@@ -24,9 +24,9 @@ __all__ = [
 
 
 def dof_1d(length: float, wavelength: float) -> float:
-    """Spatial DoF 2 L / lambda observable on a line segment of length L."""
-    if length <= 0 or wavelength <= 0:
-        raise DomainError("length and wavelength must be positive")
+    """Spatial DoF 2 L / lambda observable on a line segment of length L; both
+    must be finite and positive."""
+    check_finite_positive(length=length, wavelength=wavelength)
     return 2.0 * length / wavelength
 
 
@@ -43,10 +43,11 @@ def dof_2d(length_x: float, length_y: float, wavelength: float) -> Dof2d:
     over-counts by the square-to-disk area ratio 4/pi.  pi Lx Ly / lambda^2
     is the large-aperture eigen count; a finite aperture's 0.99-capture rank
     exceeds it by an edge term that shrinks relative to the aperture (Landau's
-    eigenvalue theorem): 220 against 201 for a 16x16 lambda/2 UPA.
+    eigenvalue theorem): 220 against 201 for a 16x16 lambda/2 UPA.  The
+    lengths must be finite and >= 0, the wavelength finite and positive.
     """
-    if length_x < 0 or length_y < 0 or wavelength <= 0:
-        raise DomainError("lengths must be >= 0 and wavelength positive")
+    check_finite_nonnegative(length_x=length_x, length_y=length_y)
+    check_finite_positive(wavelength=wavelength)
     area = length_x * length_y / wavelength ** 2
     return Dof2d(np.pi * area, 4.0 * area, np.pi / 4.0)
 
@@ -98,17 +99,18 @@ def bbu_rate(area: float, bandwidth: float, bits_per_sample: float,
     """Baseband aggregation rate A B b f_c^2 pi / c^2 in bit/s.
 
     The minimum fronthaul rate when one sample per spatial DoF per Nyquist
-    interval is forwarded from an aperture of the given area.
+    interval is forwarded from an aperture of the given area.  Every argument
+    must be finite and nonnegative.
     """
-    if bandwidth < 0 or bits_per_sample < 0 or carrier_hz < 0 or area < 0:
-        raise DomainError("arguments must be nonnegative")
+    check_finite_nonnegative(area=area, bandwidth=bandwidth, bits_per_sample=bits_per_sample,
+                             carrier_hz=carrier_hz)
     return area * bandwidth * bits_per_sample * carrier_hz ** 2 * np.pi / speed_of_light ** 2
 
 
 def active_rf_chains(area: float, active_fraction: float, chain_density: float) -> float:
-    """RF chains A tau mu forwarded to the baseband unit at a time instant."""
+    """RF chains A tau mu forwarded to the baseband unit at a time instant;
+    area and chain density finite and nonnegative, tau in [0, 1]."""
     if not 0.0 <= active_fraction <= 1.0:
         raise DomainError("active_fraction must lie in [0, 1]")
-    if area < 0 or chain_density < 0:
-        raise DomainError("area and chain density must be nonnegative")
+    check_finite_nonnegative(area=area, chain_density=chain_density)
     return area * active_fraction * chain_density

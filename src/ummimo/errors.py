@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by all modules, and the finite-positive check."""
+"""Exception taxonomy shared by all modules, and the finite-positive and
+finite-nonnegative checks."""
 
 import math
 
@@ -26,3 +27,11 @@ def check_finite_positive(**values: float) -> None:
         # 0 < v < inf is false for NaN, so one comparison admits finite v > 0
         if not 0 < v < math.inf:
             raise DomainError(f"{name} must be finite and positive, got {v!r}")
+
+
+def check_finite_nonnegative(**values: float) -> None:
+    """DomainError("<name> must be finite and nonnegative, got <v>") for the
+    first value that is not; a NaN is neither."""
+    for name, v in values.items():
+        if not 0 <= v < math.inf:
+            raise DomainError(f"{name} must be finite and nonnegative, got {v!r}")

@@ -125,6 +125,22 @@ def _cell_rule(length: float, n_cells: int, wavelength: float):
             (half[..., None] * _GL_WEIGHTS).reshape(n_cells, -1))
 
 
+def _folded_rule(length: float, n_cells: int, wavelength: float):
+    """_cell_rule folded about the axis centre: blocks (nodes, weights,
+    multiplicity) of the cells i >= (n_cells - 1)/2, cell n_cells - 1 - i
+    being cell i's mirror image.  An odd count's centre cell is its own
+    mirror: it keeps its x > 0 nodes (the upper half, as the rule is
+    symmetric and has no node at 0) with doubled weights, multiplicity 1,
+    as a block of its own; the outer cells count twice."""
+    xs, ws = _cell_rule(length, n_cells, wavelength)
+    half = n_cells // 2
+    blocks = [(xs[n_cells - half:], ws[n_cells - half:], 2.0)] if half else []
+    if n_cells % 2:
+        upper = slice(xs.shape[1] // 2, None)
+        blocks.append((xs[half:half + 1, upper], 2.0 * ws[half:half + 1, upper], 1.0))
+    return blocks
+
+
 def aperture_gain(a: float, b: float, z: float, wavelength: float) -> float:
     """Gain of an a x b receiving aperture for a broadside point source at z.
 
@@ -145,21 +161,33 @@ def aperture_gain_subdivided(a: float, b: float, n_x: int, n_y: int,
     penalizes one large aperture.  Returns sum |I_ij|^2 over the cell
     integrals, in the same normalization as aperture_gain.  One composite
     Gauss-Legendre rule per axis serves all cells and keeps the relative
-    error below 1e-4; the integrand is evaluated over row-major chunks of
-    cells, so memory does not grow with n_x * n_y.
+    error below 1e-4.
+
+    The aperture is centred and |I_ij| depends on x^2 and y^2 only, so the
+    rule is folded about both axes: only the cells i >= (n_x - 1)/2 and
+    j >= (n_y - 1)/2 are integrated, each |I_ij|^2 weighted by 2 per axis on
+    which it has a distinct mirror cell; an odd axis's centre cell (the
+    whole axis when the count is 1) is integrated on the x > 0 half of its
+    nodes with doubled weights.
+    That takes about a quarter of the exp calls of the unfolded rule and
+    moves the result by float rounding only.  The integrand is evaluated
+    over row-major chunks of cells, so memory does not grow with n_x * n_y.
     """
     check_finite_positive(a=a, b=b, z=z, wavelength=wavelength)
     if n_x < 1 or n_y < 1:
         raise DomainError("subdivision counts must be >= 1")
-    xs, wx = _cell_rule(a, n_x, wavelength)
-    ys, wy = _cell_rule(b, n_y, wavelength)
-    step = max(1, _CHUNK_ENTRIES // (xs.shape[1] * ys.shape[1]))
+    y_blocks = _folded_rule(b, n_y, wavelength)
     power = 0.0
-    for start in range(0, n_x * n_y, step):
-        i, j = np.divmod(np.arange(start, min(start + step, n_x * n_y)), n_y)
-        r = np.sqrt(xs[i, :, None] ** 2 + ys[j, None, :] ** 2 + z ** 2)
-        cells = np.einsum("cp,cq,cpq->c", wx[i], wy[j], np.exp(-2j * np.pi / wavelength * r))
-        power += np.sum(np.abs(cells) ** 2)
+    for xs, wx, mx in _folded_rule(a, n_x, wavelength):
+        for ys, wy, my in y_blocks:
+            n_cells = len(xs) * len(ys)
+            step = max(1, _CHUNK_ENTRIES // (xs.shape[1] * ys.shape[1]))
+            for start in range(0, n_cells, step):
+                i, j = np.divmod(np.arange(start, min(start + step, n_cells)), len(ys))
+                r = np.sqrt(xs[i, :, None] ** 2 + ys[j, None, :] ** 2 + z ** 2)
+                cells = np.einsum("cp,cq,cpq->c", wx[i], wy[j],
+                                  np.exp(-2j * np.pi / wavelength * r))
+                power += mx * my * np.sum(np.abs(cells) ** 2)
     return float(power) / (isotropic_area(wavelength) * (a / n_x) * (b / n_y))
 
 

@@ -40,7 +40,7 @@ class TestLosChannel:
         tx = np.array([0.3, -0.1, 2.0])
         h = los_channel(geom, tx, "exact")
         amp = LAM / (4 * np.pi * 2.0)
-        assert np.allclose(np.abs(h), amp, rtol=1e-12)
+        assert np.allclose(np.abs(h), amp, rtol=1e-12, atol=0.0)
 
     def test_single_antenna_phase(self):
         geom = build_upa(1, 1, LAM, LAM, LAM)
@@ -64,7 +64,7 @@ class TestLosChannel:
         tx = np.array([0.05, 0.0, 0.3])
         h = los_channel(geom, tx, "exact", amplitude="per-element")
         d = np.linalg.norm(tx[None, :] - geom.positions, axis=1)
-        assert np.allclose(np.abs(h), LAM / (4 * np.pi * d), rtol=1e-12)
+        assert np.allclose(np.abs(h), LAM / (4 * np.pi * d), rtol=1e-12, atol=0.0)
 
     def test_coincident_transmitter_rejected(self):
         geom = build_ula(4, LAM / 2, LAM)

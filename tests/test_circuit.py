@@ -63,7 +63,7 @@ class TestMutualImpedance:
         vals = [mutual_impedance_z_dipoles(
             [rho * np.cos(a), rho * np.sin(a), z], LAM, L0)
             for a in (0.0, 0.7, 2.1, -1.3)]
-        assert np.allclose(vals, vals[0], rtol=1e-12)
+        assert np.allclose(vals, vals[0], rtol=1e-12, atol=0.0)
 
     def test_zero_separation_rejected(self):
         with pytest.raises(SingularityError):
@@ -161,8 +161,8 @@ class TestImpedanceSet:
         rx2 = ArrayGeometry(rx.positions + shift, LAM)
         a = impedance_set(tx, rx, L0)
         b = impedance_set(tx2, rx2, L0)
-        assert np.allclose(a.Z_T, b.Z_T, rtol=1e-12)
-        assert np.allclose(a.Z_RT, b.Z_RT, rtol=1e-12)
+        assert np.allclose(a.Z_T, b.Z_T, rtol=1e-12, atol=0.0)
+        assert np.allclose(a.Z_RT, b.Z_RT, rtol=1e-12, atol=0.0)
 
     def test_blocks_equal_per_pair_loop(self):
         # a tilted, shifted rx so that cos^2 of the separations is neither 0 nor 1
@@ -204,7 +204,7 @@ class TestEndToEndChannel:
         Z_T = r0 * np.eye(3)
         Z_RT = np.arange(6, dtype=complex).reshape(2, 3)
         imp = ImpedanceSet(Z_T, 40.0 * np.eye(2), Z_RT, r0)
-        assert np.allclose(end_to_end_channel(imp), Z_RT / (2 * r0))
+        assert np.allclose(end_to_end_channel(imp), Z_RT / (2 * r0), rtol=1e-15, atol=0.0)
 
     def test_scalar_case(self):
         z_t, z_rt, r0 = 30.0 + 10.0j, 2.0 - 1.0j, 50.0
@@ -220,7 +220,7 @@ class TestEndToEndChannel:
         imp = impedance_set(tx, rx, L0)
         H1 = end_to_end_channel(imp)
         imp2 = ImpedanceSet(imp.Z_T, imp.Z_R, 2.5 * imp.Z_RT, imp.R0)
-        assert np.allclose(end_to_end_channel(imp2), 2.5 * H1, rtol=1e-12)
+        assert np.allclose(end_to_end_channel(imp2), 2.5 * H1, rtol=1e-12, atol=0.0)
 
     def test_mutual_coupling_observable(self):
         # the same Z_RT produces a different H when tx coupling is ignored

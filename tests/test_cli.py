@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -13,8 +14,8 @@ from ummimo.errors import ConfigError, ContractError
 from ummimo.geometry import fraunhofer_square
 from ummimo.channel import los_channel
 from ummimo.cli import (list_experiments, main, parse_config_file, resolve_config,
-                        run, run_fig5, write_csv, _EXPERIMENTS, _HALF_POWER_X, _fmt,
-                        _numeric_beamdepth)
+                        run, run_beam, run_fig5, run_nf_factor, write_csv, _EXPERIMENTS,
+                        _HALF_POWER_X, _fmt, _numeric_beamdepth)
 from ummimo.geometry import build_ula
 from ummimo.mux import optimal_spacing, su_capacity
 
@@ -170,17 +171,17 @@ class TestRunArtifacts:
 
 class TestWriter:
     """write_csv formats column by column; the bytes are those of joining
-    _fmt of every value row by row."""
+    _fmt of every value row by row, the rows being the transposed columns."""
 
     @staticmethod
-    def _per_value(path: Path, header, rows) -> None:
+    def _per_value(path: Path, header, columns) -> None:
         lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(",".join(_fmt(v) for v in row) for row in zip(*columns))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
-    def _assert_same_bytes(self, tmp_path, header, rows):
-        write_csv(tmp_path / "columns.csv", header, rows)
-        self._per_value(tmp_path / "values.csv", header, rows)
+    def _assert_same_bytes(self, tmp_path, header, columns):
+        write_csv(tmp_path / "columns.csv", header, columns)
+        self._per_value(tmp_path / "values.csv", header, columns)
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
 
     def test_mixed_types_match_per_value_join(self, tmp_path):
@@ -191,19 +192,61 @@ class TestWriter:
                  np.float64(-x), np.float32(x), f"s{i}", x if i % 2 else i,
                  x if i % 2 else np.float64(x / 3))
                 for i, x in enumerate(specials)]
-        self._assert_same_bytes(tmp_path, header, rows)
+        self._assert_same_bytes(tmp_path, header, [list(col) for col in zip(*rows)])
         text = (tmp_path / "columns.csv").read_text(encoding="utf-8")
         assert "nan,nan" in text and "inf,-inf" in text and "-0.0,0.0" in text
 
+    def test_numpy_columns_match_per_value_join(self, tmp_path):
+        specials = [float("nan"), float("inf"), float("-inf"), -0.0, 0.1, 1e-300, 2.5e17]
+        columns = [np.array(specials), np.array(specials, dtype=np.float32),
+                   np.arange(-3, 4, dtype=np.int64) * 10 ** 12,
+                   np.arange(7) % 3 == 0, [f"s{i}" for i in range(7)]]
+        assert [col.dtype for col in columns[:4]] == [np.float64, np.float32, np.int64, bool]
+        self._assert_same_bytes(tmp_path, ["f64", "f32", "i64", "bool", "str"], columns)
+        lines = (tmp_path / "columns.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1] == "nan,nan,-3000000000000,true,s0"
+        assert lines[5] == f"0.1,{float(np.float32(0.1))!r},1000000000000,false,s4"
+
     def test_empty_rows(self, tmp_path):
-        self._assert_same_bytes(tmp_path, ["a", "b"], [])
+        self._assert_same_bytes(tmp_path, ["a", "b"], [[], []])
         assert (tmp_path / "columns.csv").read_text(encoding="utf-8") == "a,b\n"
+        write_csv(tmp_path / "arrays.csv", ["a", "b"], [np.zeros(0), np.zeros(0, dtype=int)])
+        assert (tmp_path / "arrays.csv").read_text(encoding="utf-8") == "a,b\n"
 
     def test_ragged_row_and_empty_header_rejected(self, tmp_path):
-        with pytest.raises(ContractError, match="row 1 has 1 values for 2 columns"):
-            write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2), (3,)])
+        with pytest.raises(ContractError, match=r"columns of unequal lengths \[2, 1\]"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 3], [2]])
+        with pytest.raises(ContractError, match=r"columns of unequal lengths \[3, 2\]"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
         with pytest.raises(ContractError, match="at least one column"):
-            write_csv(tmp_path / "t.csv", [], [(), ()])
+            write_csv(tmp_path / "t.csv", [], [])
+        with pytest.raises(ContractError, match="at least one column"):
+            write_csv(tmp_path / "t.csv", [], [[1], [2]])
+        for header, n_columns in ((["a", "b"], 1), (["a"], 2), (["a", "b"], 0)):
+            with pytest.raises(ContractError,
+                               match=f"{n_columns} columns for {len(header)} header names"):
+                write_csv(tmp_path / "t.csv", header, [[1.0]] * n_columns)
+        assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, fn, points",
+                         [("nf-factor", run_nf_factor, 20000), ("beam", run_beam, 2001)])
+def test_array_tables_add_no_per_row_objects(experiment, fn, points):
+    """An array-valued experiment hands its arrays to the writer: its tables
+    add fewer than 1 000 GC-tracked objects, not one per row.  Collection is
+    off while counting, so the count is deterministic."""
+    cfg = resolve_config(_EXPERIMENTS[experiment][2], {"points": points})
+    fn(cfg, 0)  # lazy imports and caches are made here, outside the count
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = fn(cfg, 0)
+        added = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert result[0] and added < 1000
 
 
 def _fig5_rows_per_spacing(cfg):
@@ -233,7 +276,8 @@ def _fig5_rows_per_spacing(cfg):
 def test_fig5_batched_rows_equal_per_spacing_loop(overrides):
     cfg = resolve_config(_EXPERIMENTS["fig5-su"][2], overrides)
     tables, _notes, _plots = run_fig5(cfg, 0)
-    _header, rows = tables["su_mimo_se.csv"]
+    _header, columns = tables["su_mimo_se.csv"]
+    rows = list(zip(*columns))
     want = _fig5_rows_per_spacing(cfg)
     assert len(rows) == len(want)
     for got_row, want_row in zip(rows, want):

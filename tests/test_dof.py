@@ -35,6 +35,22 @@ class TestFormulas:
 
     def test_zero_area(self):
         assert dof_2d(0.0, 1.0, LAM).eta == 0.0
+        assert dof_2d(0.0, 0.0, LAM).separable == 0.0
+
+    @pytest.mark.parametrize("length, lam", [(np.nan, LAM), (np.inf, LAM), (1.0, np.nan),
+                                             (1.0, np.inf), (0.0, LAM), (-1.0, LAM),
+                                             (1.0, 0.0)])
+    def test_1d_nonfinite_or_nonpositive_rejected(self, length, lam):
+        with pytest.raises(DomainError, match="must be finite and positive"):
+            dof_1d(length, lam)
+
+    @pytest.mark.parametrize("lx, ly, lam", [(1.0, np.nan, LAM), (np.nan, 1.0, LAM),
+                                             (np.inf, 1.0, LAM), (1.0, np.inf, LAM),
+                                             (-1.0, 1.0, LAM), (1.0, 1.0, np.nan),
+                                             (1.0, 1.0, np.inf), (1.0, 1.0, 0.0)])
+    def test_2d_nonfinite_or_negative_rejected(self, lx, ly, lam):
+        with pytest.raises(DomainError, match="must be finite and"):
+            dof_2d(lx, ly, lam)
 
 
 class TestEffectiveRank:
@@ -234,3 +250,21 @@ class TestDeploymentArithmetic:
     def test_bad_fraction_rejected(self):
         with pytest.raises(DomainError):
             active_rf_chains(1.0, 1.5, 1.0)
+
+    @pytest.mark.parametrize("args", [(np.nan, 0.5, 1.0), (1.0, 0.5, np.nan), (np.inf, 0.5, 1.0),
+                                      (1.0, 0.5, np.inf), (-1.0, 0.5, 1.0), (1.0, np.nan, 1.0)])
+    def test_active_chains_nonfinite_or_negative_rejected(self, args):
+        with pytest.raises(DomainError):
+            active_rf_chains(*args)
+
+    @pytest.mark.parametrize("args", [(np.nan, 1e8, 16, 3e9), (10.0, np.nan, 16, 3e9),
+                                      (10.0, 1e8, np.nan, 3e9), (10.0, 1e8, 16, np.nan),
+                                      (np.inf, 1e8, 16, 3e9), (10.0, 1e8, 16, np.inf),
+                                      (10.0, -1e8, 16, 3e9)])
+    def test_bbu_nonfinite_or_negative_rejected(self, args):
+        with pytest.raises(DomainError, match="must be finite and nonnegative"):
+            bbu_rate(*args)
+
+    def test_zero_arguments_stay_legal(self):
+        assert bbu_rate(10.0, 0.0, 0.0, 0.0) == 0.0
+        assert active_rf_chains(0.0, 0.5, 0.0) == 0.0

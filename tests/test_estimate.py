@@ -92,7 +92,7 @@ class TestReceivedPilot:
         pilot = orthogonal_pilot(4, 4, 2.0, 0.0)
         h = np.arange(4) + 1j
         y = received_pilot(pilot, h, RngStream(0))
-        assert np.allclose(y, np.sqrt(2.0) * pilot.phi @ h)
+        assert np.allclose(y, np.sqrt(2.0) * pilot.phi @ h, rtol=1e-14, atol=0.0)
 
     def test_pure_noise_variance(self):
         sigma2 = 0.3

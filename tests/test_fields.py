@@ -204,7 +204,10 @@ class TestApertureGain:
         assert aperture_gain(a, b, z_lam * LAM, LAM) == \
             aperture_gain_subdivided(a, b, 1, 1, z_lam * LAM, LAM)
 
-    @pytest.mark.parametrize("a_lam, b_lam, n_x, n_y", [(7.3, 4.1, 3, 5), (5.0, 5.0, 16, 16)])
+    @pytest.mark.parametrize("a_lam, b_lam, n_x, n_y", [
+        (7.3, 4.1, 3, 5), (5.0, 5.0, 16, 16),
+        # odd and degenerate layouts of the mirror fold, a != b
+        (7.3, 4.1, 1, 1), (4.1, 7.3, 3, 3), (6.2, 3.4, 5, 2), (2.9, 8.6, 1, 7)])
     @pytest.mark.parametrize("z_lam", [0.5, 8.0])
     def test_matches_per_cell_loop(self, a_lam, b_lam, n_x, n_y, z_lam):
         a, b, z = a_lam * LAM, b_lam * LAM, z_lam * LAM

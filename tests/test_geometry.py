@@ -11,12 +11,12 @@ class TestBuildUpa:
     def test_single_element_at_origin(self):
         geom = build_upa(1, 1, 0.005, 0.005, 0.01)
         assert geom.num_elements == 1
-        assert np.allclose(geom.positions, 0.0)
+        assert np.array_equal(geom.positions, np.zeros((1, 3)))
 
     def test_two_element_centering(self):
         lam = 1.0
         geom = build_upa(2, 1, lam / 2, lam / 2, lam)
-        assert np.allclose(sorted(geom.positions[:, 0]), [-lam / 4, lam / 4])
+        assert np.allclose(sorted(geom.positions[:, 0]), [-lam / 4, lam / 4], rtol=1e-15, atol=0.0)
 
     def test_reference_array_aperture(self):
         # 100 x 50 grid at 0.01 m spacing spans 1 m x 0.5 m
