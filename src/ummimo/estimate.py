@@ -48,13 +48,15 @@ class PilotMatrix:
 
     The average pilot power is normalized to one: trace(phi^H phi) = tau_p.
     phi is a read-only copy of the caller's matrix, so the operators the
-    estimators prepare from it (see `_prepared`) cannot go stale.
+    estimators prepare from it (see `_prepared`) cannot go stale.  A pilot
+    made by `_leading` keeps the pilot whose rows it took as its basis.
     """
 
     phi: np.ndarray
     power: float
     noise_power: float
     _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _basis: PilotMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         phi = np.array(self.phi, dtype=complex)
@@ -74,6 +76,18 @@ class PilotMatrix:
     @property
     def tau(self) -> int:
         return self.phi.shape[0]
+
+    def _leading(self, tau: int) -> PilotMatrix:
+        """The pilot of rows i mod self.tau, i < tau, of this one, at the same
+        powers.  For tau <= self.tau those are the leading rows, and this
+        pilot becomes the new one's basis: its OMP sensing matrix is then the
+        leading rows of the basis's one (see _omp_operator)."""
+        if tau < 1:
+            raise ContractError("tau must be >= 1")
+        child = PilotMatrix(self.phi[np.arange(tau) % self.tau], self.power, self.noise_power)
+        if tau <= self.tau:
+            object.__setattr__(child, "_basis", self)
+        return child
 
     @property
     def num_antennas(self) -> int:
@@ -118,8 +132,12 @@ def _freeze(*arrays):
 def orthogonal_pilot(m: int, tau: int, power: float, noise_power: float,
                      stream: RngStream | None = None) -> PilotMatrix:
     """Pilot with orthonormal rows (unitary when tau = m): row i is row
-    i mod len(F) of F, the m DFT rows without a stream, else Q^H from the thin
-    QR of the first min(tau, m) columns of a seeded complex Gaussian m x m."""
+    i mod m of the m x m unitary F, the DFT without a stream, else Q^H from
+    the QR of a seeded complex Gaussian m x m.  So the pilots of one stream
+    are nested: the leading tau rows of F.  Householder QR forms Q's first
+    tau columns from the first tau columns of the Gaussian alone, so those
+    rows are Q^H of the thin QR of those columns, bit for bit where LAPACK
+    factors unblocked (checked for m <= 64) and to rounding otherwise."""
     if tau < 1 or m < 1:
         raise ContractError("tau and m must be >= 1")
     if stream is None:
@@ -128,8 +146,8 @@ def orthogonal_pilot(m: int, tau: int, power: float, noise_power: float,
     else:
         g = stream.generator()
         G = g.standard_normal((m, m)) + 1j * g.standard_normal((m, m))
-        F = np.linalg.qr(G[:, :min(tau, m)])[0].conj().T
-    return PilotMatrix(F[np.arange(tau) % len(F)], power, noise_power)
+        F = np.linalg.qr(G)[0].conj().T
+    return PilotMatrix(F[np.arange(tau) % m], power, noise_power)
 
 
 def received_pilot(pilot: PilotMatrix, h: np.ndarray, stream: RngStream) -> np.ndarray:
@@ -338,13 +356,39 @@ def build_ff_dictionary(geom: ArrayGeometry, density: int) -> Dictionary:
     kappa = 2.0 * np.pi / geom.wavelength
     Ex, Ey = (np.exp(-1j * kappa * np.outer(geom.positions[:, axis], idx / float(n)))
               for axis in (0, 1))
-    atoms = Ex[:, I[keep] + n] * Ey[:, J[keep] + n]
+    atoms = Ex[:, I[keep] + n]
+    iy = J[keep] + n
+    for row, ey in zip(atoms, Ey):  # row by row: no second M x K temporary
+        row *= ey[iy]
     return Dictionary(*_freeze(atoms, grid))
 
 
+def _sensing(pilot: PilotMatrix, dictionary: Dictionary) -> np.ndarray:
+    """sqrt(p) phi atoms, scaled in place."""
+    A = pilot.phi @ dictionary.atoms
+    A *= np.sqrt(pilot.power)
+    return A
+
+
 def _omp_operator(pilot: PilotMatrix, dictionary: Dictionary):
-    A = np.sqrt(pilot.power) * (pilot.phi @ dictionary.atoms)
-    norms = np.linalg.norm(A, axis=0)
+    """The sensing matrix sqrt(p) phi atoms and its column norms.  A pilot
+    with a basis (see PilotMatrix._leading) takes the leading rows of its
+    basis's sensing matrix, formed once and kept on the basis when the atoms
+    are read-only: row i of a matrix product depends on row i of phi alone,
+    and BLAS gives the same bits (checked at fig11's 64 x 5025 shapes)."""
+    basis = pilot._basis
+    if basis is None or not _read_only(dictionary.atoms):
+        A = _sensing(pilot, dictionary)
+    else:
+        A = basis._prepared("sensing", dictionary, True,
+                            lambda: (_freeze(_sensing(basis, dictionary))[0], None))
+        A = A[:pilot.tau]
+    # np.linalg.norm(A, axis=0) sums |a|^2 row after row; so does this loop,
+    # bit for bit, without two tau_p x K temporaries
+    norms = np.zeros(A.shape[1])
+    for row in A:
+        norms += (row.conj() * row).real
+    norms = np.sqrt(norms)
     norms[norms == 0] = 1.0
     return _freeze(A, norms), None
 
@@ -362,10 +406,16 @@ def _omp_block(A: np.ndarray, norms: np.ndarray, Y: np.ndarray, sparsity: int,
     active = np.arange(T)
     Yt = Y.T
     residual = Yt
+    # one T x K product and one magnitude buffer serve every iteration:
+    # fresh multi-MiB temporaries per iteration cost their page faults each time
+    product = np.empty((T, A.shape[1]), dtype=complex)
+    magnitude = np.empty((T, A.shape[1]))
     for k in range(sparsity):
         # |r^H a_j| / ||a_j|| for every column r and atom j; the conjugate
         # of the residual block, never of the tau_p x K sensing matrix
-        corr = np.abs(residual.conj() @ A) / norms
+        n = active.size
+        corr = np.abs(np.matmul(residual.conj(), A, out=product[:n]), out=magnitude[:n])
+        corr /= norms
         corr[np.arange(active.size)[:, None], selected[active, :k]] = -1.0
         selected[active, k] = np.argmax(corr, axis=1)  # the lowest index wins ties
         As = A[:, selected[active, :k + 1]].transpose(1, 0, 2)  # (T_active, tau_p, k + 1)
@@ -458,12 +508,15 @@ def nmse_sweep(estimator: str, tau_values, *, power: float, noise_power: float,
     The channels are drawn by `sampler(stream, trials)`, which returns an
     M x trials batch (default: correlated Rayleigh from `corr`); pilots are
     the estimator's own design (water-filling for MMSE, optimal subspace
-    pilots for RS-LS, orthonormal rows otherwise).  Deterministic for a fixed
-    master stream: sweep point i draws its channels from
-    stream.split(i).split(0) and its tau_p x trials pilot noise from
-    stream.split(i).split(1), each as one block, and the estimator then runs
-    once on the whole batch, so its pilot checks run once per sweep point.
-    Memory is O(M * trials).
+    pilots for RS-LS, orthonormal rows otherwise).  The orthonormal pilots
+    are orthogonal_pilot's: its unitary M x M pilot is drawn from
+    pilot_stream once per sweep, and each pilot is its leading tau_p rows (see
+    PilotMatrix._leading), so OMP forms one sensing matrix per sweep; the
+    basis is dropped with the sweep.  Deterministic for a fixed master
+    stream: sweep point i draws its channels from stream.split(i).split(0)
+    and its tau_p x trials pilot noise from stream.split(i).split(1), each
+    as one block, and the estimator then runs once on the whole batch, so
+    its pilot checks run once per sweep point.  Memory is O(M * trials).
     """
     if estimator not in _ESTIMATORS:
         raise ConfigError(f"unknown estimator {estimator!r}; expected one of {_ESTIMATORS}")
@@ -484,6 +537,7 @@ def nmse_sweep(estimator: str, tau_values, *, power: float, noise_power: float,
         trace_r = float(np.trace(corr.R).real)
 
     results = []
+    basis = None
     for i, tau in enumerate(tau_values):
         tau = int(tau)
         point = stream.split(i)
@@ -493,7 +547,10 @@ def nmse_sweep(estimator: str, tau_values, *, power: float, noise_power: float,
         elif estimator == "rs-ls":
             pilot = rsls_pilot(subspace, tau, power, noise_power)
         else:
-            pilot = orthogonal_pilot(H.shape[0], tau, power, noise_power, pilot_stream)
+            if basis is None:
+                m = H.shape[0]
+                basis = orthogonal_pilot(m, m, power, noise_power, pilot_stream)
+            pilot = basis._leading(tau)
         Y = received_pilot(pilot, H, point.split(1))
         if estimator == "ls":
             Hh = ls_estimate(Y, pilot)

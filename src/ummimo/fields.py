@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -125,20 +126,24 @@ def _cell_rule(length: float, n_cells: int, wavelength: float):
             (half[..., None] * _GL_WEIGHTS).reshape(n_cells, -1))
 
 
+@lru_cache(maxsize=16)
 def _folded_rule(length: float, n_cells: int, wavelength: float):
     """_cell_rule folded about the axis centre: blocks (nodes, weights,
     multiplicity) of the cells i >= (n_cells - 1)/2, cell n_cells - 1 - i
     being cell i's mirror image.  An odd count's centre cell is its own
     mirror: it keeps its x > 0 nodes (the upper half, as the rule is
     symmetric and has no node at 0) with doubled weights, multiplicity 1,
-    as a block of its own; the outer cells count twice."""
+    as a block of its own; the outer cells count twice.  Computed once per
+    (length, n_cells, wavelength) and shared read-only."""
     xs, ws = _cell_rule(length, n_cells, wavelength)
     half = n_cells // 2
     blocks = [(xs[n_cells - half:], ws[n_cells - half:], 2.0)] if half else []
     if n_cells % 2:
         upper = slice(xs.shape[1] // 2, None)
         blocks.append((xs[half:half + 1, upper], 2.0 * ws[half:half + 1, upper], 1.0))
-    return blocks
+    for nodes, weights, _ in blocks:
+        nodes.flags.writeable = weights.flags.writeable = False
+    return tuple(blocks)
 
 
 def aperture_gain(a: float, b: float, z: float, wavelength: float) -> float:

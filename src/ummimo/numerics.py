@@ -80,12 +80,24 @@ def unit_directions(azimuth, elevation) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _gauss_legendre(n: int):
+    """Read-only (nodes, weights) of the n-node Gauss-Legendre rule on
+    [-1, 1], computed once per node count and shared by the grids and the
+    one-dimensional integrals built on it."""
+    rule = leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+@lru_cache(maxsize=16)
 def _grid_nodes(n_az: int, n_el: int, az_half: float):
     """Flat read-only (azimuth, elevation, weights) of the Gauss-Legendre
     grid over az in [-az_half, az_half], el in [-pi/2, pi/2], computed once
-    per size and shared by every grid of that size."""
-    xa, wa = leggauss(n_az)
-    xe, we = leggauss(n_el)
+    per size from the per-axis rules of _gauss_legendre and shared by every
+    grid of that size."""
+    xa, wa = _gauss_legendre(n_az)
+    xe, we = _gauss_legendre(n_el)
     AZ, EL = np.meshgrid(xa * az_half, xe * (np.pi / 2), indexing="ij")
     W = np.outer(wa, we) * (az_half * (np.pi / 2)) * np.cos(EL)
     nodes = AZ.ravel(), EL.ravel(), W.ravel()

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from ummimo import channel
+from ummimo import channel, numerics
 from ummimo.errors import ContractError, DomainError, SingularityError
 from ummimo.channel import (array_response, correlation_matrix,
                             gaussian_cluster_profile, isotropic_profile,
@@ -236,7 +238,7 @@ class TestLagTable:
         # the same nodes shuffled: the per-elevation-ring sums must not
         # depend on the grid listing each ring's nodes together, nor on node
         # chunks splitting a ring
-        monkeypatch.setattr(channel, "_CHUNK_ENTRIES", 1000)
+        monkeypatch.setattr(channel, "_LAG_CHUNK_ENTRIES", 1000)
         rng = np.random.default_rng(n_x * 10 + n_y)
         geom = build_upa(n_x, n_y, fx * LAM, fy * LAM, LAM)
         n = max(90, channel._nodes_needed(geom))
@@ -248,6 +250,27 @@ class TestLagTable:
         R_dense = correlation_matrix(ArrayGeometry(geom.positions, LAM), profile, grid).R
         assert np.max(np.abs(R - R_dense)) < 1e-12 * np.max(np.abs(R_dense))
         assert np.array_equal(R, R.conj().T)
+
+    @pytest.mark.parametrize("n_x, n_y, frac", [(8, 8, 0.25), (16, 8, 0.5), (64, 1, 0.5)])
+    def test_phase_recurrence_equals_direct_exp_sum(self, n_x, n_y, frac):
+        # oracle: T[l] = sum_q g_q exp(-j kappa (u_x l_x dx + u_y l_y dy)),
+        # one exp per node and lag, against the block-doubled powers of
+        # exp(-j kappa u_x dx) summed per elevation ring
+        geom = build_upa(n_x, n_y, frac * LAM, frac * LAM, LAM)
+        profile = gaussian_cluster_profile(
+            [(0.0, 0.0), (np.pi / 4, 0.0), (-np.pi / 4, 0.0)], np.deg2rad(10.0))
+        n = channel._nodes_needed(geom)
+        grid = hemisphere_grid(max(180, n), max(90, n))
+        g = profile.density(grid.azimuth, grid.elevation) * grid.weights
+        T = channel._lag_table(geom, grid, g)
+        kappa = 2.0 * np.pi / LAM
+        ux = np.sin(grid.azimuth) * np.cos(grid.elevation)
+        uy = np.sin(grid.elevation)
+        ly = np.arange(1 - n_y, n_y) * geom.lattice.dy
+        direct = np.array([
+            g @ np.exp(-1j * kappa * (np.outer(ux, l_x * geom.lattice.dx) + np.outer(uy, ly)))
+            for l_x in range(1 - n_x, n_x)])
+        assert np.max(np.abs(T - direct)) <= 1e-14 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("n_x, n_y", [(8, 8), (5, 3), (12, 1), (1, 6)])
     def test_exactly_hermitian_with_trace_m_beta(self, n_x, n_y):
@@ -308,6 +331,49 @@ class TestClusterProfile:
         profile = gaussian_cluster_profile([(0.5, 0.0), (-0.5, 0.0)], np.deg2rad(10))
         corr = correlation_matrix(geom, profile)
         assert np.max(np.abs(corr.R.imag)) < 1e-10  # even density in azimuth
+
+    @pytest.mark.parametrize("std_deg", [0.5, 1.0, 2.0, 10.0, 40.0])
+    @pytest.mark.parametrize("centers", [
+        [(0.0, 0.0), (np.pi / 4, 0.0), (-np.pi / 4, 0.0)], [(1.4, 1.2)]],
+        ids=["horizon", "corner"])
+    def test_density_integrates_to_one(self, centers, std_deg):
+        # oracle: the density itself, summed on tensor Gauss-Legendre rules
+        # from mpmath over panels cut at every centre and at +-9 std of it, so
+        # each panel holds a smooth piece of at most 9 std of any cluster
+        mpmath = pytest.importorskip("mpmath")
+        from mpmath.calculus.quadrature import GaussLegendre
+        nodes = GaussLegendre(mpmath.mp).calc_nodes(6, 80)  # 96 nodes
+        x = np.array([float(a) for a, _ in nodes])
+        w = np.array([float(b) for _, b in nodes])
+        std = np.deg2rad(std_deg)
+        profile = gaussian_cluster_profile(centers, std)
+
+        def panels(cs):
+            cuts = {-np.pi / 2, np.pi / 2}
+            for c in cs:
+                cuts |= {c, c - 9.0 * std, c + 9.0 * std}
+            cuts = sorted(c for c in cuts if abs(c) <= np.pi / 2)
+            return [(0.5 * (hi + lo) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w)
+                    for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+        terms = []
+        for az, w_az in panels([c[0] for c in centers]):
+            for el, w_el in panels([c[1] for c in centers]):
+                AZ, EL = np.meshgrid(az, el, indexing="ij")
+                terms.append(profile.density(AZ, EL) * np.cos(EL) * np.outer(w_az, w_el))
+        total = math.fsum(np.concatenate([t.ravel() for t in terms]))
+        assert abs(total - 1.0) <= 1e-12
+
+    def test_normalisation_builds_no_grid(self, monkeypatch):
+        # the mass is separable: one cached 64-node rule, no 2-D grid
+        calls = []
+        monkeypatch.setattr(numerics, "leggauss",
+                            lambda n: calls.append(n) or np.polynomial.legendre.leggauss(n))
+        numerics._gauss_legendre.cache_clear()
+        grids = numerics._grid_nodes.cache_info().misses
+        gaussian_cluster_profile([(0.0, 0.0), (0.3, -0.2)], np.deg2rad(5.0))
+        assert numerics._grid_nodes.cache_info().misses == grids
+        assert calls == [channel._CLUSTER_NODES]
 
     def test_invalid_std_rejected(self):
         with pytest.raises(ContractError):

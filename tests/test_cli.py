@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ummimo
+from ummimo import numerics
 from ummimo.beam import beamdepth_3db, depth_gain
 from ummimo.errors import ConfigError, ContractError
 from ummimo.geometry import fraunhofer_square
@@ -247,6 +248,20 @@ def test_array_tables_add_no_per_row_objects(experiment, fn, points):
         if enabled:
             gc.enable()
     assert result[0] and added < 1000
+
+
+def test_fig9_builds_no_rule_above_the_working_grid(monkeypatch):
+    """fig9's cold start: its cluster profile is normalised without a 2-D
+    reference grid, so no Gauss-Legendre rule finer than the 180 x 90
+    working grid is built."""
+    calls = []
+    monkeypatch.setattr(numerics, "leggauss",
+                        lambda n: calls.append(n) or np.polynomial.legendre.leggauss(n))
+    numerics._gauss_legendre.cache_clear()
+    numerics._grid_nodes.cache_clear()
+    cfg = resolve_config(_EXPERIMENTS["fig9"][2], {"trials": 2})
+    assert _EXPERIMENTS["fig9"][0](cfg, 0)[0]
+    assert calls and max(calls) <= 180
 
 
 def _fig5_rows_per_spacing(cfg):

@@ -77,6 +77,35 @@ class TestPilotMatrix:
         pilot = orthogonal_pilot(m, tau, 1.0, 0.1, stream)
         assert np.array_equal(pilot.phi, _three_branch_pilot(m, tau, stream))
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 16, 33, 64])
+    def test_leading_rows_equal_thin_qr(self, m):
+        # the pilots of one stream are nested: tau_p rows of the full QR are
+        # the thin QR of the first tau_p columns, bit for bit at m <= 64
+        for tau in sorted({1, (m + 1) // 2, m - 1, m} - {0}):
+            stream = RngStream(40 + m)
+            g = stream.generator()
+            G = g.standard_normal((m, m)) + 1j * g.standard_normal((m, m))
+            thin = np.linalg.qr(G[:, :tau])[0].conj().T
+            assert np.array_equal(orthogonal_pilot(m, tau, 1.0, 0.1, stream).phi, thin)
+
+    def test_leading_rows_near_thin_qr_past_64(self):
+        m, stream = 100, RngStream(41)
+        g = stream.generator()
+        G = g.standard_normal((m, m)) + 1j * g.standard_normal((m, m))
+        for tau in (1, 37, 64, 99):
+            thin = np.linalg.qr(G[:, :tau])[0].conj().T
+            assert np.max(np.abs(orthogonal_pilot(m, tau, 1.0, 0.1, stream).phi - thin)) <= 1e-13
+
+    def test_leading_child_takes_rows_of_its_basis(self):
+        basis = orthogonal_pilot(8, 8, 2.0, 0.3, RngStream(42))
+        for tau, rows in ((3, [0, 1, 2]), (8, list(range(8))), (11, [*range(8), 0, 1, 2])):
+            child = basis._leading(tau)
+            assert np.array_equal(child.phi, basis.phi[rows])
+            assert (child.power, child.noise_power) == (2.0, 0.3)
+            assert child._basis is (basis if tau <= 8 else None)
+        with pytest.raises(ContractError):
+            basis._leading(0)
+
     def test_orthogonal_pilot_unitary(self):
         pilot = orthogonal_pilot(8, 8, 1.0, 0.1)
         assert np.allclose(pilot.phi @ pilot.phi.conj().T, np.eye(8), atol=1e-12)
@@ -447,6 +476,19 @@ class TestDictionary:
         with pytest.raises(DomainError, match="density"):
             build_ff_dictionary(geom, density)
 
+    def test_atoms_bit_identical_to_gathered_product(self):
+        # the row-by-row product in place equals the product of the two
+        # gathered per-axis tables
+        geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
+        n = 40
+        d = build_ff_dictionary(geom, n)
+        idx = np.arange(-n, n + 1)
+        kappa = 2.0 * np.pi / LAM
+        Ex, Ey = (np.exp(-1j * kappa * np.outer(geom.positions[:, a], idx / float(n)))
+                  for a in (0, 1))
+        i, j = (np.rint(d.grid * n).astype(int) + n).T
+        assert np.array_equal(d.atoms, Ex[:, i] * Ey[:, j])
+
     def test_atom_norms_and_disk(self):
         geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
         d = build_ff_dictionary(geom, 4)
@@ -667,6 +709,49 @@ class TestPreparedOperators:
             with pytest.warns(RuntimeWarning, match="rank-deficient") as record:
                 ls_estimate(np.ones(4, dtype=complex), pilot)
             assert record[0].filename == __file__
+
+
+class TestNestedPilotSensing:
+    """OMP on a _leading child takes the leading rows of its basis's sensing
+    matrix: the same bits as the child's own product at fig11's shapes."""
+
+    def setup_method(self):
+        self.geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
+        self.dict = build_ff_dictionary(self.geom, 40)  # 64 x 5025
+
+    @pytest.mark.parametrize("tau", [4, 10, 33, 64])
+    def test_child_sensing_equals_own_product(self, tau):
+        p = 10.0
+        basis = orthogonal_pilot(64, 64, p, 1.0, RngStream(43))
+        child = basis._leading(tau)
+        A, norms = estimate._omp_operator(child, self.dict)[0]
+        want = np.sqrt(p) * (child.phi @ self.dict.atoms)
+        assert np.array_equal(A, want)
+        assert np.array_equal(norms, np.linalg.norm(want, axis=0))
+        assert np.shares_memory(A, basis._operators[("sensing", id(self.dict))][1])
+        alone = estimate._omp_operator(PilotMatrix(child.phi, p, 1.0), self.dict)[0]
+        assert np.array_equal(alone[0], want) and np.array_equal(alone[1], norms)
+
+    @pytest.mark.parametrize("est", ["ls", "omp"])
+    def test_sweep_equals_fresh_thin_qr_pilots(self, est):
+        # oracle: per sweep point a fresh pilot from the thin QR, its own
+        # sensing matrix and one batched estimator call
+        taus, p, sigma2, trials = [4, 8, 10, 16, 24, 32, 48, 64], 10.0, 1.0, 6
+        sampler = _sparse_sampler(self.geom, self.dict, 3, False, 0.45 * np.pi)
+        stream, pilot_stream = RngStream(44), RngStream(45)
+        res = nmse_sweep(est, taus, power=p, noise_power=sigma2, trials=trials,
+                         stream=stream, dictionary=self.dict, sparsity=3, sampler=sampler,
+                         trace_r=64.0, pilot_stream=pilot_stream)
+        for i, (tau, r) in enumerate(zip(taus, res)):
+            g = pilot_stream.generator()
+            G = g.standard_normal((64, 64)) + 1j * g.standard_normal((64, 64))
+            pilot = PilotMatrix(np.linalg.qr(G[:, :tau])[0].conj().T, p, sigma2)
+            H = sampler(stream.split(i).split(0), trials)
+            Y = received_pilot(pilot, H, stream.split(i).split(1))
+            Hh = ls_estimate(Y, pilot) if est == "ls" else omp_estimate(Y, pilot, self.dict, 3)[0]
+            errs = np.linalg.norm(Hh - H, axis=0) ** 2
+            assert r.nmse == float(errs.mean() / 64.0)
+            assert r.stderr == float(errs.std(ddof=1) / np.sqrt(trials) / 64.0)
 
 
 class TestNmseSweep:

@@ -7,7 +7,7 @@ from ummimo.errors import DomainError, SingularityError
 from ummimo.fields import (DipoleSegment, aperture_gain, aperture_gain_subdivided,
                            array_field, dipole_field, edge_phase_and_power, epsilon_0,
                            isotropic_area, near_field_factor, speed_of_light,
-                           _amplitudes, _basis_matrix)
+                           _amplitudes, _basis_matrix, _cell_rule, _folded_rule)
 
 LAM = 0.01
 
@@ -149,6 +149,20 @@ def _gain_by_cells(a, b, n_x, n_y, z, lam, refine=1):
 
 
 class TestApertureGain:
+    @pytest.mark.parametrize("n_cells", [1, 4, 5])
+    def test_folded_rule_cached_read_only(self, n_cells):
+        # one rule per (length, cells, wavelength), shared read-only, with
+        # the cells and weights of _cell_rule
+        blocks = _folded_rule(5 * LAM, n_cells, LAM)
+        assert _folded_rule(5 * LAM, n_cells, LAM) is blocks
+        xs, ws = _cell_rule(5 * LAM, n_cells, LAM)
+        half = n_cells // 2
+        if half:
+            assert np.array_equal(blocks[0][0], xs[n_cells - half:])
+            assert np.array_equal(blocks[0][1], ws[n_cells - half:])
+        for nodes, weights, _ in blocks:
+            assert not nodes.flags.writeable and not weights.flags.writeable
+
     def test_near_field_loss(self):
         a = b = 5 * LAM
         ratio = aperture_gain(a, b, 8 * LAM, LAM) / (a * b / isotropic_area(LAM))
