@@ -228,11 +228,15 @@ def gaussian_cluster_profile(centers, std: float, beta: float = 1.0,
     separable: its azimuth factor is exact by erf and its elevation factor
     comes from one cached 64-node Gauss-Legendre rule (see _cluster_mass), so
     no two-dimensional grid is built and the density integrates to 1 within
-    1e-12 at any std.
+    1e-12 at any std.  A non-finite std, centre or weight raises DomainError.
     """
+    if not math.isfinite(std):
+        raise DomainError(f"angular std must be finite, got {std!r}")
     if std <= 0:
         raise ContractError("angular std must be positive")
     centers = [(float(a), float(e)) for (a, e) in centers]
+    if not all(math.isfinite(a) and math.isfinite(e) for a, e in centers):
+        raise DomainError(f"cluster centers must be finite, got {centers}")
     for a, e in centers:
         if abs(a) > np.pi / 2 or abs(e) > np.pi / 2:
             raise ContractError("cluster centers must lie in the front hemisphere")
@@ -240,6 +244,8 @@ def gaussian_cluster_profile(centers, std: float, beta: float = 1.0,
         weights = np.full(len(centers), 1.0 / len(centers))
     else:
         weights = np.asarray(weights, dtype=float)
+        if not np.all(np.isfinite(weights)):
+            raise DomainError(f"cluster weights must be finite, got {weights}")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise ContractError("cluster weights must sum to 1")
 
@@ -295,7 +301,8 @@ def steering_matrix(geom: ArrayGeometry, azimuth: np.ndarray,
     """Array responses for many directions at once, shape (Q, M)."""
     u = unit_directions(azimuth, elevation)
     kappa = 2.0 * np.pi / geom.wavelength
-    return np.exp(-1j * kappa * (u @ geom.positions.T))
+    S = -1j * kappa * (u @ geom.positions.T)
+    return np.exp(S, out=S)
 
 
 def _is_planar_in_z(geom: ArrayGeometry) -> bool:
@@ -331,18 +338,23 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
         raise ContractError(f"tx must be (3,) or (K, 3), got shape {tx.shape}")
     if not np.all(np.isfinite(tx)):
         raise DomainError("tx must be finite: a transmitter position holds NaN or inf")
-    t = np.atleast_2d(tx)[:, None, :]  # (K, 1, 3) against the (M, 3) elements
+    t = np.atleast_2d(tx)  # (K, 3) against the (M, 3) elements
     lam = geom.wavelength
     pos = geom.positions
-    dist = np.linalg.norm(t - pos, axis=-1)  # (K, M)
+    trans2, dy, dz = (np.subtract.outer(t[:, a], pos[:, a]) for a in range(3))  # (K, M) each
+    trans2 *= trans2
+    dy *= dy
+    trans2 += dy  # dx^2 + dy^2
+    dz *= dz
+    dz += trans2  # squared distances in np.linalg.norm's order, (dx^2 + dy^2) + dz^2
+    dist = np.sqrt(dz, out=dz)
     if np.any(dist == 0):
         raise SingularityError("transmitter coincides with an array element")
 
-    z = np.abs(t[..., 2] - _plane_z(geom))  # (K, 1)
+    z = np.abs(t[:, 2:] - _plane_z(geom))  # (K, 1)
     if mode == "fresnel":
         if np.any(z <= 0):
             raise DomainError("fresnel mode requires the transmitter off the array plane")
-        trans2 = (t[..., 0] - pos[:, 0]) ** 2 + (t[..., 1] - pos[:, 1]) ** 2
         path = z + trans2 / (2.0 * z)
     else:
         path = dist
@@ -350,7 +362,9 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
     if amplitude == "common" and np.any(z <= 0):
         raise DomainError("common amplitude requires the transmitter off the array plane")
     r = z if amplitude == "common" else dist
-    h = lam / (4.0 * np.pi * r) * np.exp(-2j * np.pi / lam * path)
+    h = -2j * np.pi / lam * path  # the phase, then the wave, then times the amplitude
+    np.exp(h, out=h)
+    h *= lam / (4.0 * np.pi * r)
     return h.T if tx.ndim == 2 else h[0]
 
 
@@ -443,14 +457,16 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
                        grid: QuadratureGrid | None = None) -> SpatialCorrelation:
     """Spatial correlation matrix of the angular scattering model.
 
-    The profile must integrate to 1 on the grid (contract check at 1e-3);
-    trace(R) then equals M beta to the same accuracy.  Which path runs:
+    The profile must integrate to 1 on the grid (contract check at 1e-3; a
+    NaN integral fails it); trace(R) then equals M beta to the same accuracy.  Which path runs:
 
     * the profile of isotropic_profile() on an array in one plane z = const:
       the exact closed form beta * sinc(2 |p_m - p_n| / lambda).  A builder
       array fills its lag table T[l] = beta * sinc(2 hypot(l_x dx, l_y dy) /
       lambda); caller positions take it pairwise.  The grid (default
-      hemisphere_grid()) only serves the normalisation check.
+      hemisphere_grid(), on which the density 1/(2 pi) integrates to 1
+      within 1e-12) only serves the normalisation check, which a grid the
+      caller passes must pass too.
     * any other profile or array: quadrature beta * sum_q f_q w_q s_q s_q^H,
       accumulated over node chunks.  A builder array fills its lag table
       (see _lag_table: f w beta A summed per elevation ring, then one product
@@ -484,7 +500,7 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
                                 f"aperture, which needs {n} nodes per axis")
     f = profile.density(grid.azimuth, grid.elevation)  # evaluated once, for both uses
     total = float(np.real(grid.integrate(f)))
-    if abs(total - 1.0) > 1e-3:
+    if not abs(total - 1.0) <= 1e-3:  # so that a NaN total fails too
         raise ContractError(
             f"scattering density integrates to {total:.6f} on this grid, not 1"
         )

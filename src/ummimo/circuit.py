@@ -34,13 +34,27 @@ __all__ = [
 Boltzmann = 1.380649e-23  # J/K, exact in SI
 
 
+def _psd_within(A: np.ndarray, rtol: float) -> bool:
+    """Whether the Hermitian A has min eig(A) >= -rtol ||A||_F, up to rounding
+    at the threshold, from one Cholesky factorisation of A + max(rtol
+    ||A||_F, 1e-300) I: it exists exactly when every eigenvalue of A exceeds
+    minus that shift.  A zero A passes; a NaN entry fails."""
+    shift = max(rtol * np.linalg.norm(A), 1e-300)
+    try:
+        np.linalg.cholesky(A + shift * np.eye(A.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class ImpedanceSet:
     """Partitioned impedance blocks of a unilateral tx/rx antenna system.
 
     Z_T and Z_R are complex symmetric (reciprocity: non-conjugate transpose
-    symmetry) with positive-semidefinite real parts; Z_RT couples transmit
-    currents to receive open-circuit voltages.
+    symmetry) with positive-semidefinite real parts, min eig(Re Z) >= -1e-8
+    ||Re Z||_F, checked by one Cholesky factorisation (see _psd_within); Z_RT
+    couples transmit currents to receive open-circuit voltages.
     """
 
     Z_T: np.ndarray
@@ -54,9 +68,7 @@ class ImpedanceSet:
             scale = max(np.linalg.norm(Z), 1e-300)
             if np.linalg.norm(Z - Z.T) > 1e-8 * scale:
                 raise ContractError(f"{name} must be symmetric (reciprocity)")
-            re = 0.5 * np.real(Z + Z.conj().T)
-            w = np.linalg.eigvalsh(re)
-            if w.min() < -1e-8 * np.linalg.norm(re):
+            if not _psd_within(0.5 * np.real(Z + Z.conj().T), 1e-8):
                 raise ContractError(f"Re({name}) must be positive semidefinite")
             object.__setattr__(self, name, Z)
         Z_RT = np.asarray(self.Z_RT, dtype=complex)
@@ -83,17 +95,57 @@ class LnaParams:
             raise ContractError("temperature must be positive")
 
 
-def _dipole_bracket(p: np.ndarray, kappa: float) -> complex | np.ndarray:
-    """[d^2/dz^2 + kappa^2] e^{j kappa r} / (4 pi r) in closed form, over the
-    last axis of a (..., 3) separation array."""
-    r = np.linalg.norm(p, axis=-1)
+def _out(a):
+    """a, to be overwritten by a ufunc, or None for a numpy scalar, which is
+    immutable.  It lets _dipole_bracket run in place on arrays while one
+    separation vector (mutual_impedance_z_* on a (3,) p, as circuit-demo
+    calls it) keeps numpy's scalar pow and complex division, which can round
+    differently from the array loops in the last bit."""
+    return a if isinstance(a, np.ndarray) else None
+
+
+def _dipole_bracket(dx, dy, dz, kappa: float):
+    """[d^2/dz^2 + kappa^2] e^{j kappa r} / (4 pi r) in closed form, for the
+    separations given per axis: three arrays of one shape, or the three
+    components of one vector.
+
+    Fresh arrays are overwritten in place, in the operation order of the
+    formula over a (..., 3) array, so each entry is the same bit for bit:
+    r^2 sums (dx^2 + dy^2) + dz^2, as np.linalg.norm does, and the bracket
+    depends on the separation only through dx^2, dy^2, dz^2 and (dz / r)^2,
+    so p and -p give the same value.  One vector keeps numpy's scalar
+    arithmetic throughout.
+    """
+    r = dx * dx
+    r += dy * dy
+    r += dz * dz
+    r = np.sqrt(r, out=_out(r))
     if np.any(r == 0.0):
         raise SingularityError("zero separation; use self_resistance for Re Z(0)")
-    cos2 = (p[..., 2] / r) ** 2
-    sin2 = 1.0 - cos2
-    return np.exp(1j * kappa * r) / (4.0 * np.pi) * (
-        kappa ** 2 * sin2 / r + (1j * kappa / r ** 2 - 1.0 / r ** 3) * (1.0 - 3.0 * cos2)
-    )
+    cos2 = dz / r
+    cos2 **= 2
+    far = 1.0 - cos2  # sin^2, then kappa^2 sin^2 / r
+    far *= kappa ** 2
+    far /= r
+    near = 1j * kappa / r ** 2
+    near -= 1.0 / r ** 3
+    cos2 *= 3.0
+    near *= np.subtract(1.0, cos2, out=_out(cos2))
+    near += far
+    wave = 1j * kappa * r
+    wave = np.exp(wave, out=_out(wave))
+    wave /= 4.0 * np.pi
+    wave *= near
+    return wave
+
+
+def _impedance(axes, wavelength: float, scale: float) -> complex | np.ndarray:
+    """scale / (j omega eps0) times the bracket of the separations given per
+    axis (see _dipole_bracket): scale = L0^2 for z-dipoles, -A0^2 for
+    z-loops."""
+    kappa = 2.0 * np.pi / wavelength
+    omega = kappa * speed_of_light
+    return scale / (1j * omega * epsilon_0) * _dipole_bracket(*axes, kappa)
 
 
 def mutual_impedance_z_dipoles(p, wavelength: float, length: float) -> complex | np.ndarray:
@@ -108,9 +160,7 @@ def mutual_impedance_z_dipoles(p, wavelength: float, length: float) -> complex |
     raises SingularityError.
     """
     p = np.asarray(p, dtype=float)
-    kappa = 2.0 * np.pi / wavelength
-    omega = kappa * speed_of_light
-    return length ** 2 / (1j * omega * epsilon_0) * _dipole_bracket(p, kappa)
+    return _impedance((p[..., 0], p[..., 1], p[..., 2]), wavelength, length ** 2)
 
 
 def mutual_impedance_z_loops(p, wavelength: float, area: float) -> complex | np.ndarray:
@@ -122,9 +172,7 @@ def mutual_impedance_z_loops(p, wavelength: float, area: float) -> complex | np.
     and the zero-separation error are those of mutual_impedance_z_dipoles.
     """
     p = np.asarray(p, dtype=float)
-    kappa = 2.0 * np.pi / wavelength
-    omega = kappa * speed_of_light
-    return -area ** 2 / (1j * omega * epsilon_0) * _dipole_bracket(p, kappa)
+    return _impedance((p[..., 0], p[..., 1], p[..., 2]), wavelength, -area ** 2)
 
 
 def self_resistance(length: float, wavelength: float) -> float:
@@ -149,25 +197,29 @@ def impedance_set(tx: ArrayGeometry, rx: ArrayGeometry, length: float,
     Off-diagonal entries are mutual impedances of the corresponding element
     pair; diagonal entries are self_resistance(length) + j self_reactance
     (the point-dipole self-reactance diverges, so a finite model value must
-    be chosen explicitly).
+    be chosen explicitly).  Each self block is evaluated on its upper
+    triangle and mirrored, so Z_T and Z_R equal their transposes exactly;
+    the separations go to the bracket per axis, with no (N, N, 3) array.
     """
     lam = tx.wavelength
     if abs(rx.wavelength - lam) > 1e-12 * lam:
         raise ContractError("tx and rx geometries must share the wavelength")
 
     def self_block(pos):
-        # the zero diagonal separations are replaced by any nonzero vector
-        # and their values overwritten: an array has no duplicate elements
-        sep = pos[:, None] - pos[None]
-        diag = np.arange(len(pos))
-        sep[diag, diag] = 1.0
-        Z = mutual_impedance_z_dipoles(sep, lam, length)
-        Z[diag, diag] = self_resistance(length, lam) + 1j * self_reactance
+        # the upper triangle, mirrored: Z(p_j - p_i) == Z(p_i - p_j) bit for
+        # bit, because p_j - p_i == -(p_i - p_j) exactly
+        n = len(pos)
+        i, j = np.triu_indices(n, 1)
+        upper = _impedance([pos[i, a] - pos[j, a] for a in range(3)], lam, length ** 2)
+        Z = np.empty((n, n), dtype=complex)
+        Z[i, j] = upper
+        Z[j, i] = upper
+        Z[np.diag_indices(n)] = self_resistance(length, lam) + 1j * self_reactance
         return Z
 
     try:
-        Z_RT = mutual_impedance_z_dipoles(rx.positions[:, None] - tx.positions[None],
-                                          lam, length)
+        Z_RT = _impedance([np.subtract.outer(rx.positions[:, a], tx.positions[:, a])
+                           for a in range(3)], lam, length ** 2)
     except SingularityError:
         raise ContractError("coincident elements across arrays") from None
     return ImpedanceSet(self_block(tx.positions), self_block(rx.positions), Z_RT, R0)
@@ -204,7 +256,8 @@ def noise_covariance(Z_R: np.ndarray, lna: LnaParams) -> np.ndarray:
     R_n = 4 k_B T [ Re((1 + beta) Z_R) + R_v I + G_i Z_R Z_R^H ].
 
     Hermitian by construction (symmetrized exactly); parameters producing a
-    matrix with a negative eigenvalue violate the contract.
+    matrix with an eigenvalue below -1e-12 ||R_n||_F violate the contract
+    (checked as in ImpedanceSet).
     """
     Z = np.asarray(Z_R, dtype=complex)
     m = Z.shape[0]
@@ -212,10 +265,9 @@ def noise_covariance(Z_R: np.ndarray, lna: LnaParams) -> np.ndarray:
     Rn = re + lna.R_v * np.eye(m) + lna.G_i * (Z @ Z.conj().T)
     Rn = 0.5 * (Rn + Rn.conj().T)
     Rn *= 4.0 * Boltzmann * lna.temperature
-    w = np.linalg.eigvalsh(Rn)
-    if w.min() < -1e-12 * max(np.linalg.norm(Rn), 1e-300):
+    if not _psd_within(Rn, 1e-12):
         raise ContractError(
-            f"noise covariance not PSD (min eigenvalue {w.min():.3e}); "
+            f"noise covariance not PSD (min eigenvalue {np.linalg.eigvalsh(Rn).min():.3e}); "
             f"check beta={lna.beta} against Re(Z_R)"
         )
     return Rn

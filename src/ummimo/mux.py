@@ -109,19 +109,22 @@ def uplink_se(scenario: UplinkScenario, combiners: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + sinr)
 
 
-def uplink_se_bound(scenario: UplinkScenario, k: int) -> float:
-    """SE of UE k under LMMSE combining, the maximum over all combiners.
+def uplink_se_bound(scenario: UplinkScenario) -> np.ndarray:
+    """Per-UE SE under LMMSE combining, the maximum over all combiners, as a
+    (K,) array.
 
     By the MMSE identity 1 + SINR_k = 1 / MMSE_k, SE_k = -log2([(I + P^1/2
-    H^H H P^1/2 / sigma^2)^{-1}]_kk): a K x K solve, O(M K^2 + K^3).  A
-    zero-power UE has SE 0.
+    H^H H P^1/2 / sigma^2)^{-1}]_kk): one K x K inverse gives all K, in
+    O(M K^2 + K^3), with no M x K combiners.  It equals uplink_se(scenario,
+    lmmse_combiners(scenario)) to rounding, and is the more accurate of the
+    two at high SNR, where the combiners' SINR loses digits.  A zero-power UE
+    has SE exactly 0.
     """
-    _check_ue(scenario, k)
     _check_noise(scenario)
-    K = scenario.num_ues
-    Hp = scenario.H * np.sqrt(scenario.powers / scenario.noise_power)
-    mmse = np.real(np.linalg.solve(Hp.conj().T @ Hp + np.eye(K), np.eye(K)[:, k])[k])
-    return float(np.log2(1.0 / mmse))
+    p = scenario.powers
+    Hp = scenario.H * np.sqrt(p / scenario.noise_power)
+    mmse = np.real(np.diagonal(np.linalg.inv(Hp.conj().T @ Hp + np.eye(scenario.num_ues))))
+    return np.where(p > 0, np.log2(1.0 / mmse), 0.0)
 
 
 def waterfill_powers(gains: np.ndarray, total_power: float) -> np.ndarray:

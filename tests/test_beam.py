@@ -118,6 +118,14 @@ class TestBeamwidth:
         with pytest.raises(DomainError):
             beamwidth_3db(1, 0.1 * LAM, LAM)
 
+    def test_guard_boundary_at_0443_wavelengths(self):
+        # an aperture n * spacing of exactly 0.443 lambda is refused, one ulp
+        # more is not
+        with pytest.raises(DomainError, match="too small"):
+            beamwidth_3db(1, 0.443 * LAM, LAM)
+        above = np.nextafter(0.443 * LAM, 1.0)
+        assert beamwidth_3db(1, above, LAM) == 0.886 * LAM / above
+
 
 class TestDepthGain:
     def test_unity_at_focus(self):

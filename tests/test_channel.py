@@ -101,6 +101,46 @@ class TestLosChannel:
                 los_channel(geom, tx, mode)
 
 
+def _reference_los(geom, tx, mode, amplitude):
+    """los_channel as the (K, M, 3) formula that the per-axis one replaced."""
+    t = np.atleast_2d(np.asarray(tx, dtype=float))[:, None, :]
+    lam, pos = geom.wavelength, geom.positions
+    dist = np.linalg.norm(t - pos, axis=-1)
+    z = np.abs(t[..., 2] - geom.positions[:, 2].mean())
+    if mode == "fresnel":
+        trans2 = (t[..., 0] - pos[:, 0]) ** 2 + (t[..., 1] - pos[:, 1]) ** 2
+        path = z + trans2 / (2.0 * z)
+    else:
+        path = dist
+    r = z if amplitude == "common" else dist
+    h = lam / (4.0 * np.pi * r) * np.exp(-2j * np.pi / lam * path)
+    return h.T if np.ndim(tx) == 2 else h[0]
+
+
+class TestPerAxisBitIdentity:
+    @pytest.mark.parametrize("mode", ["exact", "fresnel"])
+    @pytest.mark.parametrize("amplitude", ["common", "per-element"])
+    def test_los_channel(self, mode, amplitude):
+        rng = np.random.default_rng(41)
+        tilted = rng.uniform(-0.05, 0.05, (9, 3)) * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.02]
+        for geom in (build_upa(32, 16, LAM / 2, LAM / 2, LAM), build_ula(7, LAM / 3, LAM),
+                     ArrayGeometry(tilted, LAM)):
+            batch = np.column_stack([rng.uniform(-1.0, 1.0, (40, 2)), rng.uniform(0.5, 5.0, 40)])
+            for tx in (batch[0], batch):
+                got = los_channel(geom, tx, mode, amplitude)
+                assert np.array_equal(got, _reference_los(geom, tx, mode, amplitude))
+                assert got.shape == (geom.num_elements,) + batch.shape[:tx.ndim - 1]
+
+    def test_steering_matrix(self):
+        rng = np.random.default_rng(42)
+        geom = build_upa(8, 6, LAM / 2, LAM / 3, LAM)
+        az, el = rng.uniform(-1.5, 1.5, 300), rng.uniform(-1.5, 1.5, 300)
+        kappa = 2.0 * np.pi / LAM
+        u = np.stack([np.sin(az) * np.cos(el), np.sin(el), np.cos(az) * np.cos(el)], axis=-1)
+        want = np.exp(-1j * kappa * (u @ geom.positions.T))
+        assert np.array_equal(steering_matrix(geom, az, el), want)
+
+
 class TestCorrelationMatrix:
     def test_clarke_sinc_oracle(self):
         # closed-form full-sphere Clarke correlation; hemisphere average of a
@@ -145,6 +185,29 @@ class TestCorrelationMatrix:
         geom = build_ula(2, LAM / 2, LAM)
         with pytest.raises(ContractError):
             correlation_matrix(geom, bad)
+
+    def test_nan_density_rejected(self):
+        # a NaN integral fails the normalisation check instead of passing it
+        from ummimo.channel import ScatteringProfile
+        nan = ScatteringProfile(1.0, lambda az, el: np.full_like(np.asarray(az), np.nan))
+        for geom in (build_ula(2, LAM / 2, LAM), ArrayGeometry(build_ula(2, LAM / 2, LAM).positions, LAM)):
+            with pytest.raises(ContractError, match="integrates to nan"):
+                correlation_matrix(geom, nan)
+
+    def test_isotropic_density_integrates_to_one_on_default_grid(self):
+        # the default grid's normalisation check holds far inside its 1e-3
+        grid = hemisphere_grid()
+        total = grid.integrate(isotropic_profile().density(grid.azimuth, grid.elevation))
+        assert abs(total - 1.0) <= 1e-12
+
+    def test_isotropic_caller_grid_still_checked(self):
+        # the full sphere doubles the hemisphere density's integral
+        from ummimo.numerics import sphere_grid
+        geom = build_ula(4, LAM / 2, LAM)
+        with pytest.raises(ContractError, match="integrates to 2"):
+            correlation_matrix(geom, isotropic_profile(), sphere_grid())
+        R = correlation_matrix(geom, isotropic_profile(), hemisphere_grid()).R
+        assert np.array_equal(R, correlation_matrix(geom, isotropic_profile()).R)
 
 
 def _sinc_oracle(geom, beta):
@@ -382,6 +445,21 @@ class TestClusterProfile:
     def test_center_outside_hemisphere_rejected(self):
         with pytest.raises(ContractError):
             gaussian_cluster_profile([(2.0, 0.0)], 0.1)
+
+    @pytest.mark.parametrize("std", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_std_rejected(self, std):
+        with pytest.raises(DomainError, match="std must be finite"):
+            gaussian_cluster_profile([(0.0, 0.0)], std)
+
+    @pytest.mark.parametrize("center", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)])
+    def test_nonfinite_center_rejected(self, center):
+        with pytest.raises(DomainError, match="centers must be finite"):
+            gaussian_cluster_profile([(0.1, 0.0), center], 0.1)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_nonfinite_weight_rejected(self, weight):
+        with pytest.raises(DomainError, match="weights must be finite"):
+            gaussian_cluster_profile([(0.1, 0.0), (-0.1, 0.0)], 0.1, weights=[weight, 0.5])
 
 
 class TestSampleRayleigh:

@@ -33,6 +33,132 @@ def _fd_oracle(p, wavelength, prefactor, sign=1.0, step_frac=1e-6):
     return complex(mp.mpc(prefactor) * mp.mpf(sign) * operator)
 
 
+def _reference_z(p, wavelength, scale):
+    """scale / (j omega eps0) times the bracket, as the (..., 3) formula that
+    the per-axis kernel replaced: np.linalg.norm over the last axis, then the
+    bracket term by term."""
+    kappa = 2.0 * np.pi / wavelength
+    omega = kappa * speed_of_light
+    r = np.linalg.norm(p, axis=-1)
+    cos2 = (p[..., 2] / r) ** 2
+    sin2 = 1.0 - cos2
+    bracket = np.exp(1j * kappa * r) / (4.0 * np.pi) * (
+        kappa ** 2 * sin2 / r + (1j * kappa / r ** 2 - 1.0 / r ** 3) * (1.0 - 3.0 * cos2))
+    return scale / (1j * omega * epsilon_0) * bracket
+
+
+def _reference_set(tx, rx, length, self_reactance=0.0):
+    """The three blocks from (N, N, 3) and (M, N, 3) separation arrays."""
+    lam = tx.wavelength
+
+    def self_block(pos):
+        sep = pos[:, None] - pos[None]
+        diag = np.arange(len(pos))
+        sep[diag, diag] = 1.0
+        Z = _reference_z(sep, lam, length ** 2)
+        Z[diag, diag] = self_resistance(length, lam) + 1j * self_reactance
+        return Z
+
+    return (self_block(tx.positions), self_block(rx.positions),
+            _reference_z(rx.positions[:, None] - tx.positions[None], lam, length ** 2))
+
+
+def _tilted_pair():
+    tx = build_upa(4, 3, LAM / 2, LAM / 3, LAM)
+    c, s = np.cos(0.4), np.sin(0.4)
+    tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return tx, ArrayGeometry(tx.positions @ tilt.T + np.array([0.3, 0.2, 0.4]) * LAM, LAM)
+
+
+class TestPerAxisKernelBitIdentity:
+    """The per-axis bracket, evaluated in place, against the (..., 3)
+    formula it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (7, 3), (4, 5, 3), (40, 40, 3)])
+    def test_mutual_impedances(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[0])
+        p = rng.uniform(-3 * LAM, 3 * LAM, shape)
+        A0 = 0.01 * LAM ** 2
+        for got, want in ((mutual_impedance_z_dipoles(p, LAM, L0), _reference_z(p, LAM, L0 ** 2)),
+                          (mutual_impedance_z_loops(p, LAM, A0), _reference_z(p, LAM, -A0 ** 2))):
+            assert np.array_equal(got, want) and np.shape(got) == shape[:-1]
+
+    def test_single_vectors_keep_scalar_arithmetic(self):
+        # one vector is computed with numpy's scalar rules, as before; they
+        # differ from the array loops in about a third of these cases
+        rng = np.random.default_rng(31)
+        for p in [[LAM / 2, 0.0, 0.0], *rng.uniform(-3 * LAM, 3 * LAM, (200, 3))]:
+            p = np.asarray(p)
+            got = mutual_impedance_z_dipoles(p, LAM, L0)
+            assert got == _reference_z(p, LAM, L0 ** 2) and np.ndim(got) == 0
+
+    def test_ula_blocks(self):
+        tx = build_ula(64, LAM / 2, LAM)
+        rx = ArrayGeometry(tx.positions + np.array([0.7, 0.0, 100.0]) * LAM, LAM)
+        imp = impedance_set(tx, rx, L0)
+        for got, want in zip((imp.Z_T, imp.Z_R, imp.Z_RT), _reference_set(tx, rx, L0)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(imp.Z_T, imp.Z_T.T) and np.array_equal(imp.Z_R, imp.Z_R.T)
+
+    def test_upa_blocks_with_self_reactance(self):
+        tx, rx = _tilted_pair()
+        imp = impedance_set(tx, rx, L0, self_reactance=7.5)
+        for got, want in zip((imp.Z_T, imp.Z_R, imp.Z_RT),
+                             _reference_set(tx, rx, L0, self_reactance=7.5)):
+            assert np.array_equal(got, want)
+
+    def test_caller_position_blocks(self):
+        rng = np.random.default_rng(32)
+        tx = ArrayGeometry(rng.uniform(-2 * LAM, 2 * LAM, (9, 3)), LAM)
+        rx = ArrayGeometry(rng.uniform(-2 * LAM, 2 * LAM, (5, 3)) + [0.0, 0.0, 6 * LAM], LAM)
+        imp = impedance_set(tx, rx, L0)
+        for got, want in zip((imp.Z_T, imp.Z_R, imp.Z_RT), _reference_set(tx, rx, L0)):
+            assert np.array_equal(got, want)
+
+
+def _indefinite_by(c, rtol):
+    """A real symmetric 4 x 4 matrix whose smallest eigenvalue is -c rtol
+    ||A||_F (eigenvalues 1, 2, 3 and that one, rotated)."""
+    w = np.array([1.0, 2.0, 3.0, 0.0])
+    w[3] = -c * rtol * np.linalg.norm(w[:3]) / np.sqrt(1.0 - (c * rtol) ** 2)
+    Q = np.linalg.qr(np.random.default_rng(33).standard_normal((4, 4)))[0]
+    A = (Q * w) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+class TestPsdContracts:
+    """Both PSD contracts at their tolerances: min eig >= -1e-8 ||Re Z||_F
+    for ImpedanceSet and >= -1e-12 ||R_n||_F for noise_covariance."""
+
+    def test_impedance_set_threshold(self):
+        for c, ok in ((0.5, True), (0.99, True), (1.01, False), (2.0, False)):
+            Z = _indefinite_by(c, 1e-8) + 1j * np.eye(4)
+            if ok:
+                ImpedanceSet(Z, np.eye(2), np.zeros((2, 4)), 50.0)
+            else:
+                with pytest.raises(ContractError, match="positive semidefinite"):
+                    ImpedanceSet(Z, np.eye(2), np.zeros((2, 4)), 50.0)
+
+    def test_impedance_set_zero_real_part_passes(self):
+        imp = ImpedanceSet(1j * np.eye(3), np.zeros((2, 2)), np.zeros((2, 3)), 50.0)
+        assert not np.any(imp.Z_R)
+
+    def test_noise_covariance_threshold(self):
+        # no LNA noise: R_n = 4 k_B T Re(Z_R), so its spectrum is Re(Z_R)'s
+        lna = LnaParams(R_v=0.0, G_i=0.0, beta=0.0)
+        for c, ok in ((0.5, True), (2.0, False)):
+            Z = _indefinite_by(c, 1e-12)
+            if ok:
+                noise_covariance(Z, lna)
+            else:
+                with pytest.raises(ContractError, match="not PSD"):
+                    noise_covariance(Z, lna)
+
+    def test_noise_covariance_zero_passes(self):
+        Rn = noise_covariance(np.zeros((3, 3)), LnaParams(R_v=0.0, G_i=0.0))
+        assert not np.any(Rn)
+
+
 class TestMutualImpedance:
     def test_even_in_separation(self):
         p = np.array([0.3 * LAM, -0.2 * LAM, 0.7 * LAM])

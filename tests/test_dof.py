@@ -251,6 +251,11 @@ class TestDeploymentArithmetic:
         with pytest.raises(DomainError):
             active_rf_chains(1.0, 1.5, 1.0)
 
+    def test_fraction_upper_bound_is_one(self):
+        assert active_rf_chains(7.0, 1.0, 3.0) == 21.0
+        with pytest.raises(DomainError, match="active_fraction"):
+            active_rf_chains(7.0, np.nextafter(1.0, 2.0), 3.0)
+
     @pytest.mark.parametrize("args", [(np.nan, 0.5, 1.0), (1.0, 0.5, np.nan), (np.inf, 0.5, 1.0),
                                       (1.0, 0.5, np.inf), (-1.0, 0.5, 1.0), (1.0, np.nan, 1.0)])
     def test_active_chains_nonfinite_or_negative_rejected(self, args):
