@@ -37,9 +37,11 @@ __all__ = [
 ]
 
 _PINV_RTOL = 1e-10  # singular values below this times the largest are zero
+_GRAM_ORTHOGONALITY = 1e-12  # largest normalised Gram off-diagonal _pinv treats as zero
 _SUBSPACE_CAPTURE = 0.9999  # trace fraction isotropic_subspace keeps
 _OPERATORS_PER_PILOT = 8  # prepared operators one PilotMatrix keeps, oldest dropped first
 _OMP_BLOCK_ENTRIES = 1 << 19  # columns x atoms of one OMP correlation block
+_QR_REFIT_MARGIN = 1e-6  # largest condition bound x lstsq cut-off an OMP refit solves by QR
 
 
 @dataclass(frozen=True)
@@ -161,11 +163,46 @@ def received_pilot(pilot: PilotMatrix, h: np.ndarray, stream: RngStream) -> np.n
     return np.sqrt(pilot.power) * (pilot.phi @ h) + noise
 
 
+def _orthogonal_gram_pinv(A: np.ndarray) -> np.ndarray | None:
+    """A^H D^-1 when A's rows are orthogonal, D^-1 A^H when its columns are
+    (the smaller side's Gram G = A A^H or A^H A is then D = diag(G)), or None.
+
+    Orthogonal means every normalised off-diagonal |G_ij| / sqrt(G_ii G_jj)
+    is at most _GRAM_ORTHOGONALITY; and every G_ii must exceed _PINV_RTOL^2
+    max G_ii (and the smallest normal float), so the SVD would cut no
+    singular value sqrt(G_ii) and warn of nothing.  Both tests fail on a NaN
+    or inf in G, so a non-finite A, or one whose Gram overflows, gives None.
+    """
+    rows = A.shape[0] <= A.shape[1]
+    Ac = np.conjugate(A)  # a new array even for a real A, which A.conj() returns itself
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = A @ Ac.T if rows else Ac.T @ A
+    d = G.diagonal().real
+    if not (d.size and d.min() > max(_PINV_RTOL ** 2 * d.max(), np.finfo(float).tiny)):
+        return None
+    off = np.abs(G)
+    np.fill_diagonal(off, 0.0)
+    s = np.sqrt(d)
+    if not np.all(off <= _GRAM_ORTHOGONALITY * np.outer(s, s)):
+        return None
+    Ac /= d[:, None] if rows else d
+    return Ac.T
+
+
 def _pinv(A: np.ndarray) -> tuple[np.ndarray, str | None]:
-    """Read-only A^+ from one numerics.svd by the steps of numpy's pinv at
-    rcond=_PINV_RTOL (so A^+ @ b is bit for bit pinv(A) @ b), and the warning
-    text when A has at least as many rows as columns but loses rank, else
-    None."""
+    """Read-only A^+ and the warning text when A has at least as many rows as
+    columns but loses rank, else None.
+
+    A with orthogonal rows or columns, as every pilot the sweeps design gives
+    (nested unitary rows, a diagonal water-filled MMSE system, RS-LS's
+    sqrt(tau_p / r) S), takes the closed form of _orthogonal_gram_pinv, equal
+    to pinv(A) to rounding.  Every other A takes one numerics.svd by the steps
+    of numpy's pinv at rcond=_PINV_RTOL: A^+ @ b is then bit for bit
+    pinv(A) @ b, and a non-finite A raises DomainError.
+    """
+    P = _orthogonal_gram_pinv(A)
+    if P is not None:
+        return _freeze(P)[0], None
     s, U, V = svd(A.conj())  # numpy's pinv decomposes conj(A)
     large = s > _PINV_RTOL * s[0]
     warning = None
@@ -195,10 +232,12 @@ def ls_estimate(y: np.ndarray, pilot: PilotMatrix) -> np.ndarray:
 
 def _mmse_operator(pilot: PilotMatrix, R: np.ndarray):
     p, phi = pilot.power, pilot.phi
-    A = p * (phi @ R @ phi.conj().T) + pilot.noise_power * np.eye(pilot.tau)
+    phiR = phi @ R
+    A = p * (phiR @ phi.conj().T) + pilot.noise_power * np.eye(pilot.tau)
     P, warning = _pinv(A)
-    W = (P @ (np.sqrt(p) * (phi @ R))).conj().T
-    mse = float(np.trace(R).real - np.sqrt(p) * np.trace(W @ phi @ R).real)
+    W = (P @ (np.sqrt(p) * phiR)).conj().T
+    # tr(W phi R) as the O(M tau) sum of W^T * (phi R), not an M x M product
+    mse = float(np.trace(R).real - np.sqrt(p) * (W.T * phiR).sum().real)
     return (_freeze(W)[0], mse), warning
 
 
@@ -207,7 +246,8 @@ def mmse_estimate(y: np.ndarray, pilot: PilotMatrix,
     """MMSE estimate and its analytic mean squared error.
 
     hhat = W y with W = sqrt(p) R phi^H A^{-1}, A = p phi R phi^H + sigma^2 I;
-    MSE = tr(R) - sqrt(p) tr(W phi R).  Returns (estimate, analytic_mse).
+    MSE = tr(R) - sqrt(p) tr(W phi R), the trace summed elementwise from the
+    tau_p x M phi R.  Returns (estimate, analytic_mse).
     Since A and R are Hermitian, W = (A^+ sqrt(p) phi R)^H with A^+ from
     _pinv, which warns when A is rank-deficient (sigma^2 = 0 and a singular
     phi R phi^H).
@@ -393,6 +433,35 @@ def _omp_operator(pilot: PilotMatrix, dictionary: Dictionary):
     return _freeze(A, norms), None
 
 
+def _refit(As: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients (n, k, 1) of each of the n stacked (tau_p, k)
+    matrices As, k <= tau_p, against its column y (n, tau_p, 1), as
+    lstsq(rcond=None) would give them: its cut-off is max(tau_p, k) eps
+    times the largest singular value.
+
+    One batched QR, As = Q R, gives R^-1 Q^H y wherever ||R||_F ||R^-1||_F,
+    a bound on the condition number, is at most _QR_REFIT_MARGIN / rcond, so
+    that no singular value can fall below the cut-off.  Any other matrix,
+    one with near-parallel columns, takes numpy's stacked pinv at that
+    cut-off, bit for bit; an exactly singular R sends the whole stack there.
+    """
+    rcond = max(As.shape[1:]) * np.finfo(float).eps
+    Q, R = np.linalg.qr(As)
+    try:
+        X = np.linalg.inv(R)  # R's zero subdiagonal: LU without a row swap
+    except np.linalg.LinAlgError:  # a zero on R's diagonal
+        X = np.full_like(R, np.nan)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # squared Frobenius norms of R and R^-1, stacked
+        kappa2 = (np.einsum("nij,nij->n", R.conj(), R).real
+                  * np.einsum("nij,nij->n", X.conj(), X).real)
+        c = X @ (Q.conj().transpose(0, 2, 1) @ y)
+    unsure = ~(kappa2 * rcond ** 2 <= _QR_REFIT_MARGIN ** 2)  # a NaN bound is unsure too
+    if unsure.any():
+        c[unsure] = np.linalg.pinv(As[unsure], rcond=rcond) @ y[unsure]
+    return c
+
+
 def _omp_block(A: np.ndarray, norms: np.ndarray, Y: np.ndarray, sparsity: int,
                residual_threshold: float | None):
     """The greedy loop on all columns of Y (tau_p x T) at once: selections
@@ -419,8 +488,7 @@ def _omp_block(A: np.ndarray, norms: np.ndarray, Y: np.ndarray, sparsity: int,
         corr[np.arange(active.size)[:, None], selected[active, :k]] = -1.0
         selected[active, k] = np.argmax(corr, axis=1)  # the lowest index wins ties
         As = A[:, selected[active, :k + 1]].transpose(1, 0, 2)  # (T_active, tau_p, k + 1)
-        # the lstsq(rcond=None) cut-off: max(tau_p, k + 1) eps times the largest
-        c = np.linalg.pinv(As, rcond=max(As.shape[1:]) * np.finfo(float).eps) @ Yt[active, :, None]
+        c = _refit(As, Yt[active, :, None])
         coef[active, :k + 1] = c[..., 0]
         residual = Yt[active] - (As @ c)[..., 0]
         if residual_threshold is not None:
@@ -447,7 +515,7 @@ def omp_estimate(y: np.ndarray, pilot: PilotMatrix, dictionary: Dictionary,
     dictionary) and kept on the pilot when the atoms are read-only, as
     build_ff_dictionary returns them.  One greedy loop serves a block of
     columns: each iteration forms every column's correlations in one matrix
-    product and refits every column by one stacked pseudo-inverse, and a
+    product and refits every column by one batched QR (see _refit), and a
     column that meets residual_threshold leaves the block with its
     selections and coefficients.  A batch returns the (M, T) estimates and a
     list of T selections, equal to T separate calls up to float rounding.

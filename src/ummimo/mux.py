@@ -130,28 +130,32 @@ def uplink_se_bound(scenario: UplinkScenario) -> np.ndarray:
 def waterfill_powers(gains: np.ndarray, total_power: float) -> np.ndarray:
     """Water-filling allocation maximizing sum log2(1 + p_i g_i), sum p_i = total.
 
-    gains are channel power gains per layer (mu_i^2 / sigma^2); an infinite
-    gain is admitted, a NaN one is not.  Exact sort-based water level, no
-    iteration.
+    gains are channel power gains per layer (mu_i^2 / sigma^2) along the last
+    axis of a (..., L) array, each row filled on its own; an infinite gain is
+    admitted, a NaN one is not.  Exact sort-based water levels, no
+    iteration: one sort and one cumulative sum serve every row.
     """
     g = np.asarray(gains, dtype=float)
     check_finite_positive(total_power=total_power)
+    if g.ndim < 1:
+        raise ContractError("gains must have a layer axis")
     if np.isnan(g).any():
         raise DomainError("gains must not be NaN")
-    p = np.zeros_like(g)
-    active = np.where(g > 0)[0]
-    if active.size == 0:
-        return p
-    ga = g[active]
-    order = np.argsort(-ga)
-    inv = 1.0 / ga[order]
-    for k in range(active.size, 0, -1):
-        level = (total_power + inv[:k].sum()) / k
-        if level >= inv[k - 1]:
-            break
-    alloc = np.clip(level - inv[:k], 0.0, None)
-    p[active[order[:k]]] = alloc
-    return p
+    if g.size == 0:
+        return np.zeros_like(g)
+    # floors 1/g, sorted: the strongest layer first; an idle layer (g <= 0)
+    # floors at inf
+    floors = np.divide(1.0, g, out=np.full_like(g, np.inf), where=g > 0)
+    inv = np.sort(floors, axis=-1)
+    levels = (total_power + np.cumsum(inv, axis=-1)) / np.arange(1, g.shape[-1] + 1)
+    # the k strongest layers hold water when the k-th level reaches the k-th
+    # floor; the largest such k of the active layers sets the level, which
+    # lies at or below every floor past the k-th
+    fits = (levels >= inv) & (inv < np.inf)
+    k = g.shape[-1] - np.argmax(fits[..., ::-1], axis=-1, keepdims=True)
+    level = np.where(fits.any(axis=-1, keepdims=True),
+                     np.take_along_axis(levels, k - 1, axis=-1), 0.0)
+    return np.clip(level - floors, 0.0, None)
 
 
 def parallel_capacity(gains: np.ndarray, total_power: float,
@@ -162,7 +166,8 @@ def parallel_capacity(gains: np.ndarray, total_power: float,
     allocation "waterfilling" maximizes over the power split; "equal" puts
     total_power / L on each of the L layers.  All-zero gains have capacity
     0.  gains of shape (..., L) give the (...) array of capacities, each
-    computed as for its own row; a 1-d gains gives the float.
+    computed as for its own row, the whole stack water-filled at once; a
+    1-d gains gives the float.
     """
     if allocation not in ("waterfilling", "equal"):
         raise DomainError(f"unknown allocation {allocation!r}")
@@ -170,17 +175,11 @@ def parallel_capacity(gains: np.ndarray, total_power: float,
     g = np.asarray(gains, dtype=float)
     if g.ndim < 1:
         raise ContractError("gains must have a layer axis")
-    caps = np.empty(g.shape[:-1])
-    for idx in np.ndindex(caps.shape):
-        row = g[idx]
-        if np.all(row == 0):
-            caps[idx] = 0.0
-            continue
-        if allocation == "equal":
-            p = np.full(len(row), total_power / len(row))
-        else:
-            p = waterfill_powers(row, total_power)
-        caps[idx] = np.sum(np.log2(1.0 + p * row))
+    if allocation == "equal":
+        p = np.full_like(g, total_power) / g.shape[-1]
+    else:
+        p = waterfill_powers(g, total_power)
+    caps = np.sum(np.log2(1.0 + p * g), axis=-1)
     return float(caps) if g.ndim == 1 else caps
 
 

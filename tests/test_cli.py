@@ -264,6 +264,30 @@ def test_fig9_builds_no_rule_above_the_working_grid(monkeypatch):
     assert calls and max(calls) <= 180
 
 
+def test_estimation_experiments_make_no_svd(monkeypatch, tmp_path):
+    """fig9-11 prepare every LS, MMSE and RS-LS operator by the closed form
+    of an orthogonal Gram: no numerics.svd call, wherever it is imported."""
+    calls = []
+    svd = numerics.svd
+
+    def counted(A):
+        calls.append(np.shape(A))
+        return svd(A)
+
+    for module in (m for name, m in sys.modules.items() if name.startswith("ummimo")):
+        for attr, value in list(vars(module).items()):
+            if value is svd:
+                monkeypatch.setattr(module, attr, counted)
+    for exp in ("fig9", "fig10", "fig11"):
+        run(exp, {"trials": 5}, seed=0, out=tmp_path)
+    assert calls == []
+    # the counter sees the SVD path: a pilot with non-orthogonal rows takes it
+    from ummimo.estimate import PilotMatrix, ls_estimate
+    phi = np.array([[1.0, 1.0], [0.0, 1.0]]) * np.sqrt(2 / 3)
+    ls_estimate(np.ones(2, dtype=complex), PilotMatrix(phi, 1.0, 0.1))
+    assert calls == [(2, 2)]
+
+
 def _fig5_rows_per_spacing(cfg):
     """fig5-su's rows as one loop over the spacings: per spacing, two channel
     builds, su_capacity and two SVDs."""

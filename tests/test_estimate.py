@@ -43,6 +43,11 @@ def _rand_psd(m, seed, rank=None):
     return 0.5 * (R + R.conj().T)
 
 
+def _cn(g, *shape):
+    """Complex standard normal draws from the numpy generator g."""
+    return g.standard_normal(shape) + 1j * g.standard_normal(shape)
+
+
 def _three_branch_pilot(m, tau, stream):
     """Reference builder: a DFT stack, the thin QR for tau <= m, or a stack of
     the full m x m QR for tau > m."""
@@ -215,6 +220,115 @@ class TestLsEstimate:
         assert np.array_equal(ls_estimate(y, pilot), want)
 
 
+class TestOrthogonalGramPinv:
+    """_pinv's closed form A^H D^-1 (D^-1 A^H) for orthogonal rows (columns),
+    and the SVD path for every other input."""
+
+    @staticmethod
+    def _svd_calls(monkeypatch):
+        calls = []
+        svd = estimate.svd
+        monkeypatch.setattr(estimate, "svd", lambda A: calls.append(A.shape) or svd(A))
+        return calls
+
+    @staticmethod
+    def _rel(P, A):
+        want = np.linalg.pinv(A, rcond=1e-10)
+        return np.linalg.norm(P - want) / np.linalg.norm(want)
+
+    @staticmethod
+    def _operator_inputs():
+        """The sweeps' three kinds of _pinv input at fig9-11's 8 x 8 array."""
+        geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
+        corr = correlation_matrix(geom, gaussian_cluster_profile(
+            [(0.0, 0.0), (np.pi / 4, 0.0), (-np.pi / 4, 0.0)], np.deg2rad(10.0)))
+        sigma2 = float(np.trace(corr.R).real) / (64 * 10.0)
+        U = isotropic_subspace(geom)
+        basis = orthogonal_pilot(64, 64, 1.0, sigma2, RngStream(5))
+        inputs = {f"nested-{tau}": basis._leading(tau).phi for tau in (4, 10, 33, 64)}
+        for tau in (8, 48):
+            phi = mmse_pilot_design(corr, 1.0, sigma2, tau).phi
+            inputs[f"mmse-{tau}"] = phi @ corr.R @ phi.conj().T + sigma2 * np.eye(tau)
+        for tau in (U.shape[1], 64):
+            inputs[f"rsls-{tau}"] = rsls_pilot(U, tau, 1.0, sigma2).phi @ U
+        return inputs
+
+    def test_sweep_operators_take_the_closed_form(self, monkeypatch):
+        calls = self._svd_calls(monkeypatch)
+        for name, A in self._operator_inputs().items():
+            P, warning = estimate._pinv(A)
+            assert warning is None and not P.flags.writeable
+            assert self._rel(P, A) <= 1e-12, name
+        assert calls == []
+
+    @pytest.mark.parametrize("shape", [(4, 9), (9, 4)])
+    @pytest.mark.parametrize("eps, closed", [(2e-12, False), (5e-13, True)])
+    def test_orthogonality_threshold(self, monkeypatch, shape, eps, closed):
+        # two of the smaller side's vectors at normalised inner product eps
+        g = RngStream(6).generator()
+        Q = np.linalg.qr(_cn(g, 9, 9))[0]
+        Q = Q[:, :4] * np.array([1.0, 2.0, 0.5, 3.0])
+        Q[:, 1] = 2.0 * (np.sqrt(1 - eps ** 2) * Q[:, 1] / 2.0 + eps * Q[:, 0])
+        A = Q if shape == (9, 4) else Q.T.copy()
+        G = A.conj().T @ A if shape == (9, 4) else A @ A.conj().T
+        assert abs(abs(G[0, 1]) / np.sqrt(G[0, 0].real * G[1, 1].real) - eps) <= 1e-15
+        calls = self._svd_calls(monkeypatch)
+        P, warning = estimate._pinv(A)
+        assert warning is None and len(calls) == (0 if closed else 1)
+        if closed:
+            assert self._rel(P, A) <= 1e-12
+        else:
+            assert np.array_equal(P, np.linalg.pinv(A, rcond=1e-10))
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5)])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_diagonal_at_the_cut(self, monkeypatch, shape, factor):
+        # squared singular values 1, 1 and factor x the SVD's cut 1e-20: below
+        # the cut the SVD path cuts it (and warns for a tall system), above it
+        # the closed form keeps it, as the SVD would
+        s = np.sqrt(factor) * 1e-10
+        A = np.zeros(shape, dtype=complex)
+        A[[0, 1, 2], [0, 1, 2]] = [1.0, -1j, s]
+        calls = self._svd_calls(monkeypatch)
+        P, warning = estimate._pinv(A)
+        want = np.linalg.pinv(A, rcond=1e-10)
+        if factor < 1:
+            assert len(calls) == 1 and np.array_equal(P, want) and P[2, 2] == 0
+            assert (warning is not None) == (shape[0] >= shape[1])
+            if warning is not None:
+                assert "rank 2" in warning
+        else:
+            assert calls == [] and warning is None
+            assert self._rel(P, A) <= 1e-12 and abs(P[2, 2] * s - 1) <= 1e-15
+
+    def test_real_input_left_unchanged(self):
+        A = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, -2.0]])
+        kept = A.copy()
+        P, warning = estimate._pinv(A)
+        assert warning is None and np.array_equal(A, kept)
+        assert np.array_equal(P, [[1 / 3, 0.0], [0.0, 0.0], [0.0, -0.5]])
+
+    def test_other_inputs_take_the_svd_path(self, monkeypatch):
+        calls = self._svd_calls(monkeypatch)
+        g = RngStream(7).generator()
+        dense = _cn(g, 6, 6)
+        cyclic = orthogonal_pilot(8, 12, 1.0, 0.1, RngStream(8)).phi  # tau_p > M
+        deficient = np.zeros((4, 4), dtype=complex)
+        deficient[[0, 1, 2, 3], [0, 2, 3, 0]] = 1.0
+        zero = np.zeros((3, 3))
+        for A in (dense, cyclic, deficient, zero):
+            assert estimate._orthogonal_gram_pinv(A) is None
+            P, _ = estimate._pinv(A)
+            assert np.array_equal(P, np.linalg.pinv(A, rcond=1e-10))
+        assert len(calls) == 4
+        for bad in (np.nan, np.inf):
+            A = np.eye(3, dtype=complex)
+            A[1, 2] = bad
+            assert estimate._orthogonal_gram_pinv(A) is None
+            with pytest.raises(DomainError, match="finite"):
+                estimate._pinv(A)
+
+
 class TestMmseEstimate:
     def test_zero_prior_gives_zero(self):
         pilot = orthogonal_pilot(4, 4, 1.0, 0.5)
@@ -258,6 +372,22 @@ class TestMmseEstimate:
         hhat, mse = mmse_estimate(y, pilot, R)
         assert np.linalg.norm(hhat - W @ y) <= 1e-12 * np.linalg.norm(W @ y)
         assert abs(mse - mse_want) <= 1e-12 * mse_want
+
+    @pytest.mark.parametrize("kind", ["waterfill", "seeded-short", "dense"])
+    def test_mse_sum_equals_trace_of_product(self, kind):
+        # the O(M tau) sum of W^T * (phi R) against tr(W phi R) of the M x M product
+        m, p, sigma2 = 12, 1.3, 0.4
+        R = _rand_psd(m, 29)
+        g = np.random.default_rng(30)
+        phi = g.standard_normal((7, m)) + 1j * g.standard_normal((7, m))
+        pilot = {"waterfill": lambda: mmse_pilot_design(R, p, sigma2, 9),
+                 "seeded-short": lambda: orthogonal_pilot(m, 5, p, sigma2, RngStream(31)),
+                 "dense": lambda: PilotMatrix(phi * np.sqrt(7 / np.sum(np.abs(phi) ** 2)),
+                                              p, sigma2),
+                 }[kind]()
+        (W, mse), _ = estimate._mmse_operator(pilot, R)
+        want = float(np.trace(R).real - np.sqrt(p) * np.trace(W @ pilot.phi @ R).real)
+        assert abs(mse - want) <= 1e-12 * want
 
     def test_batch_equals_columnwise(self):
         R = _rand_psd(8, 24)
@@ -627,6 +757,82 @@ class TestOmp:
         with pytest.raises(ContractError):
             omp_estimate(np.zeros(self.m, dtype=complex), pilot, self.dict,
                          self.dict.num_atoms + 1)
+
+
+def _omp_pinv_reference(A, norms, Y, sparsity):
+    """The OMP greedy loop with the stacked-pinv refit at the lstsq(rcond=None)
+    cut-off, run on all columns of Y for `sparsity` iterations."""
+    T = Y.shape[1]
+    selected = np.zeros((T, sparsity), dtype=np.intp)
+    Yt = Y.T
+    residual = Yt
+    for k in range(sparsity):
+        corr = np.abs(residual.conj() @ A) / norms
+        corr[np.arange(T)[:, None], selected[:, :k]] = -1.0
+        selected[:, k] = np.argmax(corr, axis=1)
+        As = A[:, selected[:, :k + 1]].transpose(1, 0, 2)
+        c = np.linalg.pinv(As, rcond=max(As.shape[1:]) * np.finfo(float).eps) @ Yt[:, :, None]
+        residual = Yt - (As @ c)[..., 0]
+    return selected, c[..., 0]
+
+
+class TestOmpRefit:
+    """OMP's refit by batched QR where a condition bound certifies it, the
+    stacked pinv elsewhere."""
+
+    @pytest.mark.parametrize("tau", [4, 8, 10, 16, 24, 32, 48, 64])
+    def test_fig11_equals_pinv_loop(self, tau):
+        # fig11's 64 x 5025 dictionary, its off-grid three-path channels at
+        # pilot SNR 10 dB and its nested pilots, at every tau_p of its sweep
+        geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
+        dictionary = build_ff_dictionary(geom, 40)
+        sampler = _sparse_sampler(geom, dictionary, 3, False, 0.9 * np.pi / 2)
+        pilot = orthogonal_pilot(64, 64, 10.0, 1.0, RngStream(801))._leading(tau)
+        y = received_pilot(pilot, sampler(RngStream(802, tau), 40), RngStream(803, tau))
+        est, sel = omp_estimate(y, pilot, dictionary, 3)
+        A, norms = estimate._omp_operator(pilot, dictionary)[0]
+        want_sel, want_coef = _omp_pinv_reference(A, norms, y, 3)
+        assert sel == want_sel.tolist()
+        want = np.einsum("mtk,tk->mt", dictionary.atoms[:, want_sel], want_coef)
+        assert np.all(np.linalg.norm(est - want, axis=0)
+                      <= 1e-12 * np.linalg.norm(want, axis=0))
+
+    @staticmethod
+    def _pinv_stacks(monkeypatch):
+        pinv, stacks = np.linalg.pinv, []
+        monkeypatch.setattr(np.linalg, "pinv",
+                            lambda M, rcond: stacks.append(len(M)) or pinv(M, rcond=rcond))
+        return pinv, stacks
+
+    def test_uncertified_matrices_take_the_pinv_refit(self, monkeypatch):
+        # a stack of a well-conditioned matrix and two pairs of near-parallel
+        # columns (condition numbers near 1e10 and 1e14): the last two are
+        # refit by one stacked pinv, bit for bit the whole stack's
+        g = RngStream(804).generator()
+        a, b = _cn(g, 16), _cn(g, 16)
+        As = np.stack([_cn(g, 16, 2),
+                       np.stack([a, a + 1e-10 * b], axis=1),
+                       np.stack([a, a + 1e-14 * b], axis=1)])
+        y = _cn(g, 3, 16, 1)
+        pinv, stacks = self._pinv_stacks(monkeypatch)
+        c = estimate._refit(As, y)
+        assert stacks == [2]
+        want = pinv(As, rcond=16 * np.finfo(float).eps) @ y
+        assert np.array_equal(c[1:], want[1:])
+        assert np.linalg.norm(c[0] - want[0]) <= 1e-13 * np.linalg.norm(want[0])
+
+    def test_exactly_singular_stack_takes_the_pinv_refit(self, monkeypatch):
+        # a zero column puts a zero on R's diagonal: the whole stack is refit
+        # by the stacked pinv, bit for bit, and nothing warns
+        g = RngStream(805).generator()
+        As = np.stack([_cn(g, 16, 2), np.stack([_cn(g, 16), np.zeros(16)], axis=1)])
+        y = _cn(g, 2, 16, 1)
+        pinv, stacks = self._pinv_stacks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = estimate._refit(As, y)
+        assert stacks == [2]
+        assert np.array_equal(c, pinv(As, rcond=16 * np.finfo(float).eps) @ y)
 
 
 class TestPreparedOperators:

@@ -294,6 +294,90 @@ class TestSuCapacity:
         assert np.all(np.diff(p[:3]) <= 1e-12)
 
 
+def _waterfill_row(g, total_power):
+    """Reference: one row's water level by a descending search over the count
+    k of active layers, the strongest first."""
+    p = np.zeros_like(g)
+    active = np.where(g > 0)[0]
+    if active.size == 0:
+        return p
+    order = np.argsort(-g[active])
+    inv = 1.0 / g[active][order]
+    for k in range(active.size, 0, -1):
+        level = (total_power + inv[:k].sum()) / k
+        if level >= inv[k - 1]:
+            break
+    p[active[order[:k]]] = np.clip(level - inv[:k], 0.0, None)
+    return p
+
+
+class TestWaterfillStack:
+    """waterfill_powers and parallel_capacity on a (..., L) stack at once,
+    against a per-row loop of the descending search."""
+
+    @staticmethod
+    def _stack():
+        g = np.random.default_rng(12)
+        rows = [g.exponential(size=40) * 10.0 ** g.uniform(-2, 2, size=40) for _ in range(5)]
+        rows += [np.zeros(40),  # no layer active
+                 np.r_[np.inf, np.inf, 3.0, 0.5, np.zeros(36)],  # zero noise beside finite gains
+                 np.r_[np.full(3, np.inf), np.zeros(37)],
+                 np.r_[np.full(20, 2.0), np.full(20, 0.7)],  # tied gains
+                 np.r_[5.0, 1e-6, 0.0, 5.0, np.full(36, 1e-3)],  # tied, tiny and idle layers
+                 np.r_[1.0, np.zeros(39)],
+                 np.full(40, 0.3)]
+        return np.array(rows)
+
+    @staticmethod
+    def _level(g, p):
+        """Each row's water level p_i + 1/g_i over its filled layers (0 if none):
+        the scale of the rounding in level - 1/g_i."""
+        floors = np.divide(1.0, g, out=np.zeros_like(g), where=g > 0)
+        return np.max(np.where(p > 0, p + floors, 0.0), axis=-1)
+
+    @pytest.mark.parametrize("total_power", [1e-3, 1.0, 8.0, 1e4])
+    def test_stack_equals_row_loop(self, total_power):
+        G = self._stack()
+        got = waterfill_powers(G, total_power)
+        want = np.array([_waterfill_row(row, total_power) for row in G])
+        assert got.shape == G.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * self._level(G, want)[:, None])
+        assert np.all(got[G <= 0] == 0) and not got[5].any()
+        # a 3-d stack and a 1-d row give the same rows
+        assert np.array_equal(waterfill_powers(G.reshape(3, 4, 40), total_power),
+                              got.reshape(3, 4, 40))
+        assert np.array_equal(waterfill_powers(G[0], total_power), got[0])
+
+    @pytest.mark.parametrize("allocation", ["waterfilling", "equal"])
+    def test_capacity_stack_equals_row_loop(self, allocation):
+        G = self._stack()
+        G = G[np.isfinite(G).all(axis=1)]  # an infinite gain has infinite capacity
+        caps = parallel_capacity(G, 2.0, allocation)
+        for row, cap in zip(G, caps):
+            p = (_waterfill_row(row, 2.0) if allocation == "waterfilling"
+                 else np.full(len(row), 2.0 / len(row)))
+            want = 0.0 if not row.any() else np.sum(np.log2(1.0 + p * row))
+            # powers within 1e-14 of the level move log2(1 + p g) by at most
+            # g 1e-14 level / ln 2 per layer
+            bound = 1e-14 * (self._level(row, p) * row.sum() / np.log(2) + want)
+            assert abs(cap - want) <= bound
+            assert cap == parallel_capacity(row, 2.0, allocation)
+
+    def test_nan_in_stack_rejected(self):
+        G = np.ones((3, 4))
+        G[2, 1] = np.nan
+        with pytest.raises(DomainError, match="NaN"):
+            waterfill_powers(G, 1.0)
+        with pytest.raises(DomainError, match="NaN"):
+            parallel_capacity(G, 1.0)
+
+    def test_empty_layers(self):
+        assert waterfill_powers(np.zeros((2, 0)), 1.0).shape == (2, 0)
+        assert parallel_capacity(np.zeros(0), 1.0) == 0.0
+        with pytest.raises(ContractError):
+            waterfill_powers(np.float64(1.0), 1.0)
+
+
 class TestOptimalSpacing:
     def test_reference_value(self):
         assert abs(optimal_spacing(0.01, 50.0, 16, 0.005) - 6.25) < 1e-12
