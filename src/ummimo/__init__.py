@@ -21,10 +21,9 @@ from .fields import (DipoleSegment, FieldSample, aperture_gain,
                      aperture_gain_subdivided, array_field, dipole_field,
                      dipole_transform, edge_phase_and_power, isotropic_area,
                      near_field_factor)
-from .channel import (ScatteringProfile, SpatialCorrelation, array_response,
-                      correlation_matrix, gaussian_cluster_profile,
-                      isotropic_profile, los_channel, sample_rayleigh,
-                      steering_matrix)
+from .channel import (ScatteringProfile, SpatialCorrelation, correlation_matrix,
+                      gaussian_cluster_profile, isotropic_profile, los_channel,
+                      sample_rayleigh, steering_matrix)
 from .beam import (BeamSpec, BeamdepthInterval, angular_taper, array_gain,
                    beamdepth_3db, beamwidth_3db, depth_gain, focus_phases)
 from .dof import (Dof2d, DofReport, active_rf_chains, bbu_rate, dof_1d, dof_2d,
@@ -34,10 +33,10 @@ from .estimate import (Dictionary, EstimatorResult, PilotMatrix,
                        mmse_estimate, mmse_pilot_design, nmse_sweep,
                        omp_estimate, orthogonal_pilot, received_pilot,
                        rsls_estimate, rsls_pilot)
-from .mux import (UplinkScenario, lmmse_combiner, lmmse_combiners,
-                  optimal_spacing, parallel_capacity, su_capacity, uplink_se,
-                  uplink_se_bound, waterfill_powers)
+from .mux import (UplinkScenario, lmmse_combiners, optimal_spacing,
+                  parallel_capacity, su_capacity, uplink_se, uplink_se_bound,
+                  waterfill_powers)
 from .circuit import (ImpedanceSet, LnaParams, end_to_end_channel,
                       impedance_set, mutual_impedance_z_dipoles,
-                      mutual_impedance_z_loops, noise_covariance,
-                      radiation_matrix, self_resistance, tx_power)
+                      noise_covariance, radiation_matrix, self_resistance,
+                      tx_power)

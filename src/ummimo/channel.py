@@ -35,7 +35,6 @@ from .numerics import (QuadratureGrid, RngStream, _gauss_legendre, complex_gauss
 __all__ = [
     "ScatteringProfile",
     "SpatialCorrelation",
-    "array_response",
     "steering_matrix",
     "los_channel",
     "correlation_matrix",
@@ -285,15 +284,6 @@ def _cluster_mass(ca: float, ce: float, std: float) -> float:
     elevation = 0.5 * (hi - lo) * float(w @ (np.exp(-(el - ce) ** 2 / (2.0 * std ** 2))
                                               * np.cos(el)))
     return azimuth * elevation
-
-
-def array_response(geom: ArrayGeometry, azimuth: float, elevation: float) -> np.ndarray:
-    """Far-field array response: unit-modulus phases of a plane wave.
-
-    Entry m is exp(-j kappa u(az, el)^T p_m) with u the unit direction
-    (azimuth from the +z normal toward +x, elevation toward +y).
-    """
-    return steering_matrix(geom, np.atleast_1d(azimuth), np.atleast_1d(elevation))[0]
 
 
 def steering_matrix(geom: ArrayGeometry, azimuth: np.ndarray,

@@ -22,7 +22,6 @@ __all__ = [
     "ImpedanceSet",
     "LnaParams",
     "mutual_impedance_z_dipoles",
-    "mutual_impedance_z_loops",
     "self_resistance",
     "impedance_set",
     "end_to_end_channel",
@@ -139,13 +138,12 @@ def _dipole_bracket(dx, dy, dz, kappa: float):
     return wave
 
 
-def _impedance(axes, wavelength: float, scale: float) -> complex | np.ndarray:
-    """scale / (j omega eps0) times the bracket of the separations given per
-    axis (see _dipole_bracket): scale = L0^2 for z-dipoles, -A0^2 for
-    z-loops."""
+def _impedance(axes, wavelength: float, length: float) -> complex | np.ndarray:
+    """L0^2 / (j omega eps0) times the bracket of the separations given per
+    axis (see _dipole_bracket): the z-dipole mutual impedance."""
     kappa = 2.0 * np.pi / wavelength
     omega = kappa * speed_of_light
-    return scale / (1j * omega * epsilon_0) * _dipole_bracket(*axes, kappa)
+    return length ** 2 / (1j * omega * epsilon_0) * _dipole_bracket(*axes, kappa)
 
 
 def mutual_impedance_z_dipoles(p, wavelength: float, length: float) -> complex | np.ndarray:
@@ -160,19 +158,7 @@ def mutual_impedance_z_dipoles(p, wavelength: float, length: float) -> complex |
     raises SingularityError.
     """
     p = np.asarray(p, dtype=float)
-    return _impedance((p[..., 0], p[..., 1], p[..., 2]), wavelength, length ** 2)
-
-
-def mutual_impedance_z_loops(p, wavelength: float, area: float) -> complex | np.ndarray:
-    """Mutual impedance of two z-oriented incremental current loops.
-
-    Z(p) = (A0^2 / (j omega eps0)) [d^2/dx^2 + d^2/dy^2] e^{j kappa |p|}/(4 pi |p|).
-    Away from the origin the spherical wave satisfies the Helmholtz equation,
-    so the transverse Laplacian equals minus the z-dipole operator.  Shapes
-    and the zero-separation error are those of mutual_impedance_z_dipoles.
-    """
-    p = np.asarray(p, dtype=float)
-    return _impedance((p[..., 0], p[..., 1], p[..., 2]), wavelength, -area ** 2)
+    return _impedance((p[..., 0], p[..., 1], p[..., 2]), wavelength, length)
 
 
 def self_resistance(length: float, wavelength: float) -> float:
@@ -210,7 +196,7 @@ def impedance_set(tx: ArrayGeometry, rx: ArrayGeometry, length: float,
         # bit, because p_j - p_i == -(p_i - p_j) exactly
         n = len(pos)
         i, j = np.triu_indices(n, 1)
-        upper = _impedance([pos[i, a] - pos[j, a] for a in range(3)], lam, length ** 2)
+        upper = _impedance([pos[i, a] - pos[j, a] for a in range(3)], lam, length)
         Z = np.empty((n, n), dtype=complex)
         Z[i, j] = upper
         Z[j, i] = upper
@@ -219,7 +205,7 @@ def impedance_set(tx: ArrayGeometry, rx: ArrayGeometry, length: float,
 
     try:
         Z_RT = _impedance([np.subtract.outer(rx.positions[:, a], tx.positions[:, a])
-                           for a in range(3)], lam, length ** 2)
+                           for a in range(3)], lam, length)
     except SingularityError:
         raise ContractError("coincident elements across arrays") from None
     return ImpedanceSet(self_block(tx.positions), self_block(rx.positions), Z_RT, R0)

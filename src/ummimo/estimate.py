@@ -39,7 +39,6 @@ __all__ = [
 _PINV_RTOL = 1e-10  # singular values below this times the largest are zero
 _GRAM_ORTHOGONALITY = 1e-12  # largest normalised Gram off-diagonal _pinv treats as zero
 _SUBSPACE_CAPTURE = 0.9999  # trace fraction isotropic_subspace keeps
-_OPERATORS_PER_PILOT = 8  # prepared operators one PilotMatrix keeps, oldest dropped first
 _OMP_BLOCK_ENTRIES = 1 << 19  # columns x atoms of one OMP correlation block
 _QR_REFIT_MARGIN = 1e-6  # largest condition bound x lstsq cut-off an OMP refit solves by QR
 
@@ -49,16 +48,16 @@ class PilotMatrix:
     """Pilot sequence matrix (tau_p x M), pilot power, and noise power.
 
     The average pilot power is normalized to one: trace(phi^H phi) = tau_p.
-    phi is a read-only copy of the caller's matrix, so the operators the
-    estimators prepare from it (see `_prepared`) cannot go stale.  A pilot
-    made by `_leading` keeps the pilot whose rows it took as its basis.
+    phi is a read-only copy of the caller's matrix.  A pilot made by
+    `_leading` keeps the pilot whose rows it took as its basis, and a basis
+    keeps the OMP sensing matrix of one dictionary (see _omp_operator).
     """
 
     phi: np.ndarray
     power: float
     noise_power: float
-    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _basis: PilotMatrix | None = field(default=None, init=False, repr=False, compare=False)
+    _sensing_slot: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         phi = np.array(self.phi, dtype=complex)
@@ -95,37 +94,15 @@ class PilotMatrix:
     def num_antennas(self) -> int:
         return self.phi.shape[1]
 
-    def _prepared(self, kind: str, stats, inputs_read_only: bool,
-                  build: Callable[[], tuple]):
-        """The operator build() forms for this pilot and the statistics object
-        `stats`, from build()'s (operator, rank-deficiency warning or None).
 
-        When every input of build() is read-only the operator is kept, keyed
-        by (kind, id(stats)), beside a reference to `stats` so the id stays
-        taken; at most _OPERATORS_PER_PILOT are kept, oldest dropped first.
-        The warning is issued on every call, at the caller of the public
-        estimator that calls this.
-        """
-        key = (kind, id(stats))
-        entry = self._operators.get(key)
-        if entry is None:
-            entry = (stats, *build())
-            if inputs_read_only:
-                if len(self._operators) >= _OPERATORS_PER_PILOT:
-                    del self._operators[next(iter(self._operators))]
-                self._operators[key] = entry
-        _, op, warning = entry
-        if warning is not None:
-            warnings.warn(warning, RuntimeWarning, stacklevel=3)
-        return op
-
-
-def _read_only(a) -> bool:
-    return isinstance(a, np.ndarray) and not a.flags.writeable
+def _warn(warning: str | None) -> None:
+    """Issue _pinv's warning, if any, at the caller of the calling estimator."""
+    if warning is not None:
+        warnings.warn(warning, RuntimeWarning, stacklevel=3)
 
 
 def _freeze(*arrays):
-    """Make arrays read-only, as prepared operators are shared by later calls."""
+    """Make arrays read-only, as arrays shared with later calls must be."""
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -223,10 +200,10 @@ def ls_estimate(y: np.ndarray, pilot: PilotMatrix) -> np.ndarray:
 
     y is one received pilot (tau_p,) or a batch (tau_p, T) with one pilot
     per column; the estimate is then (M,) or (M, T).  The map is linear, so
-    a batch gives the column-wise estimates.  phi^+ is prepared once per
-    pilot and kept on it.
+    a batch gives the column-wise estimates.
     """
-    P = pilot._prepared("ls", None, True, lambda: _pinv(pilot.phi))
+    P, warning = _pinv(pilot.phi)
+    _warn(warning)
     return P @ y / np.sqrt(pilot.power)
 
 
@@ -238,7 +215,7 @@ def _mmse_operator(pilot: PilotMatrix, R: np.ndarray):
     W = (P @ (np.sqrt(p) * phiR)).conj().T
     # tr(W phi R) as the O(M tau) sum of W^T * (phi R), not an M x M product
     mse = float(np.trace(R).real - np.sqrt(p) * (W.T * phiR).sum().real)
-    return (_freeze(W)[0], mse), warning
+    return (W, mse), warning
 
 
 def mmse_estimate(y: np.ndarray, pilot: PilotMatrix,
@@ -254,13 +231,10 @@ def mmse_estimate(y: np.ndarray, pilot: PilotMatrix,
 
     y is (tau_p,) or a batch (tau_p, T), one received pilot per column; the
     estimate is then (M,) or (M, T), and the analytic MSE, which depends on
-    the pilot alone, is the same either way.  W and the MSE are prepared once
-    per (pilot, corr) and kept on the pilot when corr is a SpatialCorrelation
-    with a read-only R, as correlation_matrix returns.
+    the pilot alone, is the same either way.
     """
-    c = _as_correlation(corr)
-    W, mse = pilot._prepared("mmse", c, c is corr and _read_only(c.R),
-                             lambda: _mmse_operator(pilot, c.R))
+    (W, mse), warning = _mmse_operator(pilot, _as_correlation(corr).R)
+    _warn(warning)
     return W @ y, mse
 
 
@@ -289,17 +263,6 @@ def mmse_pilot_design(corr: SpatialCorrelation | np.ndarray, power: float,
     return PilotMatrix(phi, power, noise_power)
 
 
-def _rsls_operator(pilot: PilotMatrix, subspace: np.ndarray):
-    U = np.array(subspace, dtype=complex)  # a copy: freezing it leaves the caller's flags
-    r = U.shape[1]
-    if np.linalg.norm(U.conj().T @ U - np.eye(r)) > 1e-8 * np.sqrt(r):
-        raise ContractError("subspace columns must be orthonormal")
-    if pilot.tau < r:
-        raise ContractError(f"tau_p = {pilot.tau} < subspace dimension {r}")
-    P, warning = _pinv(pilot.phi @ U)
-    return _freeze(U, P), warning
-
-
 def rsls_estimate(y: np.ndarray, pilot: PilotMatrix, subspace: np.ndarray) -> np.ndarray:
     """Reduced-subspace LS: least squares restricted to span(subspace).
 
@@ -308,12 +271,16 @@ def rsls_estimate(y: np.ndarray, pilot: PilotMatrix, subspace: np.ndarray) -> np
     phi, so a rank-deficient phi U warns.  Noise in the orthogonal complement
     is removed entirely; the estimate always lies in the subspace.  y is
     (tau_p,) or a batch (tau_p, T), one received pilot per column; the
-    estimate is then (M,) or (M, T).  The checks and (phi U)^+ run once per
-    (pilot, subspace) and are kept on the pilot when subspace is a read-only
-    array, as isotropic_subspace returns.
+    estimate is then (M,) or (M, T).
     """
-    U, P = pilot._prepared("rs-ls", subspace, _read_only(subspace),
-                           lambda: _rsls_operator(pilot, subspace))
+    U = np.asarray(subspace, dtype=complex)
+    r = U.shape[1]
+    if np.linalg.norm(U.conj().T @ U - np.eye(r)) > 1e-8 * np.sqrt(r):
+        raise ContractError("subspace columns must be orthonormal")
+    if pilot.tau < r:
+        raise ContractError(f"tau_p = {pilot.tau} < subspace dimension {r}")
+    P, warning = _pinv(pilot.phi @ U)
+    _warn(warning)
     return U @ (P @ y) / np.sqrt(pilot.power)
 
 
@@ -358,8 +325,8 @@ class Dictionary:
 
     grid holds the (Psi, Omega) = (sin az cos el, sin el) pair per atom; all
     pairs satisfy Psi^2 + Omega^2 <= 1 and every atom has norm sqrt(M).
-    build_ff_dictionary returns both arrays read-only, which lets omp_estimate
-    keep the sensing matrix it prepares from them.
+    build_ff_dictionary returns both arrays read-only, which lets a basis
+    pilot keep the sensing matrix it forms from them (see _omp_operator).
     """
 
     atoms: np.ndarray
@@ -413,16 +380,19 @@ def _sensing(pilot: PilotMatrix, dictionary: Dictionary) -> np.ndarray:
 def _omp_operator(pilot: PilotMatrix, dictionary: Dictionary):
     """The sensing matrix sqrt(p) phi atoms and its column norms.  A pilot
     with a basis (see PilotMatrix._leading) takes the leading rows of its
-    basis's sensing matrix, formed once and kept on the basis when the atoms
-    are read-only: row i of a matrix product depends on row i of phi alone,
-    and BLAS gives the same bits (checked at fig11's 64 x 5025 shapes)."""
-    basis = pilot._basis
-    if basis is None or not _read_only(dictionary.atoms):
+    basis's sensing matrix when the atoms are read-only and so cannot change:
+    the basis keeps that matrix, read-only, in one slot beside the last
+    dictionary it served.  Row i of a matrix product depends on row i of phi
+    alone, and BLAS gives the same bits (checked at fig11's 64 x 5025 shapes)."""
+    basis, atoms = pilot._basis, dictionary.atoms
+    if basis is None or not (isinstance(atoms, np.ndarray) and not atoms.flags.writeable):
         A = _sensing(pilot, dictionary)
     else:
-        A = basis._prepared("sensing", dictionary, True,
-                            lambda: (_freeze(_sensing(basis, dictionary))[0], None))
-        A = A[:pilot.tau]
+        slot = basis._sensing_slot
+        if slot is None or slot[0] is not dictionary:
+            slot = (dictionary, _freeze(_sensing(basis, dictionary))[0])
+            object.__setattr__(basis, "_sensing_slot", slot)
+        A = slot[1][:pilot.tau]
     # np.linalg.norm(A, axis=0) sums |a|^2 row after row; so does this loop,
     # bit for bit, without two tau_p x K temporaries
     norms = np.zeros(A.shape[1])
@@ -430,7 +400,7 @@ def _omp_operator(pilot: PilotMatrix, dictionary: Dictionary):
         norms += (row.conj() * row).real
     norms = np.sqrt(norms)
     norms[norms == 0] = 1.0
-    return _freeze(A, norms), None
+    return A, norms
 
 
 def _refit(As: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -511,15 +481,15 @@ def omp_estimate(y: np.ndarray, pilot: PilotMatrix, dictionary: Dictionary,
     Returns (estimate, selected_indices).
 
     y is (tau_p,) or a batch (tau_p, T) with one received pilot per column.
-    The sensing matrix and its column norms are prepared once per (pilot,
-    dictionary) and kept on the pilot when the atoms are read-only, as
-    build_ff_dictionary returns them.  One greedy loop serves a block of
-    columns: each iteration forms every column's correlations in one matrix
-    product and refits every column by one batched QR (see _refit), and a
-    column that meets residual_threshold leaves the block with its
-    selections and coefficients.  A batch returns the (M, T) estimates and a
-    list of T selections, equal to T separate calls up to float rounding.
-    Blocks hold at most _OMP_BLOCK_ENTRIES columns x atoms.
+    The sensing matrix and its column norms are formed on the call, a
+    _leading pilot's as rows of its basis's (see _omp_operator).  One greedy
+    loop serves a block of columns: each iteration forms every column's
+    correlations in one matrix product and refits every column by one
+    batched QR (see _refit), and a column that meets residual_threshold
+    leaves the block with its selections and coefficients.  A batch returns
+    the (M, T) estimates and a list of T selections, equal to T separate
+    calls up to float rounding.  Blocks hold at most _OMP_BLOCK_ENTRIES
+    columns x atoms.
     """
     if sparsity < 1:
         raise ContractError("sparsity must be >= 1")
@@ -527,8 +497,7 @@ def omp_estimate(y: np.ndarray, pilot: PilotMatrix, dictionary: Dictionary,
         raise ContractError("sparsity exceeds the dictionary size")
     if pilot.tau < sparsity:
         raise ContractError("tau_p must be >= the sparsity level")
-    A, norms = pilot._prepared("omp", dictionary, _read_only(dictionary.atoms),
-                               lambda: _omp_operator(pilot, dictionary))
+    A, norms = _omp_operator(pilot, dictionary)
     y = np.asarray(y, dtype=complex)
     Y = y.reshape(len(y), -1)
     estimates = np.empty((dictionary.atoms.shape[0], Y.shape[1]), dtype=complex)

@@ -11,7 +11,6 @@ from .errors import ContractError, DomainError, check_finite_positive
 
 __all__ = [
     "UplinkScenario",
-    "lmmse_combiner",
     "lmmse_combiners",
     "uplink_se",
     "uplink_se_bound",
@@ -54,25 +53,15 @@ class UplinkScenario:
         return self.H.shape[1]
 
 
-def _check_ue(scenario: UplinkScenario, k: int) -> None:
-    if not 0 <= k < scenario.num_ues:
-        raise ContractError(f"UE index {k} out of range")
-
-
 def _check_noise(scenario: UplinkScenario) -> None:
     if scenario.noise_power <= 0:
         raise DomainError("noise power must be positive")
 
 
-def lmmse_combiner(scenario: UplinkScenario, k: int) -> np.ndarray:
-    """SE-maximizing combiner p_k (sum_i p_i h_i h_i^H + sigma^2 I)^{-1} h_k,
-    column k of lmmse_combiners."""
-    _check_ue(scenario, k)
-    return lmmse_combiners(scenario)[:, k]
-
-
 def lmmse_combiners(scenario: UplinkScenario) -> np.ndarray:
-    """All K LMMSE combiners (H P H^H + sigma^2 I)^{-1} H P as columns.
+    """All K LMMSE combiners (H P H^H + sigma^2 I)^{-1} H P as columns; column
+    k is UE k's SE-maximizing combiner
+    p_k (sum_i p_i h_i h_i^H + sigma^2 I)^{-1} h_k.
 
     Computed by the push-through identity as H (P H^H H + sigma^2 I)^{-1} P:
     one K x K solve after the K x K Gram matrix H^H H, so the cost is
@@ -192,12 +181,14 @@ def su_capacity(H: np.ndarray, total_power: float, noise_power: float,
     (..., M, N) stack: one batched SVD, and the (...) array of capacities,
     each equal bit for bit to su_capacity of its own matrix; an M x N H
     gives the float.  total_power and noise_power must be finite and
-    positive.
+    positive, and H finite (DomainError).
     """
     check_finite_positive(total_power=total_power, noise_power=noise_power)
     H = np.asarray(H, dtype=complex)
     if H.ndim < 2:
         raise ContractError(f"H must be an M x N matrix or a stack of them, got shape {H.shape}")
+    if not np.all(np.isfinite(H)):
+        raise DomainError("H must be finite")
     s = np.linalg.svd(H, compute_uv=False)
     return parallel_capacity(s ** 2 / noise_power, total_power, allocation)
 

@@ -5,9 +5,9 @@ import pytest
 
 from ummimo import channel, numerics
 from ummimo.errors import ContractError, DomainError, SingularityError
-from ummimo.channel import (array_response, correlation_matrix,
-                            gaussian_cluster_profile, isotropic_profile,
-                            los_channel, sample_rayleigh, steering_matrix)
+from ummimo.channel import (correlation_matrix, gaussian_cluster_profile,
+                            isotropic_profile, los_channel, sample_rayleigh,
+                            steering_matrix)
 from ummimo.geometry import ArrayGeometry, build_ula, build_upa, region_bounds
 from ummimo.numerics import QuadratureGrid, RngStream, complex_gaussian, hemisphere_grid
 
@@ -17,12 +17,12 @@ LAM = 0.01
 class TestArrayResponse:
     def test_broadside_all_ones(self):
         geom = build_upa(4, 3, LAM / 2, LAM / 2, LAM)
-        s = array_response(geom, 0.0, 0.0)
+        s = steering_matrix(geom, [0.0], [0.0])[0]
         assert np.allclose(s, 1.0, atol=1e-14)
 
     def test_endfire_phase_difference(self):
         geom = build_ula(2, LAM / 2, LAM)
-        s = array_response(geom, np.pi / 2, 0.0)
+        s = steering_matrix(geom, [np.pi / 2], [0.0])[0]
         dphi = np.angle(s[1] / s[0])
         assert abs(abs(dphi) - np.pi) < 1e-12
 
@@ -32,7 +32,7 @@ class TestArrayResponse:
         for _ in range(20):
             az = rng.uniform(-np.pi / 2, np.pi / 2)
             el = rng.uniform(-np.pi / 2, np.pi / 2)
-            s = array_response(geom, az, el)
+            s = steering_matrix(geom, [az], [el])[0]
             assert abs(np.linalg.norm(s) ** 2 - geom.num_elements) < 1e-9
 
 
@@ -384,7 +384,7 @@ class TestClusterProfile:
         corr = correlation_matrix(geom, profile, hemisphere_grid(360, 180))
         w = np.linalg.eigvalsh(corr.R)[::-1]
         assert w[0] / np.sum(w) > 0.98  # essentially beta * s s^H
-        s = array_response(geom, 0.25, 0.0)
+        s = steering_matrix(geom, [0.25], [0.0])[0]
         top = np.linalg.eigh(corr.R)[1][:, -1]
         overlap = abs(top.conj() @ s) / (np.linalg.norm(s))
         assert overlap > 0.99

@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from ummimo.errors import ContractError, SingularityError
 from ummimo.circuit import (ImpedanceSet, LnaParams, end_to_end_channel,
                             impedance_set, mutual_impedance_z_dipoles,
-                            mutual_impedance_z_loops, noise_covariance,
-                            radiation_matrix, self_resistance, tx_power)
+                            noise_covariance, radiation_matrix, self_resistance,
+                            tx_power)
 from ummimo.geometry import ArrayGeometry, build_ula, build_upa
 from ummimo.numerics import sphere_grid
 
@@ -17,7 +17,7 @@ KAPPA = 2 * np.pi / LAM
 OMEGA = KAPPA * speed_of_light
 
 
-def _fd_oracle(p, wavelength, prefactor, sign=1.0, step_frac=1e-6):
+def _fd_oracle(p, wavelength, prefactor, step_frac=1e-6):
     """High-precision central difference of [d2/dz2 + k^2] e^{jkr}/(4 pi r)."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
@@ -30,7 +30,7 @@ def _fd_oracle(p, wavelength, prefactor, sign=1.0, step_frac=1e-6):
         return mp.exp(1j * kap * r) / (4 * mp.pi * r)
 
     operator = (g(z + h) - 2 * g(z) + g(z - h)) / h ** 2 + kap ** 2 * g(z)
-    return complex(mp.mpc(prefactor) * mp.mpf(sign) * operator)
+    return complex(mp.mpc(prefactor) * operator)
 
 
 def _reference_z(p, wavelength, scale):
@@ -78,10 +78,9 @@ class TestPerAxisKernelBitIdentity:
     def test_mutual_impedances(self, shape):
         rng = np.random.default_rng(len(shape) * 100 + shape[0])
         p = rng.uniform(-3 * LAM, 3 * LAM, shape)
-        A0 = 0.01 * LAM ** 2
-        for got, want in ((mutual_impedance_z_dipoles(p, LAM, L0), _reference_z(p, LAM, L0 ** 2)),
-                          (mutual_impedance_z_loops(p, LAM, A0), _reference_z(p, LAM, -A0 ** 2))):
-            assert np.array_equal(got, want) and np.shape(got) == shape[:-1]
+        got = mutual_impedance_z_dipoles(p, LAM, L0)
+        assert np.array_equal(got, _reference_z(p, LAM, L0 ** 2))
+        assert np.shape(got) == shape[:-1]
 
     def test_single_vectors_keep_scalar_arithmetic(self):
         # one vector is computed with numpy's scalar rules, as before; they
@@ -213,23 +212,6 @@ class TestMutualImpedance:
         seps[2, 3] = 0.0
         with pytest.raises(SingularityError):
             mutual_impedance_z_dipoles(seps, LAM, L0)
-
-    def test_loop_is_scaled_negative_dipole(self):
-        # the loop operator is exactly -(A0 / L0)^2 times the dipole operator
-        A0 = 0.01 * LAM ** 2
-        seps = np.random.default_rng(13).uniform(-2 * LAM, 2 * LAM, (6, 3))
-        loops = mutual_impedance_z_loops(seps, LAM, A0)
-        dipoles = mutual_impedance_z_dipoles(seps, LAM, L0)
-        assert np.allclose(loops, -(A0 / L0) ** 2 * dipoles, rtol=1e-15, atol=0.0)
-
-    def test_loop_against_finite_difference_oracle(self):
-        # transverse Laplacian = -(z operator) away from the origin
-        A0 = 0.01 * LAM ** 2
-        p = (0.4 * LAM, 0.1 * LAM, 0.6 * LAM)
-        pref = A0 ** 2 / (1j * OMEGA * epsilon_0)
-        ref = _fd_oracle(p, LAM, pref, sign=-1.0)
-        val = mutual_impedance_z_loops(np.array(p), LAM, A0)
-        assert abs(val - ref) < 1e-6 * abs(ref)
 
 
 class TestSelfResistance:

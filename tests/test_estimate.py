@@ -790,7 +790,7 @@ class TestOmpRefit:
         pilot = orthogonal_pilot(64, 64, 10.0, 1.0, RngStream(801))._leading(tau)
         y = received_pilot(pilot, sampler(RngStream(802, tau), 40), RngStream(803, tau))
         est, sel = omp_estimate(y, pilot, dictionary, 3)
-        A, norms = estimate._omp_operator(pilot, dictionary)[0]
+        A, norms = estimate._omp_operator(pilot, dictionary)
         want_sel, want_coef = _omp_pinv_reference(A, norms, y, 3)
         assert sel == want_sel.tolist()
         want = np.einsum("mtk,tk->mt", dictionary.atoms[:, want_sel], want_coef)
@@ -836,7 +836,7 @@ class TestOmpRefit:
 
 
 class TestPreparedOperators:
-    """Operators prepared once per (pilot, statistics) and kept on the pilot."""
+    """Operators formed on every call from the pilot and its statistics."""
 
     def setup_method(self):
         self.geom = build_upa(4, 4, LAM / 4, LAM / 4, LAM)
@@ -855,7 +855,6 @@ class TestPreparedOperators:
     def test_reused_pilot_bit_identical_to_fresh(self):
         pilot = orthogonal_pilot(self.m, self.m, 2.0, 0.3, stream=RngStream(701))
         first = self._all_estimates(pilot)
-        assert len(pilot._operators) == 4
         again = self._all_estimates(pilot)
         fresh = self._all_estimates(PilotMatrix(pilot.phi, 2.0, 0.3))
         for a, b, c in zip(first, again, fresh):
@@ -878,22 +877,6 @@ class TestPreparedOperators:
         assert np.array_equal(got, want) and mse == want_mse
         assert not np.allclose(got, mmse_estimate(self.y[:8], pilot, self.corr)[0])
 
-    def test_cached_operators_read_only_and_bounded(self):
-        pilot = orthogonal_pilot(self.m, self.m, 1.0, 0.1)
-        for k in range(3 * estimate._OPERATORS_PER_PILOT):
-            corr = SpatialCorrelation(_rand_psd(self.m, 710 + k), 1.0)
-            corr.R.flags.writeable = False
-            mmse_estimate(self.y, pilot, corr)
-            assert len(pilot._operators) <= estimate._OPERATORS_PER_PILOT
-        omp_estimate(self.y, pilot, self.dict, 2)
-        rsls_estimate(self.y, pilot, self.subspace)
-        ls_estimate(self.y, pilot)
-        arrays = [a for _, op, _ in pilot._operators.values()
-                  for a in (op if isinstance(op, tuple) else (op,))
-                  if isinstance(a, np.ndarray)]
-        assert len(arrays) >= estimate._OPERATORS_PER_PILOT
-        assert not any(a.flags.writeable for a in arrays)
-
     def test_writeable_statistics_not_cached(self):
         pilot = orthogonal_pilot(self.m, self.m, 1.0, 0.1)
         U = np.array(self.subspace)  # writeable
@@ -901,11 +884,13 @@ class TestPreparedOperators:
         U[:] = np.eye(self.m, U.shape[1])  # another orthonormal basis, in place
         want = rsls_estimate(self.y, PilotMatrix(pilot.phi, 1.0, 0.1), U.copy())
         assert np.array_equal(rsls_estimate(self.y, pilot, U), want)
-        # a bare matrix R and a writeable R are formed anew on every call
+        # so does a correlation matrix changed in place
         R = np.array(self.corr.R)
         mmse_estimate(self.y, pilot, R)
-        mmse_estimate(self.y, pilot, SpatialCorrelation(R, 1.0))
-        assert pilot._operators == {}
+        R[:] = _rand_psd(self.m, 703)
+        got = mmse_estimate(self.y, pilot, SpatialCorrelation(R, 1.0))
+        want = mmse_estimate(self.y, PilotMatrix(pilot.phi, 1.0, 0.1), R.copy())
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
     def test_rank_deficiency_warns_on_every_call(self):
         phi = np.zeros((4, 4), dtype=complex)
@@ -930,13 +915,37 @@ class TestNestedPilotSensing:
         p = 10.0
         basis = orthogonal_pilot(64, 64, p, 1.0, RngStream(43))
         child = basis._leading(tau)
-        A, norms = estimate._omp_operator(child, self.dict)[0]
+        A, norms = estimate._omp_operator(child, self.dict)
         want = np.sqrt(p) * (child.phi @ self.dict.atoms)
         assert np.array_equal(A, want)
         assert np.array_equal(norms, np.linalg.norm(want, axis=0))
-        assert np.shares_memory(A, basis._operators[("sensing", id(self.dict))][1])
-        alone = estimate._omp_operator(PilotMatrix(child.phi, p, 1.0), self.dict)[0]
+        assert basis._sensing_slot[0] is self.dict
+        assert np.shares_memory(A, basis._sensing_slot[1])
+        alone = estimate._omp_operator(PilotMatrix(child.phi, p, 1.0), self.dict)
         assert np.array_equal(alone[0], want) and np.array_equal(alone[1], norms)
+
+    def test_omp_sweep_forms_the_basis_sensing_matrix_once(self, monkeypatch):
+        calls, sensing = [], estimate._sensing
+        monkeypatch.setattr(estimate, "_sensing",
+                            lambda pilot, d: calls.append(pilot.tau) or sensing(pilot, d))
+        sampler = _sparse_sampler(self.geom, self.dict, 3, False, 0.45 * np.pi)
+        nmse_sweep("omp", [4, 8, 10, 16, 24, 32, 48, 64], power=10.0, noise_power=1.0,
+                   trials=2, stream=RngStream(46), dictionary=self.dict, sparsity=3,
+                   sampler=sampler, trace_r=64.0, pilot_stream=RngStream(47))
+        assert calls == [64]
+
+    def test_writeable_atoms_not_kept(self):
+        # the slot serves read-only atoms only: atoms changed in place reach
+        # the next child's sensing matrix
+        geom = build_upa(4, 4, LAM / 4, LAM / 4, LAM)
+        d = build_ff_dictionary(geom, 6)
+        d = Dictionary(np.array(d.atoms), d.grid)  # writeable
+        basis = orthogonal_pilot(16, 16, 2.0, 0.1, RngStream(48))
+        estimate._omp_operator(basis._leading(8), d)
+        d.atoms[:] = d.atoms[::-1]
+        A, _ = estimate._omp_operator(basis._leading(8), d)
+        assert basis._sensing_slot is None
+        assert np.array_equal(A, np.sqrt(2.0) * (basis._leading(8).phi @ d.atoms))
 
     @pytest.mark.parametrize("est", ["ls", "omp"])
     def test_sweep_equals_fresh_thin_qr_pilots(self, est):

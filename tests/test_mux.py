@@ -4,9 +4,9 @@ import pytest
 from ummimo.errors import ContractError, DomainError
 from ummimo.channel import los_channel
 from ummimo.geometry import build_ula, build_upa
-from ummimo.mux import (UplinkScenario, lmmse_combiner, lmmse_combiners,
-                        optimal_spacing, parallel_capacity, su_capacity, uplink_se,
-                        uplink_se_bound, waterfill_powers)
+from ummimo.mux import (UplinkScenario, lmmse_combiners, optimal_spacing,
+                        parallel_capacity, su_capacity, uplink_se, uplink_se_bound,
+                        waterfill_powers)
 
 LAM = 0.01
 
@@ -35,7 +35,7 @@ class TestUplinkScenario:
 class TestLmmseCombiner:
     def test_single_ue_matched_filter(self):
         scen = _random_scenario(8, 1, 0)
-        v = lmmse_combiner(scen, 0)
+        v = lmmse_combiners(scen)[:, 0]
         h = scen.H[:, 0]
         assert abs(abs(v.conj() @ h) - np.linalg.norm(v) * np.linalg.norm(h)) \
             < 1e-9 * np.linalg.norm(v) * np.linalg.norm(h)
@@ -47,7 +47,7 @@ class TestLmmseCombiner:
         H[1, 1] = 1.0
         for sigma2, tol in ((1e-2, 2e-2), (1e-6, 2e-6)):
             scen = UplinkScenario(H, np.ones(2), sigma2)
-            v0 = lmmse_combiner(scen, 0)
+            v0 = lmmse_combiners(scen)[:, 0]
             leak = abs(v0.conj() @ H[:, 1]) / (np.linalg.norm(v0) * 1.0)
             assert leak < tol
 
@@ -57,10 +57,6 @@ class TestLmmseCombiner:
             se_lmmse = uplink_se(scen, lmmse_combiners(scen)).sum()
             se_mr = uplink_se(scen, scen.H).sum()
             assert se_lmmse >= se_mr - 1e-9
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ContractError):
-            lmmse_combiner(_random_scenario(4, 2, 1), 2)
 
     @pytest.mark.parametrize("m, k, zero_ue", [(512, 8, None), (6, 10, None),
                                                (512, 8, 3), (6, 10, 7)])
@@ -77,13 +73,9 @@ class TestLmmseCombiner:
         assert np.linalg.norm(V - dense) <= 1e-10 * np.linalg.norm(dense)
         if zero_ue is not None:
             assert np.all(V[:, zero_ue] == 0)
-        for i in range(k):
-            assert np.array_equal(lmmse_combiner(scen, i), V[:, i])
 
     def test_nonpositive_noise_rejected(self):
         scen = _random_scenario(4, 2, 1, sigma2=0.0)
-        with pytest.raises(DomainError):
-            lmmse_combiner(scen, 0)
         with pytest.raises(DomainError):
             lmmse_combiners(scen)
 
@@ -244,6 +236,16 @@ class TestSuCapacity:
 
     def test_zero_channel(self):
         assert su_capacity(np.zeros((3, 3)), 1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_channel_rejected(self, bad):
+        # named before the SVD, which would raise numpy's LinAlgError on a NaN
+        H = np.eye(3, dtype=complex)
+        H[0, 1] = bad
+        with pytest.raises(DomainError, match="H must be finite"):
+            su_capacity(H, 1.0, 1.0)
+        with pytest.raises(DomainError, match="H must be finite"):
+            su_capacity(np.stack([np.eye(3), H]), 1.0, 1.0)
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(9)
