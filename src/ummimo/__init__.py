@@ -36,7 +36,7 @@ from .estimate import (Dictionary, EstimatorResult, PilotMatrix,
 from .mux import (UplinkScenario, lmmse_combiners, optimal_spacing,
                   parallel_capacity, su_capacity, uplink_se, uplink_se_bound,
                   waterfill_powers)
-from .circuit import (ImpedanceSet, LnaParams, end_to_end_channel,
+from .circuit import (ImpedanceSet, LnaParams, array_impedance, end_to_end_channel,
                       impedance_set, mutual_impedance_z_dipoles,
                       noise_covariance, radiation_matrix, self_resistance,
                       tx_power)

@@ -29,8 +29,9 @@ import numpy as np
 
 from .errors import ContractError, DomainError, SingularityError
 from .geometry import ArrayGeometry, Lattice
-from .numerics import (QuadratureGrid, RngStream, _gauss_legendre, complex_gaussian,
-                       hemisphere_grid, hermitian_eig, sinc, unit_directions)
+from .numerics import (QuadratureGrid, RngStream, _check_hermitian, _gauss_legendre,
+                       complex_gaussian, hemisphere_grid, hermitian_eig, sinc,
+                       unit_directions)
 
 __all__ = [
     "ScatteringProfile",
@@ -103,9 +104,9 @@ class SpatialCorrelation:
         A lag table that is exactly real and even in each axis (the isotropic
         closed form: hypot(-a, b) == hypot(a, b) bit for bit) makes R commute
         with the reflection of either lattice axis, so the spectrum is that of
-        the four parity blocks (see _parity_spectrum), each about M/4 on a
-        side and gathered from T; R is never formed.  Any other correlation
-        takes one eigvalsh of R (see _full_spectrum).
+        the parity blocks gathered from T, about M/4 on a side, split once more
+        on a square lattice with dx == dy (see _parity_spectrum); R is never
+        formed.  Any other correlation takes one eigvalsh of R (_full_spectrum).
         """
         T = None if self._lags is None else _real_even(self._lags[0])
         w = _full_spectrum(self.R) if T is None else _parity_spectrum(T, self._lags[1])
@@ -137,8 +138,10 @@ class SpatialCorrelation:
 def _full_spectrum(R) -> np.ndarray:
     """Eigenvalues of a Hermitian R, descending, from one eigvalsh.  A complex
     R whose imaginary part is all zero goes to the real symmetric solver,
-    which gives the same spectrum at a fraction of the cost."""
+    which gives the same spectrum at a fraction of the cost.  eigvalsh reads
+    one triangle, so R is checked as hermitian_eig checks its matrix."""
     R = np.asarray(R)
+    _check_hermitian(R, "R")
     if np.iscomplexobj(R) and not np.any(R.imag):
         R = R.real
     return np.linalg.eigvalsh(R)[::-1]
@@ -186,23 +189,51 @@ def _parity_spectrum(T: np.ndarray, lattice: Lattice) -> np.ndarray:
     (s_x, s_y) has entries B[(a, c), (b, d)] = T(a - b, c - d)
     + s_x T(a + b - N_x + 1, c - d) + s_y T(a - b, c + d - N_y + 1)
     + s_x s_y T(a + b - N_x + 1, c + d - N_y + 1), the x fold taken first
-    (see _fold)."""
+    (see _fold).
+
+    A square lattice with T == T.T exactly (dx == dy) also commutes with the
+    axis swap (a, c) -> (c, a), which maps block (1, -1) onto (-1, 1), so one
+    spectrum serves both, and splits blocks (1, 1) and (-1, -1) in two (see
+    _swap_split); that moves the spectrum by rounding only."""
     n_x, n_y = lattice.n_x, lattice.n_y
-    w = []
+    swap = n_x == n_y > 1 and np.array_equal(T, T.T)
+    w = {}
     for s_x in (1, -1)[:min(n_x, 2)]:
         U = np.moveaxis(_fold(T, n_x, s_x), 2, 0)  # (2 N_y - 1, h_x, h_x)
         for s_y in (1, -1)[:min(n_y, 2)]:
+            if swap and (s_x, s_y) == (-1, 1):
+                w[s_x, s_y] = w[1, -1]
+                continue
             V = _fold(U, n_y, s_y)  # (h_y, h_y, h_x, h_x)
             h = V.shape[0] * V.shape[2]
-            w.append(np.linalg.eigvalsh(V.transpose(2, 0, 3, 1).reshape(h, h)))
-    return np.sort(np.concatenate(w))[::-1]
+            B = V.transpose(2, 0, 3, 1).reshape(h, h)
+            blocks = _swap_split(B, V.shape[0]) if swap and s_x == s_y else (B,)
+            w[s_x, s_y] = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
+    return np.sort(np.concatenate(list(w.values())))[::-1]
+
+
+def _swap_split(B: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of B (side h^2, index a h + c, commuting with (a, c) -> (c, a))
+    on the bases e_(a,a) and (e_(a,c) + e_(c,a)) / sqrt 2, and (e_(a,c) -
+    e_(c,a)) / sqrt 2, for a < c: gathered as k_p k_q (B[p, q] + B[p, swap q]),
+    k = 1 / sqrt 2 where a = c and 1 elsewhere, and B[p, q] - B[p, swap q]."""
+    a, c = np.triu_indices(h)
+    p, q = a * h + c, c * h + a
+    k = np.where(a == c, np.sqrt(0.5), 1.0)
+    sym = k[:, None] * (B[np.ix_(p, p)] + B[np.ix_(p, q)]) * k
+    off = a < c
+    p, q = p[off], q[off]
+    return sym, B[np.ix_(p, p)] - B[np.ix_(p, q)]
 
 
 def _as_correlation(corr: SpatialCorrelation | np.ndarray) -> SpatialCorrelation:
-    """Wrap a bare matrix R, giving it the average gain trace(R) / M."""
+    """Wrap a bare matrix R, giving it the average gain trace(R) / M; a
+    non-finite entry raises DomainError."""
     if isinstance(corr, SpatialCorrelation):
         return corr
     R = np.asarray(corr)
+    if not np.all(np.isfinite(R)):
+        raise DomainError("R must be finite: it holds NaN or inf")
     return SpatialCorrelation(R, float(np.trace(R).real) / R.shape[0])
 
 
@@ -288,11 +319,21 @@ def _cluster_mass(ca: float, ce: float, std: float) -> float:
 
 def steering_matrix(geom: ArrayGeometry, azimuth: np.ndarray,
                     elevation: np.ndarray) -> np.ndarray:
-    """Array responses for many directions at once, shape (Q, M)."""
+    """Array responses for many directions at once, shape (Q, M).
+
+    On a builder array whose phases u . p repeat exactly along each lattice
+    column (every direction on the horizon, u_y == 0), only the n_x distinct
+    columns are exponentiated and repeated n_y times, with the same bits.
+    """
     u = unit_directions(azimuth, elevation)
     kappa = 2.0 * np.pi / geom.wavelength
-    S = -1j * kappa * (u @ geom.positions.T)
-    return np.exp(S, out=S)
+    P = u @ geom.positions.T
+    n_y = 1 if geom.lattice is None else geom.lattice.n_y
+    cols = P.reshape(*P.shape[:-1], P.shape[-1] // n_y, n_y).view(np.uint64)
+    repeat = n_y > 1 and not np.any(u[..., 1]) and np.all(cols == cols[..., :1])
+    S = -1j * kappa * (P[..., ::n_y] if repeat else P)
+    np.exp(S, out=S)
+    return np.repeat(S, n_y, axis=-1) if repeat else S
 
 
 def _is_planar_in_z(geom: ArrayGeometry) -> bool:
@@ -352,10 +393,26 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
     if amplitude == "common" and np.any(z <= 0):
         raise DomainError("common amplitude requires the transmitter off the array plane")
     r = z if amplitude == "common" else dist
+    n_y = 1 if geom.lattice is None else geom.lattice.n_y
+    half = (n_y + 1) // 2
+    mirror = (n_y > 1 and not np.any(t[:, 1]) and _mirrored(path, n_y)
+              and (r is z or _mirrored(r, n_y)))
+    grid = (len(t), len(pos) // n_y, n_y)
+    if mirror:  # element (i, j) has the wave of (i, n_y - 1 - j): exponentiate half
+        path = path.reshape(grid)[..., :half]
+        r = z[:, :, None] if r is z else r.reshape(grid)[..., :half]
     h = -2j * np.pi / lam * path  # the phase, then the wave, then times the amplitude
     np.exp(h, out=h)
     h *= lam / (4.0 * np.pi * r)
+    if mirror:
+        h = np.concatenate([h, h[..., n_y - half - 1::-1]], axis=-1).reshape(len(t), len(pos))
     return h.T if tx.ndim == 2 else h[0]
+
+
+def _mirrored(a: np.ndarray, n_y: int) -> bool:
+    """Whether a (K, M) array over a lattice is the same at (i, j) and (i, n_y - 1 - j)."""
+    cols = a.reshape(len(a), a.shape[1] // n_y, n_y)
+    return np.array_equal(cols, cols[..., ::-1])
 
 
 # Gauss-Legendre nodes per axis that resolve R for an aperture spanning
@@ -475,8 +532,8 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
     table of a builder array is real and even in each axis, because
     hypot(-a, b) == hypot(a, b) bit for bit, so its R commutes with the
     reflection of either lattice axis (and is exactly centrosymmetric,
-    R[::-1, ::-1] == R); SpatialCorrelation.spectrum splits it into four
-    parity blocks.
+    R[::-1, ::-1] == R); SpatialCorrelation.spectrum splits it into parity
+    blocks, and a square one with dx == dy further by the axis swap.
     """
     closed_form = profile.density is _isotropic_density and _is_planar_in_z(geom)
     if grid is None:
@@ -526,9 +583,8 @@ def sample_rayleigh(corr: SpatialCorrelation | np.ndarray, stream: RngStream,
     independent columns, from the one block complex_gaussian((M, size),
     stream).  A SpatialCorrelation computes the eigendecomposition and the
     factor R^{1/2} once and reuses them on every draw.  Small negative
-    eigenvalues from quadrature are clamped at zero; an eigenvalue below
-    -1e-8 * trace violates the PSD contract.
-    """
+    eigenvalues from quadrature are clamped at zero; one below -1e-8 * trace
+    violates the PSD contract, and a NaN or inf in R raises DomainError."""
     corr = _as_correlation(corr)
     root, Uh = corr._rayleigh_factor
     m = corr.num_antennas

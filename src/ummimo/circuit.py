@@ -23,6 +23,7 @@ __all__ = [
     "LnaParams",
     "mutual_impedance_z_dipoles",
     "self_resistance",
+    "array_impedance",
     "impedance_set",
     "end_to_end_channel",
     "tx_power",
@@ -176,39 +177,73 @@ def self_resistance(length: float, wavelength: float) -> float:
     return length ** 2 * kappa ** 3 / (6.0 * np.pi * omega * epsilon_0)
 
 
+def array_impedance(geom: ArrayGeometry, length: float,
+                    self_reactance: float = 0.0) -> np.ndarray:
+    """Impedance matrix of one z-dipole array, such as Z_T of impedance_set.
+
+    Off-diagonal entries are mutual impedances of the element pairs, diagonal
+    entries self_resistance(length) + j self_reactance (the point-dipole
+    self-reactance diverges, so a finite model value must be chosen
+    explicitly); Z equals Z.T exactly.  On a builder array whose separation
+    along each axis depends only on the index lag, bit for bit (z constant,
+    spacings such as lambda/2 at lambda = 0.5 m), Z is block Toeplitz:
+    _impedance runs once per lag (|l_x|, |l_y|) and is gathered.  Any other
+    array evaluates its upper triangle and mirrors it.
+    """
+    pos, lam = geom.positions, geom.wavelength
+    diagonal = self_resistance(length, lam) + 1j * self_reactance
+    n = len(pos)
+    seps = None if geom.lattice is None else _lattice_separations(pos, geom.lattice.n_y)
+    if seps is not None:
+        # Z(p) depends on p only through p_x^2, p_y^2 and p_z^2
+        (n_x, n_y), table = map(len, seps), np.empty(n, dtype=complex)
+        table[0] = diagonal
+        table[1:] = _impedance([a.ravel()[1:] for a in np.meshgrid(*seps, indexing="ij")]
+                               + [np.zeros(n - 1)], lam, length)
+        table = table.reshape(n_x, n_y)[np.ix_(*(abs(np.arange(1 - k, k)) for k in (n_x, n_y)))]
+        # window (a, b) holds the signed lags (p - n_x + 1 + a, q - n_y + 1 + b)
+        windows = np.lib.stride_tricks.sliding_window_view(table, (n_x, n_y))
+        return windows[::-1, ::-1].copy().reshape(n, n)
+    # the upper triangle, mirrored: Z(p_j - p_i) == Z(p_i - p_j) bit for
+    # bit, because p_j - p_i == -(p_i - p_j) exactly
+    i, j = np.triu_indices(n, 1)
+    upper = _impedance([pos[i, a] - pos[j, a] for a in range(3)], lam, length)
+    Z = np.empty((n, n), dtype=complex)
+    Z[i, j] = upper
+    Z[j, i] = upper
+    Z[np.diag_indices(n)] = diagonal
+    return Z
+
+
+def _lattice_separations(pos: np.ndarray, n_y: int):
+    """The per-axis separations |c_l - c_0| of lattice positions pos, when
+    each element pair is separated by exactly these at its index lags and z
+    is constant; None otherwise."""
+    xs, ys = pos[::n_y, 0], pos[:n_y, 1]
+    ix, iy = np.divmod(np.arange(len(pos)), n_y)
+    if not np.array_equal(pos, np.stack([xs[ix], ys[iy], np.full(len(pos), pos[0, 2])], 1)):
+        return None
+    D = [np.abs(np.subtract.outer(c, c)) for c in (xs, ys)]  # Toeplitz if its diagonals are
+    return [d[:, 0] for d in D] if all(np.array_equal(d[1:, 1:], d[:-1, :-1]) for d in D) else None
+
+
 def impedance_set(tx: ArrayGeometry, rx: ArrayGeometry, length: float,
                   R0: float = 50.0, self_reactance: float = 0.0) -> ImpedanceSet:
     """Impedance blocks for z-dipole arrays under the unilateral approximation.
 
-    Off-diagonal entries are mutual impedances of the corresponding element
-    pair; diagonal entries are self_resistance(length) + j self_reactance
-    (the point-dipole self-reactance diverges, so a finite model value must
-    be chosen explicitly).  Each self block is evaluated on its upper
-    triangle and mirrored, so Z_T and Z_R equal their transposes exactly;
-    the separations go to the bracket per axis, with no (N, N, 3) array.
+    Z_T and Z_R are each array's array_impedance; Z_RT holds the mutual
+    impedances across the arrays, which must share no element position.
     """
     lam = tx.wavelength
     if abs(rx.wavelength - lam) > 1e-12 * lam:
         raise ContractError("tx and rx geometries must share the wavelength")
-
-    def self_block(pos):
-        # the upper triangle, mirrored: Z(p_j - p_i) == Z(p_i - p_j) bit for
-        # bit, because p_j - p_i == -(p_i - p_j) exactly
-        n = len(pos)
-        i, j = np.triu_indices(n, 1)
-        upper = _impedance([pos[i, a] - pos[j, a] for a in range(3)], lam, length)
-        Z = np.empty((n, n), dtype=complex)
-        Z[i, j] = upper
-        Z[j, i] = upper
-        Z[np.diag_indices(n)] = self_resistance(length, lam) + 1j * self_reactance
-        return Z
-
     try:
         Z_RT = _impedance([np.subtract.outer(rx.positions[:, a], tx.positions[:, a])
                            for a in range(3)], lam, length)
     except SingularityError:
         raise ContractError("coincident elements across arrays") from None
-    return ImpedanceSet(self_block(tx.positions), self_block(rx.positions), Z_RT, R0)
+    return ImpedanceSet(array_impedance(tx, length, self_reactance),
+                        array_impedance(rx, length, self_reactance), Z_RT, R0)
 
 
 def end_to_end_channel(imp: ImpedanceSet) -> np.ndarray:

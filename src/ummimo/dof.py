@@ -81,11 +81,11 @@ def dof_report(corr: SpatialCorrelation | np.ndarray, eta: float,
     """Summarize a correlation against a DoF formula prediction.
 
     A SpatialCorrelation gives its cached spectrum: for the isotropic
-    correlation of a builder array that comes from four quarter-size parity
-    blocks of the lag table, and the M x M matrix is never formed.  A bare
-    matrix takes one eigvalsh, on the real part when its imaginary part is
-    all zero.  Eigenvalues are clipped at zero and normalized to a maximum
-    of 1.
+    correlation of a builder array that comes from quarter-size parity blocks
+    of the lag table, and the M x M matrix is never formed.  A bare matrix
+    takes one eigvalsh, on the real part when its imaginary part is all zero;
+    a NaN or inf entry raises DomainError, a non-Hermitian R ContractError.
+    Eigenvalues are clipped at zero and normalized to a maximum of 1.
     """
     w = corr.spectrum if isinstance(corr, SpatialCorrelation) else _full_spectrum(corr)
     w = np.clip(w, 0.0, None)

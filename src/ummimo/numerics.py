@@ -192,17 +192,25 @@ def hermitian_eig(A: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns (eigenvalues, eigenvectors) with A = U diag(w) U^H and columns of
-    U orthonormal.  Raises ContractError if A deviates from Hermitian by more
-    than 1e-10 * ||A||.
+    U orthonormal.  Raises DomainError if A holds NaN or inf, ContractError
+    if it deviates from Hermitian by more than 1e-10 * ||A||.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ContractError(f"expected a square matrix, got shape {A.shape}")
-    scale = np.linalg.norm(A)
-    if scale > 0 and np.linalg.norm(A - A.conj().T) > 1e-10 * scale:
-        raise ContractError("matrix is not Hermitian within tolerance")
+    _check_hermitian(A, "matrix")
     w, U = np.linalg.eigh(0.5 * (A + A.conj().T))
     return w[::-1], U[:, ::-1]
+
+
+def _check_hermitian(A: np.ndarray, name: str) -> None:
+    """DomainError naming A unless it is finite, ContractError unless
+    ||A - A^H|| <= 1e-10 ||A||, Frobenius."""
+    if not np.all(np.isfinite(A)):
+        raise DomainError(f"{name} must be finite: it holds NaN or inf")
+    scale = np.linalg.norm(A)
+    if scale > 0 and np.linalg.norm(A - A.conj().T) > 1e-10 * scale:
+        raise ContractError(f"{name} is not Hermitian within tolerance")
 
 
 def svd(A: np.ndarray):

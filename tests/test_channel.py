@@ -141,6 +141,82 @@ class TestPerAxisBitIdentity:
         assert np.array_equal(steering_matrix(geom, az, el), want)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _exp_sizes(monkeypatch):
+    """The size of every array np.exp is given while the test runs."""
+    sizes, exp = [], np.exp
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    return sizes
+
+
+class TestLatticeColumnSymmetry:
+    """steering_matrix and los_channel exponentiate only the distinct (or
+    mirrored) lattice columns when the computed phases repeat exactly; the
+    same array without its lattice record takes the general path, which the
+    fast one must equal bit for bit."""
+
+    GEOMS = [build_upa(32, 16, LAM / 2, LAM / 2, LAM), build_upa(6, 5, LAM / 2, LAM / 3, LAM)]
+
+    @pytest.mark.parametrize("geom", GEOMS, ids=["32x16", "6x5"])
+    def test_horizon_steering_one_exp_per_column(self, geom, monkeypatch):
+        rng = np.random.default_rng(51)
+        az, el = rng.uniform(-1.2, 1.2, 25), np.zeros(25)
+        general = steering_matrix(ArrayGeometry(geom.positions, LAM), az, el)
+        sizes = _exp_sizes(monkeypatch)
+        got = steering_matrix(geom, az, el)
+        assert sizes == [25 * geom.lattice.n_x]
+        assert np.array_equal(_bits(got), _bits(general))
+        assert np.array_equal(_bits(steering_matrix(geom, az[3], 0.0)), _bits(general[3]))
+
+    def test_elevated_direction_falls_back(self, monkeypatch):
+        geom = self.GEOMS[0]
+        az, el = np.linspace(-1.0, 1.0, 9), np.zeros(9)
+        el[4] = 0.2
+        general = steering_matrix(ArrayGeometry(geom.positions, LAM), az, el)
+        sizes = _exp_sizes(monkeypatch)
+        assert np.array_equal(_bits(steering_matrix(geom, az, el)), _bits(general))
+        assert sizes == [9 * geom.num_elements]
+
+    @pytest.mark.parametrize("geom", GEOMS, ids=["32x16", "6x5"])
+    @pytest.mark.parametrize("mode", ["exact", "fresnel"])
+    @pytest.mark.parametrize("amplitude", ["common", "per-element"])
+    def test_los_on_y_zero_one_exp_per_mirrored_pair(self, geom, mode, amplitude,
+                                                     monkeypatch):
+        rng = np.random.default_rng(52)
+        phis, dists = rng.uniform(-1.0, 1.0, 12), rng.uniform(0.5, 5.0, 12)
+        tx = np.stack([np.sin(phis) * dists, np.zeros(12), np.cos(phis) * dists], axis=1)
+        plain = ArrayGeometry(geom.positions, LAM)
+        general = los_channel(plain, tx, mode, amplitude)
+        sizes = _exp_sizes(monkeypatch)
+        got = los_channel(geom, tx, mode, amplitude)
+        n_x, n_y = geom.lattice.n_x, geom.lattice.n_y
+        assert sizes == [12 * n_x * ((n_y + 1) // 2)]
+        assert got.shape == general.shape and np.array_equal(_bits(got), _bits(general))
+        assert np.array_equal(_bits(los_channel(geom, tx[5], mode, amplitude)),
+                              _bits(los_channel(plain, tx[5], mode, amplitude)))
+
+    def test_no_directions_or_sources(self):
+        geom = self.GEOMS[1]
+        assert steering_matrix(geom, np.zeros(0), np.zeros(0)).shape == (0, 30)
+        assert los_channel(geom, np.zeros((0, 3))).shape == (30, 0)
+
+    def test_los_source_off_y_zero_falls_back(self, monkeypatch):
+        geom = self.GEOMS[0]
+        tx = np.array([[0.3, 0.0, 2.0], [-0.2, 0.0, 3.0], [0.1, 1e-3, 4.0]])
+        general = los_channel(ArrayGeometry(geom.positions, LAM), tx)
+        sizes = _exp_sizes(monkeypatch)
+        assert np.array_equal(_bits(los_channel(geom, tx)), _bits(general))
+        assert sizes == [3 * geom.num_elements]
+
+
 class TestCorrelationMatrix:
     def test_clarke_sinc_oracle(self):
         # closed-form full-sphere Clarke correlation; hemisphere average of a
@@ -513,6 +589,14 @@ class TestSampleRayleigh:
         R = np.array([[1.0, 0.5], [0.4, 1.0]])
         with pytest.raises(ContractError):
             sample_rayleigh(R, RngStream(0))
+
+    def test_nonfinite_bare_matrix_rejected(self):
+        # one NaN would otherwise reach eigh, which fails to converge
+        for bad in (np.nan, np.inf):
+            R = np.eye(3)
+            R[0, 1] = bad
+            with pytest.raises(DomainError, match="R must be finite"):
+                sample_rayleigh(R, RngStream(0))
 
     def test_eigendecomposition_cached(self):
         corr = correlation_matrix(build_ula(6, LAM / 2, LAM), isotropic_profile())

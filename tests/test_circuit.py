@@ -4,7 +4,8 @@ from scipy.constants import Boltzmann, epsilon_0, speed_of_light
 from scipy.integrate import quad
 
 from ummimo.errors import ContractError, SingularityError
-from ummimo.circuit import (ImpedanceSet, LnaParams, end_to_end_channel,
+from ummimo import circuit
+from ummimo.circuit import (ImpedanceSet, LnaParams, array_impedance, end_to_end_channel,
                             impedance_set, mutual_impedance_z_dipoles,
                             noise_covariance, radiation_matrix, self_resistance,
                             tx_power)
@@ -113,6 +114,55 @@ class TestPerAxisKernelBitIdentity:
         imp = impedance_set(tx, rx, L0)
         for got, want in zip((imp.Z_T, imp.Z_R, imp.Z_RT), _reference_set(tx, rx, L0)):
             assert np.array_equal(got, want)
+
+
+class TestArrayImpedance:
+    """One array's own impedance matrix: on a lattice whose per-axis
+    separations depend only on the index lag, bit for bit, one _impedance
+    per lag, gathered; the same positions without their lattice record take
+    the mirrored upper triangle, which the gather must equal bit for bit."""
+
+    @staticmethod
+    def _evaluations(monkeypatch):
+        sizes, impedance = [], circuit._impedance
+
+        def counted(axes, *args):
+            sizes.append(np.size(axes[0]))
+            return impedance(axes, *args)
+
+        monkeypatch.setattr(circuit, "_impedance", counted)
+        return sizes
+
+    @pytest.mark.parametrize("shape, dx, dy", [
+        ((256, 1), LAM / 2, LAM / 2), ((4, 3), LAM / 2, LAM / 3), ((5, 5), 0.1, 0.1),
+        ((1, 1), 0.2, 0.2)], ids=["bench-ula", "4x3", "5x5", "1x1"])
+    def test_toeplitz_lattice_one_evaluation_per_lag(self, shape, dx, dy, monkeypatch):
+        geom = build_upa(*shape, dx, dy, LAM)
+        n = geom.num_elements
+        general = array_impedance(ArrayGeometry(geom.positions, LAM), L0, 7.5)
+        sizes = self._evaluations(monkeypatch)
+        Z = array_impedance(geom, L0, 7.5)
+        assert sizes == [n - 1]
+        assert np.array_equal(Z.view(np.uint64), general.view(np.uint64))
+        assert Z.flags.c_contiguous and Z.flags.writeable and np.array_equal(Z, Z.T)
+        far = ArrayGeometry(geom.positions + [0.0, 0.0, 10 * LAM], LAM)
+        assert np.array_equal(Z, _reference_set(geom, far, L0, 7.5)[0])
+
+    def test_inexact_lags_fall_back(self, monkeypatch):
+        # 0.03 m is not a binary fraction: |x_i - x_j| at one lag differs by
+        # an ulp between pairs, so the triangle path runs
+        geom = build_ula(64, 0.03, LAM)
+        general = array_impedance(ArrayGeometry(geom.positions, LAM), L0)
+        sizes = self._evaluations(monkeypatch)
+        Z = array_impedance(geom, L0)
+        assert sizes == [64 * 63 // 2]
+        assert np.array_equal(Z.view(np.uint64), general.view(np.uint64))
+
+    def test_impedance_set_blocks_are_array_impedances(self):
+        tx, rx = _tilted_pair()
+        imp = impedance_set(tx, rx, L0, self_reactance=2.0)
+        assert np.array_equal(imp.Z_T, array_impedance(tx, L0, 2.0))
+        assert np.array_equal(imp.Z_R, array_impedance(rx, L0, 2.0))
 
 
 def _indefinite_by(c, rtol):
@@ -373,8 +423,7 @@ class TestPowerBalance:
         geom = build_ula(4, LAM / 4, LAM)
         rng = np.random.default_rng(11)
         I = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        far = ArrayGeometry(geom.positions + [0.0, 0.0, 10 * LAM], LAM)
-        power = tx_power(I, impedance_set(geom, far, L0).Z_T)
+        power = tx_power(I, array_impedance(geom, L0))
         segs = [DipoleSegment(p, np.array([0.0, 0.0, 1.0])) for p in geom.positions]
         mats = [np.outer([0.0, 0.0, L0], e) for e in np.eye(4)]
         r = 2000 * LAM

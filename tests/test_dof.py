@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ummimo import channel
 from ummimo.errors import ContractError, DomainError
 from ummimo.channel import (SpatialCorrelation, correlation_matrix, gaussian_cluster_profile,
                             isotropic_profile)
@@ -125,6 +126,38 @@ class TestDofReport:
         assert np.allclose(dof_report(R, 1.0).eigen_spectrum, w / w[0], rtol=0.0, atol=1e-13)
 
 
+class TestFullSpectrumContracts:
+    """eigvalsh reads one triangle, so the full solver checks what it is given."""
+
+    @staticmethod
+    def _upa_r():
+        return correlation_matrix(build_upa(4, 4, LAM / 4, LAM / 4, LAM),
+                                  isotropic_profile()).R.copy()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_entry_rejected(self, bad):
+        R = self._upa_r()
+        R[0, 1] = bad
+        with pytest.raises(DomainError, match="R must be finite"):
+            dof_report(R, 1.0)
+        with pytest.raises(DomainError, match="R must be finite"):
+            SpatialCorrelation(R, 1.0).spectrum
+
+    def test_non_hermitian_rejected(self):
+        R = self._upa_r()
+        R[0, 1] += 1e-3
+        with pytest.raises(ContractError, match="R is not Hermitian"):
+            dof_report(R, 1.0)
+        with pytest.raises(ContractError, match="R is not Hermitian"):
+            dof_report(R.real, 1.0)
+
+    def test_hermitian_within_tolerance_accepted(self):
+        # hermitian_eig's tolerance, 1e-10 ||R||_F, admits rounding-level skew
+        R = self._upa_r()
+        R[0, 1] += 1e-12 * np.linalg.norm(R)
+        assert dof_report(R, 1.0).eigen_spectrum.shape == (16,)
+
+
 def _full(R):
     """The full solver's normalized spectrum."""
     w = np.clip(np.linalg.eigvalsh(R)[::-1], 0.0, None)
@@ -140,8 +173,10 @@ class TestCentrosymmetricSplit:
     @pytest.mark.parametrize("shape, fx, fy", [
         ((5, 5), 1 / 2, 1 / 2), ((8, 7), 1 / 3, 1 / 2), ((16, 16), 1 / 2, 1 / 2),
         ((20, 1), 1 / 4, 1 / 4), ((7, 9), 0.3, 0.45), ((1, 9), 0.4, 0.4), ((6, 1), 0.7, 0.7),
-        ((1, 1), 0.5, 0.5), ((2, 3), 0.35, 0.6)],
-        ids=["5x5", "8x7", "16x16", "ula20", "7x9", "1x9", "6x1", "1x1", "2x3"])
+        ((1, 1), 0.5, 0.5), ((2, 3), 0.35, 0.6), ((9, 9), 1 / 4, 1 / 4), ((12, 12), 0.3, 0.3),
+        ((2, 2), 0.4, 0.4), ((3, 3), 0.45, 0.45)],
+        ids=["5x5", "8x7", "16x16", "ula20", "7x9", "1x9", "6x1", "1x1", "2x3", "9x9", "12x12",
+             "2x2", "3x3"])
     def test_half_blocks_equal_full_solver(self, shape, fx, fy):
         corr = correlation_matrix(build_upa(*shape, fx * LAM, fy * LAM, LAM),
                                   isotropic_profile(1.7))
@@ -168,6 +203,40 @@ class TestCentrosymmetricSplit:
             even = np.block([[even, c], [c.T, R[h:h + 1, h:h + 1]]])
         halves = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(A - B)])
         assert np.array_equal(corr.spectrum, np.sort(halves)[::-1])
+
+    @pytest.mark.parametrize("shape, fx, fy, splits", [
+        ((6, 6), 1 / 2, 1 / 2, 2), ((7, 7), 1 / 3, 1 / 3, 2), ((6, 5), 1 / 2, 1 / 2, 0),
+        ((6, 6), 1 / 2, 1 / 3, 0), ((1, 1), 1 / 2, 1 / 2, 0)],
+        ids=["6x6", "7x7", "6x5", "6x6-dx-ne-dy", "1x1"])
+    def test_axis_swap_split_only_on_a_symmetric_square(self, shape, fx, fy, splits,
+                                                        monkeypatch):
+        # a square lattice with dx == dy has T == T.T, and each of its blocks
+        # (1, 1) and (-1, -1) splits once more under the axis swap; a
+        # non-square lattice, or dx != dy, keeps the four parity blocks
+        calls = []
+        split = channel._swap_split
+        monkeypatch.setattr(channel, "_swap_split",
+                            lambda B, h: calls.append(h) or split(B, h))
+        corr = correlation_matrix(build_upa(*shape, fx * LAM, fy * LAM, LAM), isotropic_profile())
+        w = corr.spectrum
+        assert len(calls) == splits
+        full = np.linalg.eigvalsh(corr.R.real)[::-1]
+        assert w.shape == full.shape and np.max(np.abs(w - full)) <= 1e-13 * full[0]
+
+    @pytest.mark.parametrize("h", [1, 2, 5])
+    def test_swap_split_blocks_are_the_block_spectrum(self, h):
+        # a random symmetric B that commutes with (a, c) -> (c, a): the
+        # symmetric and antisymmetric blocks hold its h^2 eigenvalues
+        rng = np.random.default_rng(h)
+        swap = np.arange(h * h).reshape(h, h).T.ravel()
+        A = rng.standard_normal((h * h, h * h))
+        B = A + A.T
+        B = B + B[np.ix_(swap, swap)]
+        sym, anti = channel._swap_split(B, h)
+        assert sym.shape == (h * (h + 1) // 2,) * 2 and anti.shape == (h * (h - 1) // 2,) * 2
+        got = np.sort(np.concatenate([np.linalg.eigvalsh(sym), np.linalg.eigvalsh(anti)]))
+        want = np.linalg.eigvalsh(B)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
 
     def test_quadrature_lag_table_uses_full_solver(self):
         # a clustered profile's lag table is complex: one eigvalsh of R

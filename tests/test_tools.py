@@ -1,0 +1,63 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "csv_diff.py"
+_spec = importlib.util.spec_from_file_location("csv_diff", _PATH)
+csv_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(csv_diff)
+
+
+def _write(root: Path, name: str, text: str) -> None:
+    path = root / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+@pytest.fixture
+def runs(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        _write(root, "fig/seed-1/same.csv", "k,v\n1,0.5\n2,0.25\n")
+    return a, b
+
+
+class TestCsvDiff:
+    def test_identical_runs(self, runs, capsys):
+        assert csv_diff.main([str(p) for p in runs]) == 0
+        assert capsys.readouterr().out.splitlines() == ["fig/seed-1/same.csv: identical"]
+
+    def test_numeric_and_text_changes(self, runs, capsys):
+        a, b = runs
+        _write(a, "e.csv", "label,index,value\nx,1,1.0\nx,2,-0.5\ny,3,0.0\n")
+        _write(b, "e.csv", "label,index,value\nx,1,1.0000000000000002\nz,2,-0.25\ny,3,0.0\n")
+        assert csv_diff.main([str(a), str(b)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["e.csv:", "  label: text differs",
+                       "  value: max abs 2.500e-01, max rel 5.000e-01",
+                       "fig/seed-1/same.csv: identical"]
+
+    def test_unmatched_files_and_shapes(self, runs):
+        a, b = runs
+        _write(a, "only.csv", "k\n1\n")
+        _write(a, "rows.csv", "k\n1\n2\n")
+        _write(b, "rows.csv", "k\n1\n")
+        _write(a, "head.csv", "k\n1\n")
+        _write(b, "head.csv", "j\n1\n")
+        lines, same = csv_diff.compare(a, b)
+        assert not same
+        assert f"only.csv: only in {a}" in lines
+        assert "  row count or width differs: 2 vs 1 rows" in lines
+        assert "  header differs: ['k'] vs ['j']" in lines
+
+    def test_bytes_differ_cells_equal(self, runs):
+        a, b = runs
+        _write(a, "nl.csv", "k\n1\n")
+        (b / "nl.csv").write_bytes(b"k\r\n1\r\n")
+        lines, same = csv_diff.compare(a, b)
+        assert not same and "  bytes differ, every cell equal" in lines
+
+    def test_usage_error(self, tmp_path, capsys):
+        assert csv_diff.main([str(tmp_path)]) == 2
+        assert "usage" in capsys.readouterr().err

@@ -1,0 +1,94 @@
+"""Compare the CSVs of two run directories, cell by cell.
+
+    python3 tools/csv_diff.py RUN_A RUN_B
+
+Every CSV under either directory is matched by its path relative to it.  For
+each one this prints "identical" when the files are byte-identical, and
+otherwise, per column, the largest absolute change |b - a| and the largest
+relative change |b - a| / |a| of a numeric column, or "text differs" for a
+column that is not numeric.  A file on one side only, or a pair whose header
+or row count differs, is reported as such.  The exit status is 0 when every
+CSV is identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import csv
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def _read(path: Path) -> tuple[list[str], list[list[str]]]:
+    with path.open(newline="") as f:
+        rows = list(csv.reader(f))
+    return (rows[0], rows[1:]) if rows else ([], [])
+
+
+def _numeric(cells: list[str]) -> np.ndarray | None:
+    try:
+        return np.array([float(c) for c in cells])
+    except ValueError:
+        return None
+
+
+def column_changes(a: Path, b: Path) -> list[str]:
+    """One line per column that differs between two CSVs of one shape, or
+    one line saying why they cannot be compared column by column."""
+    head_a, rows_a = _read(a)
+    head_b, rows_b = _read(b)
+    if head_a != head_b:
+        return [f"header differs: {head_a} vs {head_b}"]
+    if len(rows_a) != len(rows_b) or any(len(r) != len(head_a) for r in rows_a + rows_b):
+        return [f"row count or width differs: {len(rows_a)} vs {len(rows_b)} rows"]
+    lines = []
+    for j, name in enumerate(head_a):
+        ca, cb = [r[j] for r in rows_a], [r[j] for r in rows_b]
+        if ca == cb:
+            continue
+        x, y = _numeric(ca), _numeric(cb)
+        if x is None or y is None:
+            lines.append(f"{name}: text differs")
+            continue
+        diff = np.abs(y - x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(diff == 0, 0.0, diff / np.abs(x))
+        lines.append(f"{name}: max abs {np.nanmax(diff):.3e}, max rel {np.nanmax(rel):.3e}")
+    return lines
+
+
+def compare(run_a: Path, run_b: Path) -> tuple[list[str], bool]:
+    """The report lines for two run directories, and whether every CSV is
+    identical."""
+    names = sorted({p.relative_to(root) for root in (run_a, run_b)
+                    for p in root.rglob("*.csv")})
+    lines, same = [], True
+    for name in names:
+        a, b = run_a / name, run_b / name
+        if not (a.is_file() and b.is_file()):
+            lines.append(f"{name}: only in {run_a if a.is_file() else run_b}")
+            same = False
+        elif a.read_bytes() == b.read_bytes():
+            lines.append(f"{name}: identical")
+        else:
+            changes = column_changes(a, b) or ["bytes differ, every cell equal"]
+            lines.append(f"{name}:")
+            lines.extend(f"  {line}" for line in changes)
+            same = False
+    return lines, same
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2 or not all(Path(d).is_dir() for d in args):
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: python3 tools/csv_diff.py RUN_A RUN_B (two directories)", file=sys.stderr)
+        return 2
+    lines, same = compare(Path(args[0]), Path(args[1]))
+    print("\n".join(lines))
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
