@@ -1,5 +1,9 @@
 """Line-of-sight and correlated-Rayleigh channel generation.
 
+Phasor convention is e^{+j omega t}, as in the fields module: a path of
+length d carries the phase e^{-j kappa d}.  The circuit module's impedances
+use e^{-j omega t}, so their phases are the conjugates of this convention's.
+
 Spatial correlation follows the geometric model R = beta * integral of
 f(az, el) s(az, el) s(az, el)^H over the front hemisphere, with f a density
 per steradian and s the far-field array response.  correlation_matrix uses

@@ -1,10 +1,12 @@
 """Impedance-based physically consistent MIMO channel layer.
 
-Mutual impedances of incremental z-oriented dipoles come from the analytic
-second derivative of the spherical wave (the Green-function form, with the
-e^{+j kappa r} outgoing-wave phasor of the impedance analysis; the real part
-is phasor-convention independent).  The end-to-end voltage channel, transmit
-power, and receiver noise covariance follow the unilateral multiport model.
+Mutual impedances of incremental z-oriented dipoles are the z-z entry of the
+dipole Green function of the fields module (fields._green), in the
+e^{-j omega t} convention of the impedance analysis: outgoing waves carry
+e^{+j kappa r}, the conjugate of the channel and field layers' e^{-j kappa r}
+(the real part is convention independent).  The end-to-end voltage channel,
+transmit power, and receiver noise covariance follow the unilateral
+multiport model.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, SingularityError
-from .fields import epsilon_0, speed_of_light
+from .fields import _green, _out, epsilon_0, speed_of_light
 from .geometry import ArrayGeometry
 from .numerics import QuadratureGrid
 
@@ -95,27 +97,13 @@ class LnaParams:
             raise ContractError("temperature must be positive")
 
 
-def _out(a):
-    """a, to be overwritten by a ufunc, or None for a numpy scalar, which is
-    immutable.  It lets _dipole_bracket run in place on arrays while one
-    separation vector (mutual_impedance_z_* on a (3,) p, as circuit-demo
-    calls it) keeps numpy's scalar pow and complex division, which can round
-    differently from the array loops in the last bit."""
-    return a if isinstance(a, np.ndarray) else None
-
-
-def _dipole_bracket(dx, dy, dz, kappa: float):
-    """[d^2/dz^2 + kappa^2] e^{j kappa r} / (4 pi r) in closed form, for the
-    separations given per axis: three arrays of one shape, or the three
-    components of one vector.
-
-    Fresh arrays are overwritten in place, in the operation order of the
-    formula over a (..., 3) array, so each entry is the same bit for bit:
-    r^2 sums (dx^2 + dy^2) + dz^2, as np.linalg.norm does, and the bracket
-    depends on the separation only through dx^2, dy^2, dz^2 and (dz / r)^2,
-    so p and -p give the same value.  One vector keeps numpy's scalar
-    arithmetic throughout.
-    """
+def _impedance(axes, wavelength: float, length: float) -> complex | np.ndarray:
+    """The z-dipole mutual impedance, L0^2 / (j omega eps0) times the z-z
+    entry of fields._green, for separations given per axis: three arrays of
+    one shape (its temporaries worked in place), or one vector's components.
+    r^2 sums (dx^2 + dy^2) + dz^2, as np.linalg.norm does, and s1 = 1 - cos^2,
+    s3 = 1 - 3 cos^2 with cos^2 = (dz / r)^2, so p and -p agree bit for bit."""
+    dx, dy, dz = axes
     r = dx * dx
     r += dy * dy
     r += dz * dz
@@ -124,27 +112,12 @@ def _dipole_bracket(dx, dy, dz, kappa: float):
         raise SingularityError("zero separation; use self_resistance for Re Z(0)")
     cos2 = dz / r
     cos2 **= 2
-    far = 1.0 - cos2  # sin^2, then kappa^2 sin^2 / r
-    far *= kappa ** 2
-    far /= r
-    near = 1j * kappa / r ** 2
-    near -= 1.0 / r ** 3
+    s1 = 1.0 - cos2
     cos2 *= 3.0
-    near *= np.subtract(1.0, cos2, out=_out(cos2))
-    near += far
-    wave = 1j * kappa * r
-    wave = np.exp(wave, out=_out(wave))
-    wave /= 4.0 * np.pi
-    wave *= near
-    return wave
-
-
-def _impedance(axes, wavelength: float, length: float) -> complex | np.ndarray:
-    """L0^2 / (j omega eps0) times the bracket of the separations given per
-    axis (see _dipole_bracket): the z-dipole mutual impedance."""
+    s3 = np.subtract(1.0, cos2, out=_out(cos2))
     kappa = 2.0 * np.pi / wavelength
     omega = kappa * speed_of_light
-    return length ** 2 / (1j * omega * epsilon_0) * _dipole_bracket(*axes, kappa)
+    return length ** 2 / (1j * omega * epsilon_0) * _green(r, s1, s3, kappa)
 
 
 def mutual_impedance_z_dipoles(p, wavelength: float, length: float) -> complex | np.ndarray:

@@ -326,8 +326,7 @@ def run_fig4(cfg, seed):
             powers = np.full(K, p_ue)
             scen = UplinkScenario(H, powers, sigma2)
             # the exact SE is the MMSE identity's; the mismatch SE goes through
-            # combiners, whose SINR loses digits at high SNR (about 4e-9 bit/s/Hz
-            # at 25 bit/s/Hz), so min_margin carries that rounding there
+            # the far-field combiners, both to rounding at any SNR
             se_ex.append(uplink_se_bound(scen).sum())
             scen_ff = UplinkScenario(Hff, powers, sigma2)
             se_ff.append(uplink_se(scen, lmmse_combiners(scen_ff)).sum())

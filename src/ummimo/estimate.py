@@ -11,7 +11,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DomainError
+from .errors import (ConfigError, ContractError, DomainError, check_finite_nonnegative,
+                     check_finite_positive)
 from .geometry import ArrayGeometry
 from .numerics import RngStream, complex_gaussian, svd
 from .channel import (SpatialCorrelation, _as_correlation, correlation_matrix,
@@ -47,10 +48,11 @@ _QR_REFIT_MARGIN = 1e-6  # largest condition bound x lstsq cut-off an OMP refit 
 class PilotMatrix:
     """Pilot sequence matrix (tau_p x M), pilot power, and noise power.
 
-    The average pilot power is normalized to one: trace(phi^H phi) = tau_p.
-    phi is a read-only copy of the caller's matrix.  A pilot made by
-    `_leading` keeps the pilot whose rows it took as its basis, and a basis
-    keeps the OMP sensing matrix of one dictionary (see _omp_operator).
+    The average pilot power is normalized to one: trace(phi^H phi) = tau_p;
+    power must be finite and positive, noise_power finite and nonnegative
+    (DomainError).  phi is a read-only copy of the caller's matrix.  A pilot
+    made by `_leading` keeps the pilot whose rows it took as its basis, and a
+    basis keeps the OMP sensing matrix of one dictionary (see _omp_operator).
     """
 
     phi: np.ndarray
@@ -69,8 +71,8 @@ class PilotMatrix:
             raise ContractError(
                 f"trace(phi^H phi) = {energy:.9g}, expected tau_p = {tau}"
             )
-        if not (self.power > 0 and self.noise_power >= 0):
-            raise ContractError("power must be > 0 and noise_power >= 0")
+        check_finite_positive(power=self.power)
+        check_finite_nonnegative(noise_power=self.noise_power)
         phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
 

@@ -1,7 +1,8 @@
 """Near-field factors, aperture gain integrals, and Hertzian-dipole fields.
 
-Phasor convention is e^{-j omega t}, so outgoing waves carry e^{-j kappa r}
-propagation phase; every module in the package shares this sign.
+Phasor convention is e^{+j omega t}, so outgoing waves carry e^{-j kappa r}
+propagation phase, as in channel and beam.  The dipole Green function
+_green is in the circuit layer's e^{-j omega t}; fields are its conjugate.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, SingularityError, check_finite_positive
+from .numerics import _gauss_legendre
 
 __all__ = [
     "DipoleSegment",
@@ -110,7 +111,6 @@ def isotropic_area(wavelength: float) -> float:
 
 
 _CHUNK_ENTRIES = 1 << 14  # integrand entries per chunk of cells
-_GL_NODES, _GL_WEIGHTS = leggauss(8)  # the 8-node rule of every panel
 
 
 def _cell_rule(length: float, n_cells: int, wavelength: float):
@@ -122,8 +122,9 @@ def _cell_rule(length: float, n_cells: int, wavelength: float):
     n_panels = max(2, int(np.ceil(length / n_cells / (wavelength / 2.0))))
     edges = np.linspace(bounds[:-1], bounds[1:], n_panels + 1, axis=1)
     mids, half = (edges[:, :-1] + edges[:, 1:]) / 2, (edges[:, 1:] - edges[:, :-1]) / 2
-    return ((mids[..., None] + half[..., None] * _GL_NODES).reshape(n_cells, -1),
-            (half[..., None] * _GL_WEIGHTS).reshape(n_cells, -1))
+    nodes, weights = _gauss_legendre(8)
+    return ((mids[..., None] + half[..., None] * nodes).reshape(n_cells, -1),
+            (half[..., None] * weights).reshape(n_cells, -1))
 
 
 @lru_cache(maxsize=16)
@@ -200,48 +201,69 @@ def aperture_gain_subdivided(a: float, b: float, n_x: int, n_y: int,
 # Hertzian dipole fields
 # ---------------------------------------------------------------------------
 
-def _spherical_basis(p: np.ndarray):
-    """Orthonormal (radial, azimuthal, elevation) unit vectors at p.
-
-    Elevation angle is measured from the xy-plane.  At the poles (zero
-    transverse component) the azimuth is taken as 0, the limit along phi = 0.
-    """
+def _basis_matrix(p: np.ndarray) -> np.ndarray:
+    """Orthonormal (radial, elevation, azimuthal) unit vectors at p, as
+    columns.  Elevation is measured from the xy-plane; at the poles (zero
+    transverse component) the azimuth is taken as 0, the limit along phi = 0."""
     x, y, z = p
-    r = np.linalg.norm(p)
-    rho = np.hypot(x, y)
-    if rho == 0.0:
-        cphi, sphi = 1.0, 0.0
-    else:
-        cphi, sphi = x / rho, y / rho
-    sth = z / r
-    cth = rho / r
-    u_r = np.array([cphi * cth, sphi * cth, sth])
-    u_az = np.array([-sphi, cphi, 0.0])
-    u_el = np.array([-cphi * sth, -sphi * sth, cth])
-    return u_r, u_az, u_el
+    r, rho = np.linalg.norm(p), np.hypot(x, y)
+    cphi, sphi = (1.0, 0.0) if rho == 0.0 else (x / rho, y / rho)
+    sth, cth = z / r, rho / r
+    return np.array([[cphi * cth, -cphi * sth, -sphi],
+                     [sphi * cth, -sphi * sth, cphi],
+                     [sth, cth, 0.0]])
 
 
-def _amplitudes(r: float, wavelength: float):
+def _out(a):
+    """a, to be overwritten by a ufunc, or None for a numpy scalar, which is
+    immutable: one separation keeps numpy's scalar pow and complex division,
+    which can round differently from the array loops in the last bit."""
+    return a if isinstance(a, np.ndarray) else None
+
+
+def _green(r, s1, s3, kappa: float):
+    """The dipole Green function [kappa^2 + grad grad] e^{j kappa r}/(4 pi r) m
+    of the e^{-j omega t} convention, the package's one implementation of the
+    Hertzian-dipole field: e^{j kappa r}/(4 pi) [kappa^2 s1/r + (j kappa/r^2
+    - 1/r^3) s3], s1 = m - (u.m) u and s3 = m - 3 (u.m) u for u along the
+    separation, one component of each given (scalars, or arrays broadcasting
+    with r > 0).  It works in place (an array s1 is overwritten) in one
+    fixed order, so an entry's bits do not depend on the array shape;
+    scalars keep numpy's scalar arithmetic (see _out)."""
+    s1 *= kappa ** 2  # kappa^2 s1 / r
+    s1 /= r
+    near = 1j * kappa / r ** 2
+    near -= 1.0 / r ** 3
+    near *= s3
+    near += s1
+    wave = 1j * kappa * r
+    wave = np.exp(wave, out=_out(wave))
+    wave /= 4.0 * np.pi
+    wave *= near
+    return wave
+
+
+def _amplitudes(r, wavelength: float):
+    """(a_rad, a_ang) of a unit dipole at distances r, e^{+j omega t}: its
+    field is a_rad (u.m) u + a_ang (m - (u.m) u).  They are _green at
+    (s1, s3) = (0, -2) along u and (1, 1) across it over j omega eps0,
+    conjugated from e^{-j omega t}, as the Green operator is real."""
     kappa = 2.0 * np.pi / wavelength
     omega = kappa * speed_of_light
-    ph = np.exp(-1j * kappa * r)
-    a_rad = ph / (1j * omega * epsilon_0 * 2.0 * np.pi) * (1.0 / r ** 3 + 1j * kappa / r ** 2)
-    a_ang = -ph / (1j * omega * epsilon_0 * 4.0 * np.pi) * (
-        1.0 / r ** 3 + 1j * kappa / r ** 2 - kappa ** 2 / r
-    )
-    return a_rad, a_ang
+    return tuple(np.conj(_green(r, s1, s3, kappa)) / (1j * omega * epsilon_0)
+                 for s1, s3 in ((0.0, -2.0), (1.0, 1.0)))
 
 
 def dipole_transform(p: np.ndarray, wavelength: float) -> np.ndarray:
     """3x3 map T(p) from a dipole moment at the origin to the spherical-basis
-    field components (E_r, E_el, E_az) at observation point p."""
+    field components (E_r, E_el, E_az) at observation point p, from the
+    amplitudes of _amplitudes."""
     p = np.asarray(p, dtype=float)
     r = np.linalg.norm(p)
     if r == 0.0:
         raise SingularityError("observation point coincides with the dipole")
-    u_r, u_az, u_el = _spherical_basis(p)
     a_rad, a_ang = _amplitudes(r, wavelength)
-    return np.stack([a_rad * u_r, a_ang * u_el, a_ang * u_az])
+    return _basis_matrix(p).T * np.array([[a_rad], [a_ang], [a_ang]])
 
 
 def dipole_field(segment: DipoleSegment, p, wavelength: float) -> FieldSample:
@@ -250,28 +272,23 @@ def dipole_field(segment: DipoleSegment, p, wavelength: float) -> FieldSample:
     return FieldSample(dipole_transform(rel, wavelength) @ segment.moment)
 
 
-def _basis_matrix(p: np.ndarray) -> np.ndarray:
-    u_r, u_az, u_el = _spherical_basis(p)
-    return np.stack([u_r, u_el, u_az], axis=1)  # columns
-
-
 def array_field(segments, moment_matrices, x: np.ndarray, p,
                 wavelength: float) -> FieldSample:
     """Superposed field of dipole segments driven by the excitation vector x.
 
-    moment_matrices[k] is the 3 x N map from x to segment k's moment vector,
-    so the result is linear in x.  The per-segment fields are rotated from
-    each segment's local spherical basis into Cartesian and the sum is
-    expressed in the global spherical basis at p.
-    """
+    moment_matrices[k] is the 3 x N map from x to segment k's moment m_k, so
+    the result is linear in x.  All segments at once, in Cartesian form:
+    E = sum_k a_ang m_k + (a_rad - a_ang) (u_k.m_k) u_k, u_k the unit vector
+    from segment k to p, projected once onto the spherical basis at p."""
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=complex)
-    e_cart = np.zeros(3, dtype=complex)
-    for seg, Mk in zip(segments, moment_matrices):
-        rel = p - seg.position
-        if np.linalg.norm(rel) == 0.0:
-            raise SingularityError("observation point coincides with a segment")
-        m = np.asarray(Mk, dtype=complex) @ x
-        e_local = dipole_transform(rel, wavelength) @ m
-        e_cart += _basis_matrix(rel) @ e_local
+    rel = p - np.reshape([seg.position for seg in segments], (-1, 3))
+    r = np.linalg.norm(rel, axis=1)
+    if np.any(r == 0.0):
+        raise SingularityError("observation point coincides with a segment")
+    m = np.reshape(moment_matrices, (-1, 3, x.size)).astype(complex) @ x
+    u = rel / r[:, None]
+    a_rad, a_ang = _amplitudes(r, wavelength)
+    radial = (a_rad - a_ang) * np.einsum("ki,ki->k", u, m)
+    e_cart = a_ang @ m + radial @ u
     return FieldSample(_basis_matrix(p).T @ e_cart)

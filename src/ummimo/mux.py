@@ -25,8 +25,8 @@ __all__ = [
 class UplinkScenario:
     """Per-UE channels (columns of H), transmit powers, and noise power.
 
-    Powers and noise power must be finite (DomainError) and nonnegative
-    (ContractError); zero is allowed.
+    H, powers and noise power must be finite (DomainError), powers and noise
+    power nonnegative (ContractError); zero is allowed.
     """
 
     H: np.ndarray        # (M, K) complex
@@ -40,6 +40,8 @@ class UplinkScenario:
             raise ContractError("H must be an M x K matrix with K >= 1")
         if p.shape != (H.shape[1],):
             raise ContractError("powers must have one entry per UE")
+        if not np.all(np.isfinite(H)):
+            raise DomainError("H must be finite")
         if not (np.all(np.isfinite(p)) and np.isfinite(self.noise_power)):
             raise DomainError(f"powers and noise power must be finite, got powers {p} "
                               f"and noise power {self.noise_power!r}")
@@ -79,8 +81,9 @@ def uplink_se(scenario: UplinkScenario, combiners: np.ndarray) -> np.ndarray:
     """Per-UE spectral efficiency log2(1 + SINR_k), interference as noise.
 
     combiners holds v_k as columns; SINR_k = p_k |v_k^H h_k|^2 /
-    (sum_{i != k} p_i |v_k^H h_i|^2 + sigma^2 ||v_k||^2).  A zero-power UE
-    has SE 0 whatever its combiner (lmmse_combiners gives it the zero
+    (sum_{i != k} p_i |v_k^H h_i|^2 + sigma^2 ||v_k||^2), the interference
+    summed term by term, so it keeps its digits at large SINR.  A zero-power
+    UE has SE 0 whatever its combiner (lmmse_combiners gives it the zero
     vector); a zero combiner for a UE with positive power is rejected.
     """
     V = np.asarray(combiners, dtype=complex)
@@ -90,10 +93,10 @@ def uplink_se(scenario: UplinkScenario, combiners: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(V, axis=0)
     if np.any((norms == 0) & (p > 0)):
         raise ContractError("zero combiner vector for a UE with positive power")
-    cross = np.abs(V.conj().T @ H) ** 2  # (k, i): |v_k^H h_i|^2
-    signal = p * np.diag(cross)
-    interference = cross @ p - signal
-    sinr = np.divide(signal, interference + s2 * norms ** 2,
+    cross = np.abs(V.conj().T @ H) ** 2 * p  # (k, i): p_i |v_k^H h_i|^2
+    signal = np.diag(cross).copy()
+    np.fill_diagonal(cross, 0.0)  # interference: the sum over i != k, no cancellation
+    sinr = np.divide(signal, cross.sum(axis=1) + s2 * norms ** 2,
                      out=np.zeros_like(signal), where=p > 0)
     return np.log2(1.0 + sinr)
 
@@ -105,9 +108,9 @@ def uplink_se_bound(scenario: UplinkScenario) -> np.ndarray:
     By the MMSE identity 1 + SINR_k = 1 / MMSE_k, SE_k = -log2([(I + P^1/2
     H^H H P^1/2 / sigma^2)^{-1}]_kk): one K x K inverse gives all K, in
     O(M K^2 + K^3), with no M x K combiners.  It equals uplink_se(scenario,
-    lmmse_combiners(scenario)) to rounding, and is the more accurate of the
-    two at high SNR, where the combiners' SINR loses digits.  A zero-power UE
-    has SE exactly 0.
+    lmmse_combiners(scenario)) to rounding, at high SNR too (both within
+    1e-13 bit/s/Hz of a 40-digit value at 24 bit/s/Hz).  A zero-power UE has
+    SE exactly 0.
     """
     _check_noise(scenario)
     p = scenario.powers

@@ -9,6 +9,7 @@ from ummimo.circuit import (ImpedanceSet, LnaParams, array_impedance, end_to_end
                             impedance_set, mutual_impedance_z_dipoles,
                             noise_covariance, radiation_matrix, self_resistance,
                             tx_power)
+from ummimo.channel import los_channel
 from ummimo.geometry import ArrayGeometry, build_ula, build_upa
 from ummimo.numerics import sphere_grid
 
@@ -433,6 +434,49 @@ class TestPowerBalance:
         eta0 = 1.0 / (epsilon_0 * speed_of_light)
         flux = r ** 2 / (2 * eta0) * grid.integrate(np.array(e2))
         assert abs(flux - power) < 1e-7 * power
+
+
+class TestCrossLayerOracles:
+    """The circuit layer's impedances against the channel and field layers:
+    one Green function, so amplitude, phase, pattern and the conjugation
+    between the e^{-j omega t} impedances and the e^{+j omega t} channel and
+    fields must all agree."""
+
+    @pytest.mark.parametrize("R", [100, 1000, 10000])
+    def test_z_rt_against_los_channel_at_the_near_field_rate(self, R):
+        # far zone: Z_RT = conj(j eta0 kappa L0^2 sin^2(theta) / lambda g),
+        # g = lambda e^{-j kappa r} / (4 pi r); the dropped near-field terms
+        # are (1 - 3 cos^2) / (sin^2 kappa r) of it, 0.92 / (kappa r) here
+        tx = build_ula(16, LAM / 2, LAM)
+        offset = np.array([0.0, R, 0.2 * R]) * LAM
+        rx = ArrayGeometry(build_ula(4, LAM / 2, LAM).positions + offset, LAM)
+        sep = rx.positions[:, None] - tx.positions[None]
+        sin2 = 1.0 - (sep[..., 2] / np.linalg.norm(sep, axis=-1)) ** 2
+        g = np.stack([los_channel(rx, p, "exact", "per-element") for p in tx.positions], axis=1)
+        eta0 = 1.0 / (epsilon_0 * speed_of_light)
+        want = np.conj(1j * eta0 * KAPPA * L0 ** 2 * sin2 / LAM * g)
+        err = np.linalg.norm(impedance_set(tx, rx, L0).Z_RT - want) / np.linalg.norm(want)
+        cos2 = 0.2 ** 2 / (1 + 0.2 ** 2)
+        rate = (1 - 3 * cos2) / (1 - cos2)
+        assert abs(err * KAPPA * np.linalg.norm(offset) / rate - 1) < 1e-3
+
+    def test_re_z_t_is_the_radiation_matrix_of_the_array_field(self):
+        # Re Z_T = (r^2 / eta0) B, B the radiation matrix of the ports' far
+        # fields (the elevation component, the only one that radiates); the
+        # residue is the 1/(kappa r)^2 near-field terms at r = 2000 lambda
+        from ummimo.fields import DipoleSegment, array_field
+        from ummimo.numerics import unit_directions
+        geom = build_ula(4, LAM / 4, LAM)
+        segs = [DipoleSegment(p, np.array([0.0, 0.0, 1.0])) for p in geom.positions]
+        mats = [np.outer([0.0, 0.0, L0], e) for e in np.eye(4)]
+        r = 2000 * LAM
+        grid = sphere_grid(64, 32)
+        points = r * unit_directions(grid.azimuth, grid.elevation)
+        S = [[array_field(segs, mats, e, p, LAM).E[1] for p in points] for e in np.eye(4)]
+        eta0 = 1.0 / (epsilon_0 * speed_of_light)
+        got = r ** 2 / eta0 * radiation_matrix(np.array(S), grid)
+        re_zt = array_impedance(geom, L0).real
+        assert np.linalg.norm(got - re_zt) <= 2 / (KAPPA * r) ** 2 * np.linalg.norm(re_zt)
 
 
 class TestNoiseCovariance:

@@ -73,8 +73,16 @@ class TestPilotMatrix:
         # a NaN energy or power must fail the checks, not slip past them
         with pytest.raises(ContractError, match="trace"):
             PilotMatrix(np.full((4, 4), np.nan), 1.0, 0.1)
-        with pytest.raises(ContractError, match="power"):
+        with pytest.raises(DomainError, match="power"):
             PilotMatrix(np.eye(4), np.nan, 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["power", "noise_power"])
+    def test_nonfinite_powers_rejected(self, name, bad):
+        # as in the other layers: non-finite input is a DomainError naming it
+        powers = {"power": 1.0, "noise_power": 0.1, name: bad}
+        with pytest.raises(DomainError, match=f"^{name} must be finite and"):
+            orthogonal_pilot(4, 4, powers["power"], powers["noise_power"])
 
     @pytest.mark.parametrize("stream", [None, RngStream(5)], ids=["dft", "seeded"])
     @pytest.mark.parametrize("m, tau", [(64, 4), (64, 64), (64, 100), (8, 3), (1, 5)])

@@ -312,6 +312,20 @@ class TestArrayField:
         total_cart = _basis_matrix(p) @ total.E
         assert np.linalg.norm(total_cart - direct_cart) < 1e-12 * np.linalg.norm(direct_cart)
 
+    def test_equals_per_segment_loop(self):
+        # the loop the vectorised form replaced: each segment's field in its
+        # own spherical basis, rotated to Cartesian and summed
+        rng = np.random.default_rng(7)
+        segs = [DipoleSegment(q, np.zeros(3)) for q in rng.uniform(-LAM, LAM, (5, 3))]
+        mats = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))
+        x = np.array([0.3 - 1.1j, 0.8j])
+        for p in rng.uniform(-3 * LAM, 3 * LAM, (4, 3)):
+            e_cart = sum(_basis_matrix(p - seg.position)
+                         @ dipole_field(DipoleSegment(seg.position, M @ x), p, LAM).E
+                         for seg, M in zip(segs, mats))
+            got = _basis_matrix(p) @ array_field(segs, list(mats), x, p, LAM).E
+            assert np.linalg.norm(got - e_cart) <= 1e-13 * np.linalg.norm(e_cart)
+
     def test_linearity(self):
         segs = [DipoleSegment(np.array([0.0, 0.0, 0.0]), np.array([0, 0, 1.0])),
                 DipoleSegment(np.array([0.02, 0.0, 0.0]), np.array([0, 0, 1.0]))]

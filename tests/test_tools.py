@@ -61,3 +61,24 @@ class TestCsvDiff:
     def test_usage_error(self, tmp_path, capsys):
         assert csv_diff.main([str(tmp_path)]) == 2
         assert "usage" in capsys.readouterr().err
+
+
+_REACH = Path(__file__).resolve().parents[1] / "tools" / "reach.py"
+_spec = importlib.util.spec_from_file_location("reach", _REACH)
+reach = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reach)
+
+
+class TestReach:
+    def test_lists_public_names_and_finds_the_impedance_set(self):
+        listed = reach.unreached()
+        assert list(listed) == list(reach.LAYERS)
+        for layer, names in listed.items():
+            assert set(names) <= set(importlib.import_module(f"ummimo.{layer}").__all__)
+        assert "impedance_set" not in listed["circuit"]
+
+    def test_names_only_other_experiments_call_are_listed(self, monkeypatch):
+        from ummimo import cli
+        monkeypatch.setattr(cli, "_EXPERIMENTS", {"bbu": cli._EXPERIMENTS["bbu"]})
+        listed = reach.unreached()
+        assert "impedance_set" in listed["circuit"] and "bbu_rate" not in listed["dof"]
