@@ -19,13 +19,12 @@ from .geometry import (ArrayGeometry, Lattice, RegionBounds, build_ula, build_up
                        fraunhofer_square, region_bounds)
 from .fields import (DipoleSegment, FieldSample, aperture_gain,
                      aperture_gain_subdivided, array_field, dipole_field,
-                     dipole_transform, edge_phase_and_power, isotropic_area,
-                     near_field_factor)
+                     edge_phase_and_power, isotropic_area, near_field_factor)
 from .channel import (ScatteringProfile, SpatialCorrelation, correlation_matrix,
                       gaussian_cluster_profile, isotropic_profile, los_channel,
                       sample_rayleigh, steering_matrix)
-from .beam import (BeamSpec, BeamdepthInterval, angular_taper, array_gain,
-                   beamdepth_3db, beamwidth_3db, depth_gain, focus_phases)
+from .beam import (BeamdepthInterval, angular_taper, array_gain, beamdepth_3db,
+                   beamwidth_3db, depth_gain, focus_phases)
 from .dof import (Dof2d, DofReport, active_rf_chains, bbu_rate, dof_1d, dof_2d,
                   dof_report, effective_rank)
 from .estimate import (Dictionary, EstimatorResult, PilotMatrix,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +12,6 @@ from .geometry import ArrayGeometry
 from .numerics import fresnel_cs, sinc
 
 __all__ = [
-    "BeamSpec",
     "BeamdepthInterval",
     "focus_phases",
     "array_gain",
@@ -20,19 +20,6 @@ __all__ = [
     "depth_gain",
     "beamdepth_3db",
 ]
-
-
-@dataclass(frozen=True)
-class BeamSpec:
-    """Per-element phases focusing the array on a point; defined modulo a
-    common additive constant."""
-
-    focus: np.ndarray   # (3,)
-    phases: np.ndarray  # (M,) radians
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.phases)):
-            raise DomainError("phases must be finite")
 
 
 def _finite_point(name: str, point) -> np.ndarray:
@@ -44,24 +31,32 @@ def _finite_point(name: str, point) -> np.ndarray:
     return point
 
 
-def focus_phases(geom: ArrayGeometry, point) -> BeamSpec:
-    """Phases psi_m = (2 pi / lambda) dist(point, p_m) that cancel the
-    propagation phase at the focus point, a finite (3,) point."""
+def focus_phases(geom: ArrayGeometry, point) -> np.ndarray:
+    """Phases psi_m = (2 pi / lambda) dist(point, p_m), (M,) radians, that
+    cancel the propagation phase at the focus point, a finite (3,) point;
+    defined modulo a common additive constant."""
     point = _finite_point("focus point", point)
     d = np.linalg.norm(point[None, :] - geom.positions, axis=1)
     if np.any(d == 0):
         raise SingularityError("focus point coincides with an array element")
-    return BeamSpec(point, 2.0 * np.pi / geom.wavelength * d)
+    return 2.0 * np.pi / geom.wavelength * d
 
 
-def array_gain(geom: ArrayGeometry, spec: BeamSpec, rx) -> float:
+def array_gain(geom: ArrayGeometry, phases, rx) -> float:
     """Array gain (1/M) |sum_m e^{-j kappa d_m(rx)} e^{j psi_m}|^2 in [0, M]
-    at a finite (3,) receive point rx."""
+    of the (M,) phases psi at a finite (3,) receive point rx; the phases
+    must be finite."""
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (geom.num_elements,):
+        raise ContractError(f"phases must have shape ({geom.num_elements},), "
+                            f"got {phases.shape}")
+    if not np.all(np.isfinite(phases)):
+        raise DomainError("phases must be finite")
     rx = _finite_point("receive point", rx)
     d = np.linalg.norm(rx[None, :] - geom.positions, axis=1)
     if np.any(d == 0):
         raise SingularityError("receive point coincides with an array element")
-    total = np.exp(1j * (spec.phases - 2.0 * np.pi / geom.wavelength * d)).sum()
+    total = np.exp(1j * (phases - 2.0 * np.pi / geom.wavelength * d)).sum()
     return float(abs(total) ** 2 / geom.num_elements)
 
 
@@ -124,6 +119,31 @@ def depth_gain(focus: float, z: float, d_fraunhofer: float) -> float:
         return 1.0
     z_eff = focus * z / abs(focus - z)
     return _depth_profile(d_fraunhofer / (8.0 * z_eff))
+
+
+# A(x*) = 1/2 for the depth profile A of depth_gain, which falls from 1 on
+# [0, x*]; mpmath: x* = 1.24215761243332578114...
+_HALF_POWER_X = 1.2421576124333258
+
+
+def _numeric_beamdepth(F: float, d_f: float) -> float:
+    """Exact half-power beamdepth z_far - z_near of the Fresnel depth profile.
+
+    depth_gain(F, z) = A(d_F / (8 z_eff)) with z_eff = F z / |F - z|, so both
+    half-power crossings sit at z_eff = d_F / (8 x*): z_near = F z_eff /
+    (F + z_eff) and z_far = F z_eff / (z_eff - F), or inf when z_eff <= F.
+    Each finite crossing is checked through depth_gain: ContractError unless
+    the gain there is 1/2 within 1e-9 (a focus so small that the crossing is
+    not resolved in double precision fails this).
+    """
+    z_eff = d_f / (8.0 * _HALF_POWER_X)
+    z_near = F * z_eff / (F + z_eff)
+    z_far = F * z_eff / (z_eff - F) if z_eff > F else np.inf
+    for z in (z_near, z_far):
+        if math.isfinite(z) and not abs(depth_gain(F, z, d_f) - 0.5) <= 1e-9:
+            raise ContractError(f"depth gain at the half-power crossing z = {z!r} m "
+                                f"of focus {F!r} m is not 1/2 within 1e-9")
+    return z_far - z_near
 
 
 @dataclass(frozen=True)

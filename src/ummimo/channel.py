@@ -59,9 +59,6 @@ class ScatteringProfile:
     beta: float
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def integral(self, grid: QuadratureGrid) -> float:
-        return float(np.real(grid.integrate(self.density(grid.azimuth, grid.elevation))))
-
 
 class SpatialCorrelation:
     """Hermitian PSD spatial correlation matrix R with its average gain beta.

@@ -30,9 +30,9 @@ from .geometry import ArrayGeometry, build_ula, build_upa, fraunhofer_square
 from .fields import aperture_gain, aperture_gain_subdivided, isotropic_area, near_field_factor
 from .channel import (correlation_matrix, gaussian_cluster_profile,
                       isotropic_profile, los_channel, steering_matrix)
-from .beam import angular_taper, beamdepth_3db, beamwidth_3db, depth_gain
+from .beam import _numeric_beamdepth, angular_taper, beamdepth_3db, beamwidth_3db
 from .dof import active_rf_chains, bbu_rate, dof_1d, dof_2d, dof_report
-from .estimate import build_ff_dictionary, isotropic_subspace, nmse_sweep
+from .estimate import _sparse_sampler, build_ff_dictionary, isotropic_subspace, nmse_sweep
 from .mux import (UplinkScenario, lmmse_combiners, optimal_spacing, parallel_capacity,
                   uplink_se, uplink_se_bound)
 from .circuit import (LnaParams, end_to_end_channel, impedance_set,
@@ -276,31 +276,6 @@ def run_beam(cfg, seed):
     return tables, notes, plots
 
 
-# A(x*) = 1/2 for the depth profile A of beam.depth_gain, which falls from 1
-# on [0, x*]; mpmath: x* = 1.24215761243332578114...
-_HALF_POWER_X = 1.2421576124333258
-
-
-def _numeric_beamdepth(F: float, d_f: float) -> float:
-    """Exact half-power beamdepth z_far - z_near of the Fresnel depth profile.
-
-    depth_gain(F, z) = A(d_F / (8 z_eff)) with z_eff = F z / |F - z|, so both
-    half-power crossings sit at z_eff = d_F / (8 x*): z_near = F z_eff /
-    (F + z_eff) and z_far = F z_eff / (z_eff - F), or inf when z_eff <= F.
-    Each finite crossing is checked through depth_gain: ContractError unless
-    the gain there is 1/2 within 1e-9 (a focus so small that the crossing is
-    not resolved in double precision fails this).
-    """
-    z_eff = d_f / (8.0 * _HALF_POWER_X)
-    z_near = F * z_eff / (F + z_eff)
-    z_far = F * z_eff / (z_eff - F) if z_eff > F else np.inf
-    for z in (z_near, z_far):
-        if math.isfinite(z) and not abs(depth_gain(F, z, d_f) - 0.5) <= 1e-9:
-            raise ContractError(f"depth gain at the half-power crossing z = {z!r} m "
-                                f"of focus {F!r} m is not 1/2 within 1e-9")
-    return z_far - z_near
-
-
 def run_fig4(cfg, seed):
     lam = cfg["wavelength"]
     nx, ny = cfg["nx"], cfg["ny"]
@@ -489,30 +464,6 @@ def run_fig10(cfg, seed):
     plots = {"nmse_vs_spacing.svg": ("NMSE vs spacing", "spacing/lambda", "NMSE",
                                      dict(sorted(series.items())), True)}
     return tables, [], plots
-
-
-def _sparse_sampler(geom, dictionary, sparsity, on_grid, angle_limit):
-    """M x trials channels from one generator, each the sum of `sparsity`
-    equally-strong paths, E||h||^2 = M."""
-    grid = dictionary.grid
-    lim = np.sin(angle_limit)
-    atoms = dictionary.atoms
-    ok = np.where((np.abs(grid[:, 0]) <= lim) & (np.abs(grid[:, 1]) <= lim))[0]
-
-    def sampler(stream: RngStream, trials: int) -> np.ndarray:
-        g = stream.generator()
-        gains = g.standard_normal((trials, sparsity)) + 1j * g.standard_normal((trials, sparsity))
-        gains /= np.sqrt(2.0 * sparsity)
-        if on_grid:
-            # the `sparsity` smallest of uniform keys: a subset without replacement
-            pick = np.argpartition(g.random((trials, ok.size)), sparsity - 1, axis=1)
-            steer = atoms[:, ok[pick[:, :sparsity]]]
-        else:
-            az, el = g.uniform(-angle_limit, angle_limit, (2, trials * sparsity))
-            steer = steering_matrix(geom, az, el).T.reshape(-1, trials, sparsity)
-        return np.einsum("mts,ts->mt", steer, gains)
-
-    return sampler
 
 
 def run_fig11(cfg, seed):

@@ -16,7 +16,7 @@ from .errors import (ConfigError, ContractError, DomainError, check_finite_nonne
 from .geometry import ArrayGeometry
 from .numerics import RngStream, complex_gaussian, svd
 from .channel import (SpatialCorrelation, _as_correlation, correlation_matrix,
-                      isotropic_profile, sample_rayleigh)
+                      isotropic_profile, sample_rayleigh, steering_matrix)
 from .dof import effective_rank
 from .mux import waterfill_powers
 
@@ -133,11 +133,14 @@ def orthogonal_pilot(m: int, tau: int, power: float, noise_power: float,
 
 def received_pilot(pilot: PilotMatrix, h: np.ndarray, stream: RngStream) -> np.ndarray:
     """y = sqrt(p) phi h + n with n ~ CN(0, sigma^2 I), for one channel h (M,)
-    or a batch (M, T); the noise is one complex_gaussian((tau_p, T)) block."""
+    or a batch (M, T); the noise is one complex_gaussian((tau_p, T)) block.
+    A NaN or infinite entry of h is a DomainError."""
     h = np.asarray(h, dtype=complex)
     if h.ndim not in (1, 2) or h.shape[0] != pilot.num_antennas:
         raise ContractError(f"channel has shape {h.shape}, pilot expects "
                             f"({pilot.num_antennas},) or ({pilot.num_antennas}, T)")
+    if not np.all(np.isfinite(h)):
+        raise DomainError("h must be finite: it holds NaN or inf")
     noise = np.sqrt(pilot.noise_power) * complex_gaussian((pilot.tau, *h.shape[1:]), stream)
     return np.sqrt(pilot.power) * (pilot.phi @ h) + noise
 
@@ -202,7 +205,8 @@ def ls_estimate(y: np.ndarray, pilot: PilotMatrix) -> np.ndarray:
 
     y is one received pilot (tau_p,) or a batch (tau_p, T) with one pilot
     per column; the estimate is then (M,) or (M, T).  The map is linear, so
-    a batch gives the column-wise estimates.
+    a batch gives the column-wise estimates, and a NaN or inf in y passes
+    through into the estimate unchecked.
     """
     P, warning = _pinv(pilot.phi)
     _warn(warning)
@@ -233,7 +237,8 @@ def mmse_estimate(y: np.ndarray, pilot: PilotMatrix,
 
     y is (tau_p,) or a batch (tau_p, T), one received pilot per column; the
     estimate is then (M,) or (M, T), and the analytic MSE, which depends on
-    the pilot alone, is the same either way.
+    the pilot alone, is the same either way.  A NaN or inf in y passes
+    through into the estimate unchecked.
     """
     (W, mse), warning = _mmse_operator(pilot, _as_correlation(corr).R)
     _warn(warning)
@@ -273,7 +278,8 @@ def rsls_estimate(y: np.ndarray, pilot: PilotMatrix, subspace: np.ndarray) -> np
     phi, so a rank-deficient phi U warns.  Noise in the orthogonal complement
     is removed entirely; the estimate always lies in the subspace.  y is
     (tau_p,) or a batch (tau_p, T), one received pilot per column; the
-    estimate is then (M,) or (M, T).
+    estimate is then (M,) or (M, T).  A NaN or inf in y passes through into
+    the estimate unchecked.
     """
     U = np.asarray(subspace, dtype=complex)
     r = U.shape[1]
@@ -286,26 +292,18 @@ def rsls_estimate(y: np.ndarray, pilot: PilotMatrix, subspace: np.ndarray) -> np
     return U @ (P @ y) / np.sqrt(pilot.power)
 
 
-def rsls_pilot(subspace: np.ndarray, tau: int, power: float, noise_power: float,
-               mixing: np.ndarray | None = None) -> PilotMatrix:
+def rsls_pilot(subspace: np.ndarray, tau: int, power: float,
+               noise_power: float) -> PilotMatrix:
     """MSE-optimal RS-LS pilot sqrt(tau_p / r) S U^H.
 
-    S is any tau_p x r matrix with orthonormal columns; the default extends
-    the identity.  Any valid choice yields the same MSE.
+    S is the tau_p x r identity extension; any S with orthonormal columns
+    yields the same MSE.
     """
     U = np.asarray(subspace, dtype=complex)
-    m, r = U.shape
+    r = U.shape[1]
     if tau < r:
         raise ContractError(f"tau_p = {tau} < subspace dimension {r}")
-    if mixing is None:
-        S = np.eye(tau, r, dtype=complex)
-    else:
-        S = np.asarray(mixing, dtype=complex)
-        if S.shape != (tau, r):
-            raise ContractError(f"mixing must be ({tau}, {r})")
-        if np.linalg.norm(S.conj().T @ S - np.eye(r)) > 1e-8 * np.sqrt(r):
-            raise ContractError("mixing columns must be orthonormal")
-    phi = np.sqrt(tau / r) * (S @ U.conj().T)
+    phi = np.sqrt(tau / r) * (np.eye(tau, r, dtype=complex) @ U.conj().T)
     return PilotMatrix(phi, power, noise_power)
 
 
@@ -372,6 +370,30 @@ def build_ff_dictionary(geom: ArrayGeometry, density: int) -> Dictionary:
     return Dictionary(*_freeze(atoms, grid))
 
 
+def _sparse_sampler(geom, dictionary, sparsity, on_grid, angle_limit):
+    """M x trials channels from one generator, each the sum of `sparsity`
+    equally-strong paths, E||h||^2 = M."""
+    grid = dictionary.grid
+    lim = np.sin(angle_limit)
+    atoms = dictionary.atoms
+    ok = np.where((np.abs(grid[:, 0]) <= lim) & (np.abs(grid[:, 1]) <= lim))[0]
+
+    def sampler(stream: RngStream, trials: int) -> np.ndarray:
+        g = stream.generator()
+        gains = g.standard_normal((trials, sparsity)) + 1j * g.standard_normal((trials, sparsity))
+        gains /= np.sqrt(2.0 * sparsity)
+        if on_grid:
+            # the `sparsity` smallest of uniform keys: a subset without replacement
+            pick = np.argpartition(g.random((trials, ok.size)), sparsity - 1, axis=1)
+            steer = atoms[:, ok[pick[:, :sparsity]]]
+        else:
+            az, el = g.uniform(-angle_limit, angle_limit, (2, trials * sparsity))
+            steer = steering_matrix(geom, az, el).T.reshape(-1, trials, sparsity)
+        return np.einsum("mts,ts->mt", steer, gains)
+
+    return sampler
+
+
 def _sensing(pilot: PilotMatrix, dictionary: Dictionary) -> np.ndarray:
     """sqrt(p) phi atoms, scaled in place."""
     A = pilot.phi @ dictionary.atoms
@@ -434,17 +456,11 @@ def _refit(As: np.ndarray, y: np.ndarray) -> np.ndarray:
     return c
 
 
-def _omp_block(A: np.ndarray, norms: np.ndarray, Y: np.ndarray, sparsity: int,
-               residual_threshold: float | None):
+def _omp_block(A: np.ndarray, norms: np.ndarray, Y: np.ndarray, sparsity: int):
     """The greedy loop on all columns of Y (tau_p x T) at once: selections
-    (T, sparsity), coefficients (T, sparsity) and the number of selections
-    per column; a column stopped by residual_threshold keeps zeros past its
-    count."""
+    (T, sparsity) and the coefficients (T, sparsity) of the last refit."""
     T = Y.shape[1]
     selected = np.zeros((T, sparsity), dtype=np.intp)
-    coef = np.zeros((T, sparsity), dtype=complex)
-    count = np.full(T, sparsity)
-    active = np.arange(T)
     Yt = Y.T
     residual = Yt
     # one T x K product and one magnitude buffer serve every iteration:
@@ -454,44 +470,35 @@ def _omp_block(A: np.ndarray, norms: np.ndarray, Y: np.ndarray, sparsity: int,
     for k in range(sparsity):
         # |r^H a_j| / ||a_j|| for every column r and atom j; the conjugate
         # of the residual block, never of the tau_p x K sensing matrix
-        n = active.size
-        corr = np.abs(np.matmul(residual.conj(), A, out=product[:n]), out=magnitude[:n])
+        corr = np.abs(np.matmul(residual.conj(), A, out=product), out=magnitude)
         corr /= norms
-        corr[np.arange(active.size)[:, None], selected[active, :k]] = -1.0
-        selected[active, k] = np.argmax(corr, axis=1)  # the lowest index wins ties
-        As = A[:, selected[active, :k + 1]].transpose(1, 0, 2)  # (T_active, tau_p, k + 1)
-        c = _refit(As, Yt[active, :, None])
-        coef[active, :k + 1] = c[..., 0]
-        residual = Yt[active] - (As @ c)[..., 0]
-        if residual_threshold is not None:
-            done = np.linalg.norm(residual, axis=1) <= residual_threshold
-            count[active[done]] = k + 1
-            active, residual = active[~done], residual[~done]
-            if not active.size:
-                break
-    return selected, coef, count
+        corr[np.arange(T)[:, None], selected[:, :k]] = -1.0
+        selected[:, k] = np.argmax(corr, axis=1)  # the lowest index wins ties
+        As = A[:, selected[:, :k + 1]].transpose(1, 0, 2)  # (T, tau_p, k + 1)
+        c = _refit(As, Yt[:, :, None])
+        residual = Yt - (As @ c)[..., 0]
+    return selected, c[..., 0]
 
 
 def omp_estimate(y: np.ndarray, pilot: PilotMatrix, dictionary: Dictionary,
-                 sparsity: int, residual_threshold: float | None = None):
+                 sparsity: int):
     """Orthogonal matching pursuit against sqrt(p) phi * atoms.
 
     Greedily selects atoms by maximal normalized residual correlation
     (lowest index wins ties), refits jointly by least squares after each
     selection, and synthesizes the M-vector estimate.  Runs exactly
-    `sparsity` iterations unless residual_threshold stops it early.
-    Returns (estimate, selected_indices).
+    `sparsity` iterations.  Returns (estimate, selected_indices).
 
     y is (tau_p,) or a batch (tau_p, T) with one received pilot per column.
     The sensing matrix and its column norms are formed on the call, a
     _leading pilot's as rows of its basis's (see _omp_operator).  One greedy
     loop serves a block of columns: each iteration forms every column's
     correlations in one matrix product and refits every column by one
-    batched QR (see _refit), and a column that meets residual_threshold
-    leaves the block with its selections and coefficients.  A batch returns
-    the (M, T) estimates and a list of T selections, equal to T separate
-    calls up to float rounding.  Blocks hold at most _OMP_BLOCK_ENTRIES
-    columns x atoms.
+    batched QR (see _refit).  A batch returns the (M, T) estimates and a
+    list of T selections, equal to T separate calls up to float rounding.
+    Blocks hold at most _OMP_BLOCK_ENTRIES columns x atoms.  A NaN or inf in
+    y is not checked: it passes through into that column's estimate, whose
+    selections are then arbitrary.
     """
     if sparsity < 1:
         raise ContractError("sparsity must be >= 1")
@@ -506,10 +513,9 @@ def omp_estimate(y: np.ndarray, pilot: PilotMatrix, dictionary: Dictionary,
     selections: list[list[int]] = []
     step = max(1, _OMP_BLOCK_ENTRIES // dictionary.num_atoms)
     for s in range(0, Y.shape[1], step):
-        selected, coef, count = _omp_block(A, norms, Y[:, s:s + step], sparsity,
-                                           residual_threshold)
+        selected, coef = _omp_block(A, norms, Y[:, s:s + step], sparsity)
         estimates[:, s:s + step] = np.einsum("mtk,tk->mt", dictionary.atoms[:, selected], coef)
-        selections.extend(row[:k].tolist() for row, k in zip(selected, count))
+        selections.extend(selected.tolist())
     if y.ndim == 1:
         return estimates[:, 0], selections[0]
     return estimates, selections

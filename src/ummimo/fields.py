@@ -25,7 +25,6 @@ __all__ = [
     "aperture_gain_subdivided",
     "isotropic_area",
     "dipole_field",
-    "dipole_transform",
     "array_field",
 ]
 
@@ -254,24 +253,6 @@ def _amplitudes(r, wavelength: float):
                  for s1, s3 in ((0.0, -2.0), (1.0, 1.0)))
 
 
-def dipole_transform(p: np.ndarray, wavelength: float) -> np.ndarray:
-    """3x3 map T(p) from a dipole moment at the origin to the spherical-basis
-    field components (E_r, E_el, E_az) at observation point p, from the
-    amplitudes of _amplitudes."""
-    p = np.asarray(p, dtype=float)
-    r = np.linalg.norm(p)
-    if r == 0.0:
-        raise SingularityError("observation point coincides with the dipole")
-    a_rad, a_ang = _amplitudes(r, wavelength)
-    return _basis_matrix(p).T * np.array([[a_rad], [a_ang], [a_ang]])
-
-
-def dipole_field(segment: DipoleSegment, p, wavelength: float) -> FieldSample:
-    """Field of a single Hertzian dipole (segment position taken as origin)."""
-    rel = np.asarray(p, dtype=float) - segment.position
-    return FieldSample(dipole_transform(rel, wavelength) @ segment.moment)
-
-
 def array_field(segments, moment_matrices, x: np.ndarray, p,
                 wavelength: float) -> FieldSample:
     """Superposed field of dipole segments driven by the excitation vector x.
@@ -279,8 +260,11 @@ def array_field(segments, moment_matrices, x: np.ndarray, p,
     moment_matrices[k] is the 3 x N map from x to segment k's moment m_k, so
     the result is linear in x.  All segments at once, in Cartesian form:
     E = sum_k a_ang m_k + (a_rad - a_ang) (u_k.m_k) u_k, u_k the unit vector
-    from segment k to p, projected once onto the spherical basis at p."""
+    from segment k to p, projected once onto the spherical basis at p,
+    which the origin lacks (SingularityError there)."""
     p = np.asarray(p, dtype=float)
+    if not p.any():
+        raise SingularityError("the spherical basis is undefined at the origin")
     x = np.asarray(x, dtype=complex)
     rel = p - np.reshape([seg.position for seg in segments], (-1, 3))
     r = np.linalg.norm(rel, axis=1)
@@ -292,3 +276,9 @@ def array_field(segments, moment_matrices, x: np.ndarray, p,
     radial = (a_rad - a_ang) * np.einsum("ki,ki->k", u, m)
     e_cart = a_ang @ m + radial @ u
     return FieldSample(_basis_matrix(p).T @ e_cart)
+
+
+def dipole_field(segment: DipoleSegment, p, wavelength: float) -> FieldSample:
+    """Field of a single Hertzian dipole at p: the one-segment array_field,
+    in the spherical basis at p."""
+    return array_field([segment], [np.eye(3)], segment.moment, p, wavelength)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -28,42 +27,23 @@ _MIN_SEPARATION = 1e-6
 
 
 def _has_close_pair(pos: np.ndarray, tol: float) -> bool:
-    """Whether two rows of pos lie closer than tol, in O(M log M).
+    """Whether two rows of pos lie closer than tol, by a sort-and-sweep.
 
-    Each point falls in a cube of side tol, so a pair closer than tol lies in
-    one cube or in two that touch, and only those pairs are measured.  A cube
-    holds at most 8 points pairwise tol apart (one per half-side subcube), so a
-    fuller one settles the question.
+    The rows are sorted along the axis of largest spread, and lag j = 1, 2,
+    ... measures the pairs j rows apart whose gap along that axis is below
+    tol.  A close pair's gap bounds the gap of every pair at a shorter lag
+    between its rows, so the sweep can stop at the first lag where no gap is
+    below tol.
     """
-    cells = np.floor((pos - pos.min(axis=0)) / tol)
-    axes = [np.unique(c) for c in cells.T]
-
-    def key(offset):
-        # the cube at offset from each point's cube, numbered over the occupied
-        # coordinates of each axis (below M**3), or -1 where it is empty
-        k, hit = np.zeros(len(pos), dtype=np.int64), np.ones(len(pos), dtype=bool)
-        for u, c, o in zip(axes, cells.T, offset):
-            i = np.minimum(np.searchsorted(u, c + o), len(u) - 1)
-            hit &= u[i] == c + o
-            k = k * len(u) + i
-        return np.where(hit, k, -1)
-
-    own = key((0, 0, 0))
-    order = np.argsort(own, kind="stable")
-    occupied = own[order]
-    if np.unique(occupied, return_counts=True)[1].max() > 8:
-        return True
-    # the own cube and the 13 neighbours after it in lexicographic order: each
-    # touching pair of cubes is visited once
-    for offset in list(itertools.product((-1, 0, 1), repeat=3))[13:]:
-        k = key(offset)
-        lo, hi = np.searchsorted(occupied, k), np.searchsorted(occupied, k, "right")
-        for j in range(int((hi - lo).max())):
-            p = np.flatnonzero(lo + j < hi)
-            q = order[lo[p] + j]
-            p, q = p[p != q], q[p != q]
-            if np.any(np.sum((pos[p] - pos[q]) ** 2, axis=1) < tol ** 2):
-                return True
+    axis = int(np.argmax(pos.max(axis=0) - pos.min(axis=0)))
+    pos = pos[np.argsort(pos[:, axis], kind="stable")]
+    x = pos[:, axis]
+    for j in range(1, len(pos)):
+        near = np.flatnonzero(x[j:] - x[:-j] < tol)
+        if not near.size:
+            return False
+        if np.any(np.sum((pos[near + j] - pos[near]) ** 2, axis=1) < tol ** 2):
+            return True
     return False
 
 
@@ -87,7 +67,7 @@ class ArrayGeometry:
     caller-supplied position lists without a lattice, D falls back to the
     bounding-box diagonal of the positions.  Two elements closer than 1e-6
     wavelengths are refused as coincident: a lattice by its spacings, caller
-    positions by a neighbour search over cubes of that side.
+    positions by a sort-and-sweep along their widest axis.
     """
 
     positions: np.ndarray  # (M, 3)

@@ -1,10 +1,17 @@
 """Special functions, quadrature grids, linear-algebra contracts, and seeded RNG streams.
 
 Everything downstream (channel statistics, beam geometry, estimators, circuit
-models) builds on the primitives in this module, so the contracts here are
-deliberately strict: Fresnel integrals from scipy.special.fresnel (imported
-on first use) behind a finite-argument check, eigen/SVD reconstruction to
-1e-8 relative, and bitwise-reproducible random streams.
+models) builds on the primitives in this module, so their inputs are checked
+on every call:
+
+- hermitian_eig: A is finite (DomainError) and Hermitian within
+  1e-10 ||A||_F (ContractError);
+- svd: A is finite (DomainError);
+- fresnel_cs: x is finite (DomainError); scipy.special.fresnel is imported
+  on first use.
+
+The random streams are bitwise reproducible.  How closely a decomposition
+reconstructs its input is left to LAPACK and checked by the tests only.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ from ummimo.beam import beamdepth_3db, depth_gain
 from ummimo.errors import ConfigError, ContractError
 from ummimo.geometry import fraunhofer_square
 from ummimo.channel import los_channel
+from ummimo.beam import _HALF_POWER_X, _numeric_beamdepth
 from ummimo.cli import (list_experiments, main, parse_config_file, resolve_config,
                         run, run_beam, run_fig5, run_nf_factor, write_csv, _EXPERIMENTS,
-                        _HALF_POWER_X, _fmt, _numeric_beamdepth)
+                        _fmt)
 from ummimo.geometry import build_ula
 from ummimo.mux import optimal_spacing, su_capacity
 

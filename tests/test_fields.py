@@ -303,25 +303,50 @@ class TestArrayField:
         return DipoleSegment(np.array([0.1, -0.2, 0.05]), np.array([0, 0, 1.0]))
 
     def test_single_segment_matches_translated_dipole(self):
+        # dipole_field is the one-segment array_field, bit for bit
+        seg = DipoleSegment(np.array([0.1, -0.2, 0.05]), np.array([0.3j, -1.0, 0.5 + 2j]))
+        for p in (np.array([1.0, 2.0, 3.0]), np.array([0.1, -0.2, 4.0]), seg.position + LAM):
+            want = array_field([seg], [np.eye(3)], seg.moment, p, LAM).E
+            got = dipole_field(seg, p, LAM).E
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_off_origin_segment_in_basis_at_p(self):
+        # a z-dipole away from the origin has an azimuthal component in the
+        # spherical basis at p, though none in the basis at p - position
+        lam = 0.5
         seg = self._one_segment()
         p = np.array([1.0, 2.0, 3.0])
-        total = array_field([seg], [np.eye(3)[:, :1] * 0 + np.array([[0], [0], [1.0]])],
-                            np.array([1.0]), p, LAM)
-        direct = dipole_field(seg, p, LAM)
-        direct_cart = _basis_matrix(p - seg.position) @ direct.E
-        total_cart = _basis_matrix(p) @ total.E
-        assert np.linalg.norm(total_cart - direct_cart) < 1e-12 * np.linalg.norm(direct_cart)
+        e = dipole_field(seg, p, lam).E
+        assert abs(e[2] - (-1.9012129 - 3.12590686j)) < 1e-7
+        # the same components from the Cartesian closed form and the
+        # spherical unit vectors at p written out from its angles
+        rel = p - seg.position
+        r = np.linalg.norm(rel)
+        u = rel / r
+        a_rad, a_ang = _amplitudes(r, lam)
+        e_cart = a_ang * seg.moment + (a_rad - a_ang) * (u @ seg.moment) * u
+        phi, el = np.arctan2(p[1], p[0]), np.arctan2(p[2], np.hypot(p[0], p[1]))
+        basis = np.array([[np.cos(el) * np.cos(phi), np.cos(el) * np.sin(phi), np.sin(el)],
+                          [-np.sin(el) * np.cos(phi), -np.sin(el) * np.sin(phi), np.cos(el)],
+                          [-np.sin(phi), np.cos(phi), 0.0]])
+        assert np.linalg.norm(e - basis @ e_cart) <= 1e-13 * np.linalg.norm(e)
 
     def test_equals_per_segment_loop(self):
         # the loop the vectorised form replaced: each segment's field in its
-        # own spherical basis, rotated to Cartesian and summed
+        # own spherical basis, T = basis(rel)^T scaled by (a_rad, a_ang,
+        # a_ang) per row, rotated to Cartesian and summed
         rng = np.random.default_rng(7)
         segs = [DipoleSegment(q, np.zeros(3)) for q in rng.uniform(-LAM, LAM, (5, 3))]
         mats = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))
         x = np.array([0.3 - 1.1j, 0.8j])
+
+        def segment_cart(rel, m):
+            a_rad, a_ang = _amplitudes(np.linalg.norm(rel), LAM)
+            basis = _basis_matrix(rel)
+            return basis @ ((basis.T * np.array([[a_rad], [a_ang], [a_ang]])) @ m)
+
         for p in rng.uniform(-3 * LAM, 3 * LAM, (4, 3)):
-            e_cart = sum(_basis_matrix(p - seg.position)
-                         @ dipole_field(DipoleSegment(seg.position, M @ x), p, LAM).E
+            e_cart = sum(segment_cart(p - seg.position, M @ x)
                          for seg, M in zip(segs, mats))
             got = _basis_matrix(p) @ array_field(segs, list(mats), x, p, LAM).E
             assert np.linalg.norm(got - e_cart) <= 1e-13 * np.linalg.norm(e_cart)
@@ -363,3 +388,8 @@ class TestArrayField:
         with pytest.raises(SingularityError):
             array_field([seg], [np.array([[0.0], [0.0], [1.0]])], np.array([1.0]),
                         seg.position, LAM)
+
+    def test_observation_at_origin_rejected(self):
+        # the spherical basis the field is reported in is undefined there
+        with pytest.raises(SingularityError, match="origin"):
+            dipole_field(self._one_segment(), np.zeros(3), LAM)

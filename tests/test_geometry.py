@@ -4,7 +4,7 @@ import pytest
 from ummimo.channel import correlation_matrix, gaussian_cluster_profile
 from ummimo.errors import ContractError
 from ummimo.geometry import (ArrayGeometry, Lattice, build_ula, build_upa,
-                             fraunhofer_square, region_bounds)
+                             fraunhofer_square, region_bounds, _has_close_pair)
 
 
 class TestBuildUpa:
@@ -116,6 +116,58 @@ class TestBuildUpa:
         pos = build_upa(4, 3, 0.1, 0.2, 1.0).positions
         with pytest.raises(ContractError, match="lattice"):
             ArrayGeometry(pos, 1.0, lattice)
+
+
+def _brute_close_pair(pos, tol):
+    """Whether any two rows of pos lie closer than tol, over all pairs."""
+    i, j = np.triu_indices(len(pos), 1)
+    return bool(np.any(np.sum((pos[i] - pos[j]) ** 2, axis=1) < tol ** 2))
+
+
+class TestClosePair:
+    """The sort-and-sweep coincidence check against every pair."""
+
+    LAM = 0.01
+    TOL = 1e-6 * LAM
+
+    def _clouds(self):
+        rng = np.random.default_rng(25)
+        for _ in range(400):
+            m = int(rng.integers(1, 40))
+            pos = rng.uniform(-1.0, 1.0, (m, 3)) * 10.0 ** rng.uniform(-8, -1)
+            if rng.random() < 0.4:  # one axis collapsed, as for a planar array
+                pos[:, rng.integers(3)] = 0.0
+            if m > 1 and rng.random() < 0.5:  # a pair planted 3e-7 wavelengths apart
+                a, b = rng.choice(m, 2, replace=False)
+                step = rng.standard_normal(3)
+                pos[b] = pos[a] + 3e-7 * self.LAM * step / np.linalg.norm(step)
+            yield pos
+
+    def test_random_clouds_agree_with_brute_force(self):
+        verdicts = [(_has_close_pair(pos, self.TOL), _brute_close_pair(pos, self.TOL))
+                    for pos in self._clouds()]
+        assert all(got == want for got, want in verdicts)
+        assert 50 < sum(want for _, want in verdicts) < 350  # both answers occur
+
+    def test_signed_zeros(self):
+        pos = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, self.LAM, 0.0]])
+        assert _has_close_pair(pos, self.TOL) and _brute_close_pair(pos, self.TOL)
+        assert not _has_close_pair(pos[1:], self.TOL)
+
+    def test_ula_along_y(self):
+        ys = (np.arange(256) - 127.5) * self.LAM / 2
+        pos = np.stack([np.zeros(256), ys, np.zeros(256)], axis=1)
+        assert not _has_close_pair(pos, self.TOL)
+        planted = np.vstack([pos, pos[100] + [3e-7 * self.LAM, 0.0, 0.0]])
+        assert _has_close_pair(planted, self.TOL)
+        assert _brute_close_pair(planted, self.TOL)
+
+    def test_one_and_two_elements(self):
+        one = np.array([[0.3, -0.2, 0.1]])
+        assert not _has_close_pair(one, self.TOL)
+        for gap, close in ((3e-7 * self.LAM, True), (2e-6 * self.LAM, False)):
+            two = np.array([[0.3, -0.2, 0.1], [0.3, -0.2, 0.1 + gap]])
+            assert _has_close_pair(two, self.TOL) == close == _brute_close_pair(two, self.TOL)
 
 
 class TestRegionBounds:
