@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularityError
-from .geometry import ArrayGeometry, Lattice
+from .geometry import ArrayGeometry, Lattice, _gather
 from .numerics import (QuadratureGrid, RngStream, _check_hermitian, _gauss_legendre,
                        complex_gaussian, hemisphere_grid, hermitian_eig, sinc,
                        unit_directions)
@@ -79,7 +79,7 @@ class SpatialCorrelation:
     @classmethod
     def _from_lags(cls, T: np.ndarray, lattice: Lattice, beta: float) -> SpatialCorrelation:
         """The correlation of a builder array with lattice `lattice`, from its
-        lag table T (see _gather), with R gathered on first access."""
+        lag table T (see geometry._gather), with R gathered on first access."""
         T.flags.writeable = False
         corr = cls(None, beta)
         corr._lags = (T, lattice)
@@ -491,14 +491,6 @@ def _lag_table(geom: ArrayGeometry, grid: QuadratureGrid, g: np.ndarray) -> np.n
     half[0, :n_y - 1] = half[0, :n_y - 1:-1].conj()
     half[0, n_y - 1] = half[0, n_y - 1].real
     return np.concatenate([half[:0:-1, ::-1].conj(), half])
-
-
-def _gather(T: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """R[m, n] = T at the index lag of elements m and n of the lattice."""
-    n_x, n_y = lattice.n_x, lattice.n_y
-    ix, iy = np.divmod(np.arange(n_x * n_y), n_y)
-    k = ix * (2 * n_y - 1) + iy
-    return T.ravel()[np.subtract.outer(k, k) + (n_x - 1) * (2 * n_y - 1) + n_y - 1]
 
 
 def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, SingularityError
 from .fields import _green, _out, epsilon_0, speed_of_light
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, _gather
 from .numerics import QuadratureGrid
 
 __all__ = [
@@ -160,8 +160,8 @@ def array_impedance(geom: ArrayGeometry, length: float,
     explicitly); Z equals Z.T exactly.  On a builder array whose separation
     along each axis depends only on the index lag, bit for bit (z constant,
     spacings such as lambda/2 at lambda = 0.5 m), Z is block Toeplitz:
-    _impedance runs once per lag (|l_x|, |l_y|) and is gathered.  Any other
-    array evaluates its upper triangle and mirrors it.
+    _impedance runs once per lag (|l_x|, |l_y|), spread by geometry._gather.
+    Any other array evaluates its upper triangle and mirrors it.
     """
     pos, lam = geom.positions, geom.wavelength
     diagonal = self_resistance(length, lam) + 1j * self_reactance
@@ -174,9 +174,7 @@ def array_impedance(geom: ArrayGeometry, length: float,
         table[1:] = _impedance([a.ravel()[1:] for a in np.meshgrid(*seps, indexing="ij")]
                                + [np.zeros(n - 1)], lam, length)
         table = table.reshape(n_x, n_y)[np.ix_(*(abs(np.arange(1 - k, k)) for k in (n_x, n_y)))]
-        # window (a, b) holds the signed lags (p - n_x + 1 + a, q - n_y + 1 + b)
-        windows = np.lib.stride_tricks.sliding_window_view(table, (n_x, n_y))
-        return windows[::-1, ::-1].copy().reshape(n, n)
+        return _gather(table, geom.lattice)
     # the upper triangle, mirrored: Z(p_j - p_i) == Z(p_i - p_j) bit for
     # bit, because p_j - p_i == -(p_i - p_j) exactly
     i, j = np.triu_indices(n, 1)

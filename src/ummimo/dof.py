@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import SpatialCorrelation, _full_spectrum
+from .channel import SpatialCorrelation, _as_correlation
 from .errors import ContractError, DomainError, check_finite_nonnegative, check_finite_positive
 from .fields import speed_of_light
 
@@ -68,30 +68,29 @@ def effective_rank(spectrum, capture_fraction: float = 0.99) -> int:
 
 @dataclass(frozen=True)
 class DofReport:
-    """Eigen-spectrum summary of a spatial correlation matrix."""
+    """Eigen-spectrum summary of a spatial correlation matrix, with the
+    effective rank at the default 0.99 trace capture of effective_rank."""
 
     eta: float                 # DoF formula value for the underlying aperture
     eigen_spectrum: np.ndarray  # descending, normalized to max = 1
     effective_rank: int
-    capture_fraction: float
 
 
-def dof_report(corr: SpatialCorrelation | np.ndarray, eta: float,
-               capture_fraction: float = 0.99) -> DofReport:
+def dof_report(corr: SpatialCorrelation | np.ndarray, eta: float) -> DofReport:
     """Summarize a correlation against a DoF formula prediction.
 
-    A SpatialCorrelation gives its cached spectrum: for the isotropic
-    correlation of a builder array that comes from quarter-size parity blocks
+    The spectrum is SpatialCorrelation.spectrum, a bare matrix wrapped as the
+    MMSE functions and sample_rayleigh wrap one: for the isotropic
+    correlation of a builder array it comes from quarter-size parity blocks
     of the lag table, and the M x M matrix is never formed.  A bare matrix
     takes one eigvalsh, on the real part when its imaginary part is all zero;
     a NaN or inf entry raises DomainError, a non-Hermitian R ContractError.
     Eigenvalues are clipped at zero and normalized to a maximum of 1.
     """
-    w = corr.spectrum if isinstance(corr, SpatialCorrelation) else _full_spectrum(corr)
-    w = np.clip(w, 0.0, None)
-    rank = effective_rank(w, capture_fraction)
+    w = np.clip(_as_correlation(corr).spectrum, 0.0, None)
+    rank = effective_rank(w)
     top = w[0] if w[0] > 0 else 1.0
-    return DofReport(eta, w / top, rank, capture_fraction)
+    return DofReport(eta, w / top, rank)
 
 
 def bbu_rate(area: float, bandwidth: float, bits_per_sample: float,

@@ -48,11 +48,11 @@ _QR_REFIT_MARGIN = 1e-6  # largest condition bound x lstsq cut-off an OMP refit 
 class PilotMatrix:
     """Pilot sequence matrix (tau_p x M), pilot power, and noise power.
 
-    The average pilot power is normalized to one: trace(phi^H phi) = tau_p;
-    power must be finite and positive, noise_power finite and nonnegative
-    (DomainError).  phi is a read-only copy of the caller's matrix.  A pilot
-    made by `_leading` keeps the pilot whose rows it took as its basis, and a
-    basis keeps the OMP sensing matrix of one dictionary (see _omp_operator).
+    The average pilot power is normalized to one: trace(phi^H phi) = tau_p >= 1
+    (ContractError); power must be finite and positive, noise_power finite and
+    nonnegative (DomainError).  phi is a read-only copy of the caller's matrix.
+    A pilot made by `_leading` keeps the pilot whose rows it took as its basis,
+    and a basis keeps the OMP sensing matrix of one dictionary (see _omp_operator).
     """
 
     phi: np.ndarray
@@ -63,11 +63,11 @@ class PilotMatrix:
 
     def __post_init__(self):
         phi = np.array(self.phi, dtype=complex)
-        if phi.ndim != 2:
-            raise ContractError("pilot matrix must be 2-D")
+        if phi.ndim != 2 or len(phi) < 1:
+            raise ContractError(f"pilot matrix must be 2-D with tau_p >= 1 rows, got {phi.shape}")
         tau = phi.shape[0]
         energy = float(np.sum(np.abs(phi) ** 2))
-        if not abs(energy - tau) <= 1e-8 * max(tau, 1):  # a NaN energy fails too
+        if not abs(energy - tau) <= 1e-8 * tau:  # a NaN energy fails too
             raise ContractError(
                 f"trace(phi^H phi) = {energy:.9g}, expected tau_p = {tau}"
             )
@@ -85,8 +85,6 @@ class PilotMatrix:
         powers.  For tau <= self.tau those are the leading rows, and this
         pilot becomes the new one's basis: its OMP sensing matrix is then the
         leading rows of the basis's one (see _omp_operator)."""
-        if tau < 1:
-            raise ContractError("tau must be >= 1")
         child = PilotMatrix(self.phi[np.arange(tau) % self.tau], self.power, self.noise_power)
         if tau <= self.tau:
             object.__setattr__(child, "_basis", self)
@@ -95,12 +93,6 @@ class PilotMatrix:
     @property
     def num_antennas(self) -> int:
         return self.phi.shape[1]
-
-
-def _warn(warning: str | None) -> None:
-    """Issue _pinv's warning, if any, at the caller of the calling estimator."""
-    if warning is not None:
-        warnings.warn(warning, RuntimeWarning, stacklevel=3)
 
 
 def _freeze(*arrays):
@@ -119,8 +111,8 @@ def orthogonal_pilot(m: int, tau: int, power: float, noise_power: float,
     tau columns from the first tau columns of the Gaussian alone, so those
     rows are Q^H of the thin QR of those columns, bit for bit where LAPACK
     factors unblocked (checked for m <= 64) and to rounding otherwise."""
-    if tau < 1 or m < 1:
-        raise ContractError("tau and m must be >= 1")
+    if m < 1:
+        raise ContractError(f"m must be >= 1, got {m}")
     if stream is None:
         n = np.arange(m)
         F = np.exp(-2j * np.pi * np.outer(n, n) / m) / np.sqrt(m)
@@ -171,9 +163,9 @@ def _orthogonal_gram_pinv(A: np.ndarray) -> np.ndarray | None:
     return Ac.T
 
 
-def _pinv(A: np.ndarray) -> tuple[np.ndarray, str | None]:
-    """Read-only A^+ and the warning text when A has at least as many rows as
-    columns but loses rank, else None.
+def _pinv(A: np.ndarray) -> np.ndarray:
+    """A^+; a RuntimeWarning at the caller of the estimator that called _pinv
+    when A has at least as many rows as columns but the SVD cuts its rank.
 
     A with orthogonal rows or columns, as every pilot the sweeps design gives
     (nested unitary rows, a diagonal water-filled MMSE system, RS-LS's
@@ -184,15 +176,15 @@ def _pinv(A: np.ndarray) -> tuple[np.ndarray, str | None]:
     """
     P = _orthogonal_gram_pinv(A)
     if P is not None:
-        return _freeze(P)[0], None
+        return P
     s, U, V = svd(A.conj())  # numpy's pinv decomposes conj(A)
     large = s > _PINV_RTOL * s[0]
-    warning = None
     if A.shape[0] >= A.shape[1] and not large.all():
-        warning = (f"rank-deficient {A.shape[0]} x {A.shape[1]} system (rank "
-                   f"{int(large.sum())}); using pseudo-inverse")
+        warnings.warn(f"rank-deficient {A.shape[0]} x {A.shape[1]} system (rank "
+                      f"{int(large.sum())}); using pseudo-inverse", RuntimeWarning,
+                      stacklevel=3)
     s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
-    return _freeze(V.conj() @ (s_inv[:, None] * U.T))[0], warning
+    return V.conj() @ (s_inv[:, None] * U.T)
 
 
 def ls_estimate(y: np.ndarray, pilot: PilotMatrix) -> np.ndarray:
@@ -208,20 +200,7 @@ def ls_estimate(y: np.ndarray, pilot: PilotMatrix) -> np.ndarray:
     a batch gives the column-wise estimates, and a NaN or inf in y passes
     through into the estimate unchecked.
     """
-    P, warning = _pinv(pilot.phi)
-    _warn(warning)
-    return P @ y / np.sqrt(pilot.power)
-
-
-def _mmse_operator(pilot: PilotMatrix, R: np.ndarray):
-    p, phi = pilot.power, pilot.phi
-    phiR = phi @ R
-    A = p * (phiR @ phi.conj().T) + pilot.noise_power * np.eye(pilot.tau)
-    P, warning = _pinv(A)
-    W = (P @ (np.sqrt(p) * phiR)).conj().T
-    # tr(W phi R) as the O(M tau) sum of W^T * (phi R), not an M x M product
-    mse = float(np.trace(R).real - np.sqrt(p) * (W.T * phiR).sum().real)
-    return (W, mse), warning
+    return _pinv(pilot.phi) @ y / np.sqrt(pilot.power)
 
 
 def mmse_estimate(y: np.ndarray, pilot: PilotMatrix,
@@ -231,17 +210,22 @@ def mmse_estimate(y: np.ndarray, pilot: PilotMatrix,
     hhat = W y with W = sqrt(p) R phi^H A^{-1}, A = p phi R phi^H + sigma^2 I;
     MSE = tr(R) - sqrt(p) tr(W phi R), the trace summed elementwise from the
     tau_p x M phi R.  Returns (estimate, analytic_mse).
-    Since A and R are Hermitian, W = (A^+ sqrt(p) phi R)^H with A^+ from
-    _pinv, which warns when A is rank-deficient (sigma^2 = 0 and a singular
-    phi R phi^H).
+    Since A and R are Hermitian, W = (A^+ sqrt(p) phi R)^H, formed on every
+    call with A^+ from _pinv, which warns at this function's caller when A
+    is rank-deficient (sigma^2 = 0 and a singular phi R phi^H).
 
     y is (tau_p,) or a batch (tau_p, T), one received pilot per column; the
     estimate is then (M,) or (M, T), and the analytic MSE, which depends on
-    the pilot alone, is the same either way.  A NaN or inf in y passes
-    through into the estimate unchecked.
+    the pilot alone, is the same either way; y = I gives W.  A NaN or inf in
+    y passes through into the estimate unchecked.
     """
-    (W, mse), warning = _mmse_operator(pilot, _as_correlation(corr).R)
-    _warn(warning)
+    R = _as_correlation(corr).R
+    p, phi = pilot.power, pilot.phi
+    phiR = phi @ R
+    A = p * (phiR @ phi.conj().T) + pilot.noise_power * np.eye(pilot.tau)
+    W = (_pinv(A) @ (np.sqrt(p) * phiR)).conj().T
+    # tr(W phi R) as the O(M tau) sum of W^T * (phi R), not an M x M product
+    mse = float(np.trace(R).real - np.sqrt(p) * (W.T * phiR).sum().real)
     return W @ y, mse
 
 
@@ -287,9 +271,7 @@ def rsls_estimate(y: np.ndarray, pilot: PilotMatrix, subspace: np.ndarray) -> np
         raise ContractError("subspace columns must be orthonormal")
     if pilot.tau < r:
         raise ContractError(f"tau_p = {pilot.tau} < subspace dimension {r}")
-    P, warning = _pinv(pilot.phi @ U)
-    _warn(warning)
-    return U @ (P @ y) / np.sqrt(pilot.power)
+    return U @ (_pinv(pilot.phi @ U) @ y) / np.sqrt(pilot.power)
 
 
 def rsls_pilot(subspace: np.ndarray, tau: int, power: float,

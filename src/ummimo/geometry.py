@@ -57,6 +57,15 @@ class Lattice(NamedTuple):
     dy: float
 
 
+def _gather(T: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Block-Toeplitz R or Z, a new array: [m, n] = T[l_x + n_x - 1, l_y + n_y - 1] at
+    the index lag (l_x, l_y), grid index of m minus that of n (see Lattice)."""
+    n_x, n_y = lattice.n_x, lattice.n_y
+    ix, iy = np.divmod(np.arange(n_x * n_y), n_y)
+    k = ix * (2 * n_y - 1) + iy
+    return T.ravel()[np.subtract.outer(k, k) + (n_x - 1) * (2 * n_y - 1) + n_y - 1]
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Element positions (meters) and wavelength.

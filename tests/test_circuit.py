@@ -136,7 +136,8 @@ class TestArrayImpedance:
 
     @pytest.mark.parametrize("shape, dx, dy", [
         ((256, 1), LAM / 2, LAM / 2), ((4, 3), LAM / 2, LAM / 3), ((5, 5), 0.1, 0.1),
-        ((1, 1), 0.2, 0.2)], ids=["bench-ula", "4x3", "5x5", "1x1"])
+        ((1, 1), 0.2, 0.2), ((1, 6), LAM / 2, LAM / 4)],
+        ids=["bench-ula", "4x3", "5x5", "1x1", "1x6"])
     def test_toeplitz_lattice_one_evaluation_per_lag(self, shape, dx, dy, monkeypatch):
         geom = build_upa(*shape, dx, dy, LAM)
         n = geom.num_elements

@@ -118,6 +118,20 @@ class TestPilotMatrix:
         with pytest.raises(ContractError):
             basis._leading(0)
 
+    def test_empty_pilot_rejected(self):
+        # tau_p = 0 passes the energy check (0 = tau_p), and the estimators
+        # then failed with a raw IndexError from _pinv's largest singular value
+        with pytest.raises(ContractError, match="tau_p >= 1"):
+            PilotMatrix(np.zeros((0, 4)), 1.0, 0.1)
+        for stream in (None, RngStream(1)):
+            with pytest.raises(ContractError, match="tau_p >= 1"):
+                orthogonal_pilot(4, 0, 1.0, 0.1, stream)
+        for tau in (0, -1):
+            with pytest.raises(ContractError, match="tau_p >= 1"):
+                orthogonal_pilot(4, 4, 1.0, 0.1)._leading(tau)
+        with pytest.raises(ContractError, match="m must be >= 1"):
+            orthogonal_pilot(0, 4, 1.0, 0.1)
+
     def test_orthogonal_pilot_unitary(self):
         pilot = orthogonal_pilot(8, 8, 1.0, 0.1)
         assert np.allclose(pilot.phi @ pilot.phi.conj().T, np.eye(8), atol=1e-12)
@@ -254,6 +268,14 @@ class TestOrthogonalGramPinv:
         return np.linalg.norm(P - want) / np.linalg.norm(want)
 
     @staticmethod
+    def _pinv(A):
+        """_pinv(A) and the messages of the warnings it raised."""
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            P = estimate._pinv(A)
+        return P, [str(w.message) for w in record]
+
+    @staticmethod
     def _operator_inputs():
         """The sweeps' three kinds of _pinv input at fig9-11's 8 x 8 array."""
         geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
@@ -273,8 +295,8 @@ class TestOrthogonalGramPinv:
     def test_sweep_operators_take_the_closed_form(self, monkeypatch):
         calls = self._svd_calls(monkeypatch)
         for name, A in self._operator_inputs().items():
-            P, warning = estimate._pinv(A)
-            assert warning is None and not P.flags.writeable
+            P, warned = self._pinv(A)
+            assert warned == []
             assert self._rel(P, A) <= 1e-12, name
         assert calls == []
 
@@ -290,8 +312,8 @@ class TestOrthogonalGramPinv:
         G = A.conj().T @ A if shape == (9, 4) else A @ A.conj().T
         assert abs(abs(G[0, 1]) / np.sqrt(G[0, 0].real * G[1, 1].real) - eps) <= 1e-15
         calls = self._svd_calls(monkeypatch)
-        P, warning = estimate._pinv(A)
-        assert warning is None and len(calls) == (0 if closed else 1)
+        P, warned = self._pinv(A)
+        assert warned == [] and len(calls) == (0 if closed else 1)
         if closed:
             assert self._rel(P, A) <= 1e-12
         else:
@@ -307,22 +329,22 @@ class TestOrthogonalGramPinv:
         A = np.zeros(shape, dtype=complex)
         A[[0, 1, 2], [0, 1, 2]] = [1.0, -1j, s]
         calls = self._svd_calls(monkeypatch)
-        P, warning = estimate._pinv(A)
+        P, warned = self._pinv(A)
         want = np.linalg.pinv(A, rcond=1e-10)
         if factor < 1:
             assert len(calls) == 1 and np.array_equal(P, want) and P[2, 2] == 0
-            assert (warning is not None) == (shape[0] >= shape[1])
-            if warning is not None:
-                assert "rank 2" in warning
+            assert len(warned) == (shape[0] >= shape[1])
+            if warned:
+                assert "rank 2" in warned[0]
         else:
-            assert calls == [] and warning is None
+            assert calls == [] and warned == []
             assert self._rel(P, A) <= 1e-12 and abs(P[2, 2] * s - 1) <= 1e-15
 
     def test_real_input_left_unchanged(self):
         A = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, -2.0]])
         kept = A.copy()
-        P, warning = estimate._pinv(A)
-        assert warning is None and np.array_equal(A, kept)
+        P, warned = self._pinv(A)
+        assert warned == [] and np.array_equal(A, kept)
         assert np.array_equal(P, [[1 / 3, 0.0], [0.0, 0.0], [0.0, -0.5]])
 
     def test_other_inputs_take_the_svd_path(self, monkeypatch):
@@ -333,10 +355,12 @@ class TestOrthogonalGramPinv:
         deficient = np.zeros((4, 4), dtype=complex)
         deficient[[0, 1, 2, 3], [0, 2, 3, 0]] = 1.0
         zero = np.zeros((3, 3))
-        for A in (dense, cyclic, deficient, zero):
+        for A, rank in ((dense, None), (cyclic, None), (deficient, 3), (zero, 0)):
             assert estimate._orthogonal_gram_pinv(A) is None
-            P, _ = estimate._pinv(A)
+            P, warned = self._pinv(A)
             assert np.array_equal(P, np.linalg.pinv(A, rcond=1e-10))
+            assert warned == ([] if rank is None else [
+                f"rank-deficient {len(A)} x {len(A)} system (rank {rank}); using pseudo-inverse"])
         assert len(calls) == 4
         for bad in (np.nan, np.inf):
             A = np.eye(3, dtype=complex)
@@ -364,13 +388,20 @@ class TestMmseEstimate:
 
     def test_singular_inner_matrix_regularized(self):
         # sigma^2 = 0 with a rank-deficient phi R phi^H falls back to the
-        # pseudo-inverse and flags it
+        # pseudo-inverse and flags it, at the caller
         R = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         pilot = orthogonal_pilot(4, 4, 1.0, 0.0)
         y = np.ones(4, dtype=complex)
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="rank-deficient") as record:
             hhat, _ = mmse_estimate(y, pilot, R)
+        assert record[0].filename == __file__
         assert np.all(np.isfinite(hhat))
+        # through a sweep the check still runs, once per sweep point: the
+        # water-filled pilot leaves the second direction unsounded at tau_p = 2
+        with pytest.warns(RuntimeWarning, match="rank-deficient") as record:
+            nmse_sweep("mmse", [2, 2], power=1.0, noise_power=0.0, trials=5,
+                       stream=RngStream(0), corr=SpatialCorrelation(R, 1.0))
+        assert sum("rank-deficient" in str(w.message) for w in record) == 2
 
     @pytest.mark.parametrize("kind", ["waterfill", "dft", "seeded-short"])
     def test_equals_dense_solve(self, kind):
@@ -402,7 +433,7 @@ class TestMmseEstimate:
                  "dense": lambda: PilotMatrix(phi * np.sqrt(7 / np.sum(np.abs(phi) ** 2)),
                                               p, sigma2),
                  }[kind]()
-        (W, mse), _ = estimate._mmse_operator(pilot, R)
+        W, mse = mmse_estimate(np.eye(pilot.tau), pilot, R)  # unit pilots return W
         want = float(np.trace(R).real - np.sqrt(p) * np.trace(W @ pilot.phi @ R).real)
         assert abs(mse - want) <= 1e-12 * want
 
