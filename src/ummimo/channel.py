@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularityError
-from .geometry import ArrayGeometry, Lattice, _gather
+from .geometry import ArrayGeometry, Lattice, _gather, _lattice_axes
 from .numerics import (QuadratureGrid, RngStream, _check_hermitian, _gauss_legendre,
                        complex_gaussian, hemisphere_grid, hermitian_eig, sinc,
                        unit_directions)
@@ -228,11 +228,14 @@ def _swap_split(B: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _as_correlation(corr: SpatialCorrelation | np.ndarray) -> SpatialCorrelation:
-    """Wrap a bare matrix R, giving it the average gain trace(R) / M; a
-    non-finite entry raises DomainError."""
+    """Wrap a bare matrix R, giving it the average gain trace(R) / M.  An R
+    that is not one square M x M matrix, M >= 1, raises ContractError naming
+    its shape; a non-finite entry raises DomainError."""
     if isinstance(corr, SpatialCorrelation):
         return corr
     R = np.asarray(corr)
+    if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] < 1:
+        raise ContractError(f"R must be a square M x M matrix with M >= 1, got shape {R.shape}")
     if not np.all(np.isfinite(R)):
         raise DomainError("R must be finite: it holds NaN or inf")
     return SpatialCorrelation(R, float(np.trace(R).real) / R.shape[0])
@@ -360,6 +363,16 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
     distance instead (for asymptotic studies where power variation matters).
     A (3,) tx gives the (M,) channel, a (K, 3) batch the (M, K) matrix of them;
     every coordinate must be finite.
+
+    Squared distances sum (dx^2 + dy^2) + dz^2, in np.linalg.norm's order.
+    On a builder array whose positions are exactly per-axis coordinates
+    (geometry._lattice_axes) each offset is squared per axis, as (K, n_x, 1),
+    (K, 1, n_y) and (K, 1, 1) tables, and only their sum is formed at full
+    size.  When the (K, n_y) table of dy^2 reads the same at j and
+    n_y - 1 - j (every source on y = 0), so does every distance: only the
+    first (n_y + 1) // 2 rows of each lattice column are computed and
+    exponentiated, and mirrored into the rest with the same bits.  Any other
+    array takes the pairwise offsets, as (K, M, 1) tables.
     """
     if mode not in ("exact", "fresnel"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -372,48 +385,41 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
         raise DomainError("tx must be finite: a transmitter position holds NaN or inf")
     t = np.atleast_2d(tx)  # (K, 3) against the (M, 3) elements
     lam = geom.wavelength
-    pos = geom.positions
-    trans2, dy, dz = (np.subtract.outer(t[:, a], pos[:, a]) for a in range(3))  # (K, M) each
-    trans2 *= trans2
-    dy *= dy
-    trans2 += dy  # dx^2 + dy^2
-    dz *= dz
-    dz += trans2  # squared distances in np.linalg.norm's order, (dx^2 + dy^2) + dz^2
-    dist = np.sqrt(dz, out=dz)
+    axes = _lattice_axes(geom) or [geom.positions[:, a, None] for a in range(3)]
+    dx2, dy2, dz2 = (np.subtract(t[:, a, None, None], c) for a, c in enumerate(axes))
+    for d in (dx2, dy2, dz2):
+        d *= d
+    n_y = dy2.shape[2]
+    half = (n_y + 1) // 2
+    mirror = n_y > 1 and np.array_equal(dy2, dy2[..., ::-1])
+    if mirror:  # element (i, j) has the distance of (i, n_y - 1 - j): compute half
+        dy2 = dy2[..., :half]
+    trans2 = np.add(dx2, dy2, out=dx2 if dy2.shape[2] == 1 else None)  # dx^2 + dy^2
+    dist = np.add(trans2, dz2, out=dz2 if dz2.shape == trans2.shape else None)
+    dist = np.sqrt(dist, out=dist)
     if np.any(dist == 0):
         raise SingularityError("transmitter coincides with an array element")
 
-    z = np.abs(t[:, 2:] - _plane_z(geom))  # (K, 1)
+    z = np.abs(t[:, 2, None, None] - _plane_z(geom))  # (K, 1, 1)
     if mode == "fresnel":
         if np.any(z <= 0):
             raise DomainError("fresnel mode requires the transmitter off the array plane")
-        path = z + trans2 / (2.0 * z)
+        path = trans2
+        path /= 2.0 * z
+        path += z
     else:
         path = dist
 
     if amplitude == "common" and np.any(z <= 0):
         raise DomainError("common amplitude requires the transmitter off the array plane")
     r = z if amplitude == "common" else dist
-    n_y = 1 if geom.lattice is None else geom.lattice.n_y
-    half = (n_y + 1) // 2
-    mirror = (n_y > 1 and not np.any(t[:, 1]) and _mirrored(path, n_y)
-              and (r is z or _mirrored(r, n_y)))
-    grid = (len(t), len(pos) // n_y, n_y)
-    if mirror:  # element (i, j) has the wave of (i, n_y - 1 - j): exponentiate half
-        path = path.reshape(grid)[..., :half]
-        r = z[:, :, None] if r is z else r.reshape(grid)[..., :half]
     h = -2j * np.pi / lam * path  # the phase, then the wave, then times the amplitude
     np.exp(h, out=h)
     h *= lam / (4.0 * np.pi * r)
     if mirror:
-        h = np.concatenate([h, h[..., n_y - half - 1::-1]], axis=-1).reshape(len(t), len(pos))
+        h = np.concatenate([h, h[..., n_y - half - 1::-1]], axis=-1)
+    h = h.reshape(len(t), geom.num_elements)
     return h.T if tx.ndim == 2 else h[0]
-
-
-def _mirrored(a: np.ndarray, n_y: int) -> bool:
-    """Whether a (K, M) array over a lattice is the same at (i, j) and (i, n_y - 1 - j)."""
-    cols = a.reshape(len(a), a.shape[1] // n_y, n_y)
-    return np.array_equal(cols, cols[..., ::-1])
 
 
 # Gauss-Legendre nodes per axis that resolve R for an aperture spanning

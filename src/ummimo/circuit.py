@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, SingularityError
 from .fields import _green, _out, epsilon_0, speed_of_light
-from .geometry import ArrayGeometry, _gather
+from .geometry import ArrayGeometry, _gather, _lattice_axes
 from .numerics import QuadratureGrid
 
 __all__ = [
@@ -166,7 +166,7 @@ def array_impedance(geom: ArrayGeometry, length: float,
     pos, lam = geom.positions, geom.wavelength
     diagonal = self_resistance(length, lam) + 1j * self_reactance
     n = len(pos)
-    seps = None if geom.lattice is None else _lattice_separations(pos, geom.lattice.n_y)
+    seps = _lattice_separations(geom)
     if seps is not None:
         # Z(p) depends on p only through p_x^2, p_y^2 and p_z^2
         (n_x, n_y), table = map(len, seps), np.empty(n, dtype=complex)
@@ -186,14 +186,15 @@ def array_impedance(geom: ArrayGeometry, length: float,
     return Z
 
 
-def _lattice_separations(pos: np.ndarray, n_y: int):
-    """The per-axis separations |c_l - c_0| of lattice positions pos, when
-    each element pair is separated by exactly these at its index lags and z
-    is constant; None otherwise."""
-    xs, ys = pos[::n_y, 0], pos[:n_y, 1]
-    ix, iy = np.divmod(np.arange(len(pos)), n_y)
-    if not np.array_equal(pos, np.stack([xs[ix], ys[iy], np.full(len(pos), pos[0, 2])], 1)):
+def _lattice_separations(geom: ArrayGeometry):
+    """The per-axis separations |c_l - c_0| of a builder array, when its
+    positions are exactly per-axis coordinates (geometry._lattice_axes, so z
+    is constant) and each element pair is separated by exactly these at its
+    index lags; None otherwise."""
+    axes = _lattice_axes(geom)
+    if axes is None:
         return None
+    xs, ys = axes[0].ravel(), axes[1].ravel()
     D = [np.abs(np.subtract.outer(c, c)) for c in (xs, ys)]  # Toeplitz if its diagonals are
     return [d[:, 0] for d in D] if all(np.array_equal(d[1:, 1:], d[:-1, :-1]) for d in D) else None
 

@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -138,9 +137,18 @@ def _fmt(value) -> str:
 
 
 def _column_formatter(column: list):
-    """float.__repr__ for a column of floats (np.float64 is one), else _fmt:
-    the same text, without the type dispatch per value."""
-    return float.__repr__ if all(map(isinstance, column, repeat(float))) else _fmt
+    """The formatter of a column whose values share one kind, else _fmt: the
+    same text, without the type dispatch per value.  float.__repr__ for
+    floats (np.float64 is one), int.__repr__ for values that are exactly int
+    (a bool, an int subclass, goes to _fmt) and str for strings."""
+    types = set(map(type, column))
+    if all(issubclass(t, float) for t in types):
+        return float.__repr__
+    if types == {int}:
+        return int.__repr__
+    if all(issubclass(t, str) for t in types):
+        return str
+    return _fmt
 
 
 def write_csv(path: Path, header: list[str], columns: list) -> None:
@@ -276,35 +284,74 @@ def run_beam(cfg, seed):
     return tables, notes, plots
 
 
+def _fig4_drop(geom: ArrayGeometry, line: ArrayGeometry, phis: np.ndarray,
+               dists: np.ndarray, powers: np.ndarray, noise_power: float):
+    """Per-UE uplink SEs (exact, far-field mismatch) of one fig4 drop: UEs on
+    the horizon (y = 0) at azimuths phis and ranges dists in front of the
+    builder lattice geom, with line = build_ula(n_x, dx, lambda), whose x
+    coordinates are geom's bit for bit.
+
+    Each SE is computed in an orthonormal basis Q of a subspace that holds
+    the channels it reads, which is exact in exact arithmetic: a combiner's
+    SINR reads the channels only through v^H h_i and ||v||, the LMMSE
+    combiners of a channel matrix lie in its span, and uplink_se_bound's
+    MMSE identity reads only H^H H; for H = Q Q^H H each equals its value
+    for the smaller Q^H H.
+
+    * Exact SE, the mirror-even half: with the UEs at y = 0, row j of each
+      lattice column equals row n_y - 1 - j bit for bit (los_channel mirrors
+      them), so Q holds (e_j + e_{n_y-1-j}) / sqrt 2 for j < n_y // 2 and,
+      for odd n_y, the middle row; Q^H H = [sqrt 2 H[rows j < n_y // 2],
+      H[middle row]] has the Gram of H at half the rows.
+    * Far-field mismatch, the n_x column sums: a plane wave from the horizon
+      is constant along each lattice column, so the far-field channels and
+      their LMMSE combiners lie in span{e_i (x) 1 / sqrt n_y}.  There the
+      channels are the column sums of H over sqrt n_y, and the far-field
+      channels sqrt n_y amp e^{-j kappa d} conj(a), with a the line's
+      steering: n_x x K each, no M x K far-field matrix or combiner.
+    """
+    n_x, n_y = geom.lattice.n_x, geom.lattice.n_y
+    lam, k = geom.wavelength, len(phis)
+    tx = np.stack([np.sin(phis) * dists, np.zeros(k), np.cos(phis) * dists], axis=1)
+    H = los_channel(geom, tx, mode="exact").reshape(n_x, n_y, k)
+    half = n_y - n_y // 2  # the rows j < n_y // 2, and the middle row for odd n_y
+    weight = np.where(np.arange(half) < n_y // 2, np.sqrt(2.0), 1.0)[:, None]
+    even = (H[:, :half] * weight).reshape(n_x * half, k)
+    se_exact = uplink_se_bound(UplinkScenario(even, powers, noise_power))
+    amp = lam / (4 * np.pi * tx[:, 2])
+    sv = steering_matrix(line, phis, np.zeros(k))
+    # plane-wave phase about the centroid: dist - u.p, so the response
+    # conjugate carries the +u.p correction
+    Hff = np.sqrt(n_y) * amp * np.exp(-2j * np.pi / lam * dists) * np.conj(sv).T
+    columns = UplinkScenario(H.sum(axis=1) / np.sqrt(n_y), powers, noise_power)
+    se_mismatch = uplink_se(columns, lmmse_combiners(UplinkScenario(Hff, powers, noise_power)))
+    return se_exact, se_mismatch
+
+
 def run_fig4(cfg, seed):
     lam = cfg["wavelength"]
     nx, ny = cfg["nx"], cfg["ny"]
     geom = build_upa(nx, ny, lam / 2, lam / 2, lam)
+    line = build_ula(nx, lam / 2, lam)  # geom's x coordinates, bit for bit
     drops = cfg["drops"]
     sigma2 = cfg["noise_power"]
     p_ue = cfg["ue_power"]
     rng_master = RngStream(seed)
     rows = []
     for K in cfg["k_values"]:
+        powers = np.full(K, p_ue)
         se_ex, se_ff = [], []
         for d in range(drops):
             g = rng_master.split(K * 1000 + d).generator()
             phis = g.uniform(-np.pi / 3, np.pi / 3, K)
             dists = g.uniform(cfg["r_min"], cfg["r_max"], K)
-            tx = np.stack([np.sin(phis) * dists, np.zeros(K), np.cos(phis) * dists], axis=1)
-            H = los_channel(geom, tx, mode="exact")
-            amp = lam / (4 * np.pi * tx[:, 2])
-            sv = steering_matrix(geom, phis, np.zeros(K))
-            # plane-wave phase about the centroid: dist - u.p, so the
-            # response conjugate carries the +u.p correction
-            Hff = amp * np.exp(-2j * np.pi / lam * dists) * np.conj(sv).T
-            powers = np.full(K, p_ue)
-            scen = UplinkScenario(H, powers, sigma2)
-            # the exact SE is the MMSE identity's; the mismatch SE goes through
-            # the far-field combiners, both to rounding at any SNR
-            se_ex.append(uplink_se_bound(scen).sum())
-            scen_ff = UplinkScenario(Hff, powers, sigma2)
-            se_ff.append(uplink_se(scen, lmmse_combiners(scen_ff)).sum())
+            # the exact SE is the MMSE identity's on the mirror-even half of
+            # the channels, the mismatch SE the far-field combiners' on the
+            # lattice column sums; both subspaces hold what each SE reads,
+            # so both equal the full-array values to rounding (_fig4_drop)
+            exact, mismatch = _fig4_drop(geom, line, phis, dists, powers, sigma2)
+            se_ex.append(exact.sum())
+            se_ff.append(mismatch.sum())
         rows.append((K, float(np.mean(se_ex)), float(np.mean(se_ff)),
                      float(np.min(np.array(se_ex) - np.array(se_ff)))))
     ks, exact, mismatch, margin = zip(*rows)

@@ -66,6 +66,23 @@ def _gather(T: np.ndarray, lattice: Lattice) -> np.ndarray:
     return T.ravel()[np.subtract.outer(k, k) + (n_x - 1) * (2 * n_y - 1) + n_y - 1]
 
 
+def _lattice_axes(geom: ArrayGeometry):
+    """The per-axis coordinates of a builder array whose element (i, j) sits
+    exactly, bit for bit, at (x_i, y_j, z): x as (n_x, 1), y as (1, n_y) and
+    z as (1, 1), so that an offset taken per axis broadcasts to the
+    (n_x, n_y) grid in element order (see Lattice).  None for an array
+    without a lattice record or one whose positions only match it to within
+    the lattice check's tolerance."""
+    if geom.lattice is None:
+        return None
+    pos, n_y = geom.positions, geom.lattice.n_y
+    xs, ys = pos[::n_y, 0], pos[:n_y, 1]
+    ix, iy = np.divmod(np.arange(len(pos)), n_y)
+    if not np.array_equal(pos, np.stack([xs[ix], ys[iy], np.full(len(pos), pos[0, 2])], 1)):
+        return None
+    return xs[:, None], ys[None, :], pos[:1, 2:]
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Element positions (meters) and wavelength.

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from ummimo.errors import ContractError, DomainError, SingularityError
 from ummimo.channel import (correlation_matrix, gaussian_cluster_profile,
                             isotropic_profile, los_channel, sample_rayleigh,
                             steering_matrix)
-from ummimo.geometry import ArrayGeometry, build_ula, build_upa, region_bounds
+from ummimo.geometry import ArrayGeometry, _lattice_axes, build_ula, build_upa, region_bounds
 from ummimo.numerics import QuadratureGrid, RngStream, complex_gaussian, hemisphere_grid
 
 LAM = 0.01
@@ -163,9 +164,11 @@ class TestLatticeColumnSymmetry:
     same array without its lattice record takes the general path, which the
     fast one must equal bit for bit."""
 
-    GEOMS = [build_upa(32, 16, LAM / 2, LAM / 2, LAM), build_upa(6, 5, LAM / 2, LAM / 3, LAM)]
+    GEOMS = [build_upa(32, 16, LAM / 2, LAM / 2, LAM), build_upa(6, 5, LAM / 2, LAM / 3, LAM),
+             build_upa(1, 6, LAM / 2, LAM / 4, LAM)]
+    IDS = ["32x16", "6x5", "1x6"]
 
-    @pytest.mark.parametrize("geom", GEOMS, ids=["32x16", "6x5"])
+    @pytest.mark.parametrize("geom", GEOMS, ids=IDS)
     def test_horizon_steering_one_exp_per_column(self, geom, monkeypatch):
         rng = np.random.default_rng(51)
         az, el = rng.uniform(-1.2, 1.2, 25), np.zeros(25)
@@ -185,23 +188,42 @@ class TestLatticeColumnSymmetry:
         assert np.array_equal(_bits(steering_matrix(geom, az, el)), _bits(general))
         assert sizes == [9 * geom.num_elements]
 
-    @pytest.mark.parametrize("geom", GEOMS, ids=["32x16", "6x5"])
+    @pytest.mark.parametrize("geom", GEOMS, ids=IDS)
     @pytest.mark.parametrize("mode", ["exact", "fresnel"])
     @pytest.mark.parametrize("amplitude", ["common", "per-element"])
     def test_los_on_y_zero_one_exp_per_mirrored_pair(self, geom, mode, amplitude,
                                                      monkeypatch):
+        # the per-axis tables of the lattice against the pairwise ones of the
+        # same positions; with one source off y = 0 nothing mirrors
         rng = np.random.default_rng(52)
         phis, dists = rng.uniform(-1.0, 1.0, 12), rng.uniform(0.5, 5.0, 12)
-        tx = np.stack([np.sin(phis) * dists, np.zeros(12), np.cos(phis) * dists], axis=1)
+        on = np.stack([np.sin(phis) * dists, np.zeros(12), np.cos(phis) * dists], axis=1)
+        off = on.copy()
+        off[4, 1] = 2e-3
         plain = ArrayGeometry(geom.positions, LAM)
-        general = los_channel(plain, tx, mode, amplitude)
-        sizes = _exp_sizes(monkeypatch)
-        got = los_channel(geom, tx, mode, amplitude)
         n_x, n_y = geom.lattice.n_x, geom.lattice.n_y
-        assert sizes == [12 * n_x * ((n_y + 1) // 2)]
-        assert got.shape == general.shape and np.array_equal(_bits(got), _bits(general))
-        assert np.array_equal(_bits(los_channel(geom, tx[5], mode, amplitude)),
-                              _bits(los_channel(plain, tx[5], mode, amplitude)))
+        for tx, exps in ((on, 12 * n_x * ((n_y + 1) // 2)), (off, 12 * n_x * n_y)):
+            general = los_channel(plain, tx, mode, amplitude)
+            sizes = _exp_sizes(monkeypatch)
+            got = los_channel(geom, tx, mode, amplitude)
+            monkeypatch.undo()
+            assert sizes == [exps]
+            assert got.shape == general.shape and np.array_equal(_bits(got), _bits(general))
+            assert np.array_equal(_bits(los_channel(geom, tx[4], mode, amplitude)),
+                                  _bits(los_channel(plain, tx[4], mode, amplitude)))
+
+    def test_lattice_axes_only_for_exact_positions(self):
+        geom = self.GEOMS[1]
+        axes = _lattice_axes(geom)
+        assert [a.shape for a in axes] == [(6, 1), (1, 5), (1, 1)]
+        grid = np.broadcast_arrays(*axes)
+        assert np.array_equal(np.stack(grid, axis=-1).reshape(-1, 3), geom.positions)
+        shifted = ArrayGeometry(geom.positions + [0.3, -0.1, 2.0], LAM, geom.lattice)
+        assert _lattice_axes(shifted)[2].item() == 2.0
+        nudged = geom.positions.copy()
+        nudged[7, 0] += 1e-15
+        assert _lattice_axes(ArrayGeometry(nudged, LAM, geom.lattice)) is None
+        assert _lattice_axes(ArrayGeometry(geom.positions, LAM)) is None
 
     def test_no_directions_or_sources(self):
         geom = self.GEOMS[1]
@@ -615,3 +637,32 @@ class TestSampleRayleigh:
         # a bare matrix draws the same channel as its SpatialCorrelation
         assert np.array_equal(sample_rayleigh(corr, RngStream(5)),
                               sample_rayleigh(corr.R, RngStream(5)))
+
+
+class TestBareCorrelationShape:
+    """A bare R must be one square matrix: every consumer that wraps it
+    raises ContractError naming its shape, before numpy's own errors."""
+
+    @staticmethod
+    def _consumers():
+        from ummimo.dof import dof_report
+        from ummimo.estimate import mmse_estimate, mmse_pilot_design, orthogonal_pilot
+        pilot = orthogonal_pilot(3, 3, 1.0, 0.1)
+        return {
+            "dof_report": lambda R: dof_report(R, 1.0),
+            "sample_rayleigh": lambda R: sample_rayleigh(R, RngStream(0)),
+            "mmse_estimate": lambda R: mmse_estimate(np.ones(3), pilot, R),
+            "mmse_pilot_design": lambda R: mmse_pilot_design(R, 1.0, 0.1, 2),
+        }
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 4), (2, 3, 3), (0, 0), ()])
+    def test_wrong_shape_rejected(self, shape):
+        R = np.ones(shape)
+        for consume in self._consumers().values():
+            with pytest.raises(ContractError, match=f"got shape {re.escape(str(shape))}$"):
+                consume(R)
+
+    def test_square_matrix_accepted(self):
+        R = np.eye(3) + 0.1
+        for consume in self._consumers().values():
+            consume(R)

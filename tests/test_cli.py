@@ -13,13 +13,14 @@ from ummimo import numerics
 from ummimo.beam import beamdepth_3db, depth_gain
 from ummimo.errors import ConfigError, ContractError
 from ummimo.geometry import fraunhofer_square
-from ummimo.channel import los_channel
+from ummimo.channel import los_channel, steering_matrix
 from ummimo.beam import _HALF_POWER_X, _numeric_beamdepth
 from ummimo.cli import (list_experiments, main, parse_config_file, resolve_config,
                         run, run_beam, run_fig5, run_nf_factor, write_csv, _EXPERIMENTS,
-                        _fmt)
-from ummimo.geometry import build_ula
-from ummimo.mux import optimal_spacing, su_capacity
+                        _column_formatter, _fig4_drop, _fmt)
+from ummimo.geometry import build_ula, build_upa
+from ummimo.mux import (UplinkScenario, lmmse_combiners, optimal_spacing, su_capacity,
+                        uplink_se, uplink_se_bound)
 
 REQUIRED_IDS = {"nf-factor", "aperture-gain", "beam", "fig4-mu", "fig5-su",
                 "fig6-ula", "fig6-upa", "fig9", "fig10", "fig11", "bbu",
@@ -208,6 +209,20 @@ class TestWriter:
         lines = (tmp_path / "columns.csv").read_text(encoding="utf-8").splitlines()
         assert lines[1] == "nan,nan,-3000000000000,true,s0"
         assert lines[5] == f"0.1,{float(np.float32(0.1))!r},1000000000000,false,s4"
+
+    def test_typed_columns_match_per_value_join(self, tmp_path):
+        # exact ints take int.__repr__ and strings str; a bool is an int
+        # subclass and keeps _fmt's "true"/"false", as does a mixed column
+        class Label(str):
+            def __str__(self):
+                return f"<{super().__str__()}>"
+
+        columns = [[0, -7, 10 ** 30, 3], [True, False, True, True],
+                   [Label("a"), "b", Label(""), "c"], ["x", "y", "z", ""], [1, True, 2, False]]
+        assert [_column_formatter(col) for col in columns] == [int.__repr__, _fmt, str, str, _fmt]
+        self._assert_same_bytes(tmp_path, ["int", "bool", "label", "str", "int_and_bool"], columns)
+        lines = (tmp_path / "columns.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1:3] == ["0,true,<a>,x,1", "-7,false,b,y,true"]
 
     def test_empty_rows(self, tmp_path):
         self._assert_same_bytes(tmp_path, ["a", "b"], [[], []])
@@ -417,6 +432,47 @@ class TestReferenceScale:
             assert margin >= 0
         notes = json.loads((d / "manifest.json").read_text())["notes"]
         assert any("100x50 run" in note for note in notes)
+
+
+class TestFig4Subspaces:
+    """fig4-mu's SEs in the subspaces that hold its channels (_fig4_drop)
+    against the full-array route on the M x K channel and far-field
+    matrices: uplink_se_bound(H) and uplink_se(H, lmmse_combiners(H_ff))."""
+
+    LAM = 0.01
+
+    @pytest.mark.parametrize("nx, ny", [(8, 4), (7, 5), (32, 16)])
+    @pytest.mark.parametrize("k", [4, 10])
+    def test_projected_route_equals_full_array(self, nx, ny, k):
+        lam = self.LAM
+        geom = build_upa(nx, ny, lam / 2, lam / 2, lam)
+        powers, sigma2 = np.full(k, 1e-2), 1e-9
+        for drop in range(2):  # fig4's own drops at seed 3
+            g = numerics.RngStream(3).split(k * 1000 + drop).generator()
+            phis, dists = g.uniform(-np.pi / 3, np.pi / 3, k), g.uniform(3.0, 60.0, k)
+            exact, mismatch = _fig4_drop(geom, build_ula(nx, lam / 2, lam), phis, dists,
+                                         powers, sigma2)
+            tx = np.stack([np.sin(phis) * dists, np.zeros(k), np.cos(phis) * dists], axis=1)
+            scen = UplinkScenario(los_channel(geom, tx, mode="exact"), powers, sigma2)
+            sv = steering_matrix(geom, phis, np.zeros(k))
+            Hff = (lam / (4 * np.pi * tx[:, 2]) * np.exp(-2j * np.pi / lam * dists)
+                   * np.conj(sv).T)
+            full = uplink_se(scen, lmmse_combiners(UplinkScenario(Hff, powers, sigma2)))
+            assert exact.shape == mismatch.shape == (k,)
+            assert np.max(np.abs(exact - uplink_se_bound(scen))) <= 1e-12
+            assert np.max(np.abs(mismatch - full)) <= 1e-12
+            assert np.all(exact >= mismatch - 1e-12)
+
+    @pytest.mark.parametrize("nx, ny", [(32, 16), (100, 50), (8, 4), (7, 5)])
+    def test_line_has_the_lattice_x_coordinates(self, nx, ny):
+        # the far-field channels of _fig4_drop come from the line's steering,
+        # which the lattice's repeats along each column, bit for bit
+        lam = self.LAM
+        geom, line = build_upa(nx, ny, lam / 2, lam / 2, lam), build_ula(nx, lam / 2, lam)
+        assert np.array_equal(line.positions[:, 0], geom.positions[::ny, 0])
+        phis = np.linspace(-np.pi / 3, np.pi / 3, 7)
+        assert np.array_equal(np.repeat(steering_matrix(line, phis, np.zeros(7)), ny, axis=1),
+                              steering_matrix(geom, phis, np.zeros(7)))
 
 
 class TestNumericBeamdepth:

@@ -38,6 +38,19 @@ class TestCsvDiff:
                        "  value: max abs 2.500e-01, max rel 5.000e-01",
                        "fig/seed-1/same.csv: identical"]
 
+    def test_zero_base_cells_counted_not_divided(self, runs, capsys):
+        # a cell that is 0 on side a has no relative change: the relative
+        # column runs over the nonzero bases, and the zero ones are counted
+        a, b = runs
+        _write(a, "z.csv", "tail,zeros,one\n0.0,0.0,0.0\n0.0,0.0,2.0\n4.0,0.0,1.0\n")
+        _write(b, "z.csv", "tail,zeros,one\n1e-17,3e-17,-1e-16\n0.0,0.0,2.0\n4.0,-1e-17,1.0\n")
+        assert csv_diff.main([str(a), str(b)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["fig/seed-1/same.csv: identical", "z.csv:",
+                       "  tail: max abs 1.000e-17 (1 changed cell with base 0), max rel 0.000e+00",
+                       "  zeros: max abs 3.000e-17 (2 changed cells with base 0), max rel n/a",
+                       "  one: max abs 1.000e-16 (1 changed cell with base 0), max rel 0.000e+00"]
+
     def test_unmatched_files_and_shapes(self, runs):
         a, b = runs
         _write(a, "only.csv", "k\n1\n")

@@ -6,9 +6,11 @@ Every CSV under either directory is matched by its path relative to it.  For
 each one this prints "identical" when the files are byte-identical, and
 otherwise, per column, the largest absolute change |b - a| and the largest
 relative change |b - a| / |a| of a numeric column, or "text differs" for a
-column that is not numeric.  A file on one side only, or a pair whose header
-or row count differs, is reported as such.  The exit status is 0 when every
-CSV is identical and 1 otherwise.
+column that is not numeric.  The relative change runs over the cells whose
+value in RUN_A is nonzero ("n/a" when there are none); the cells that are 0
+in RUN_A and changed are counted beside the absolute change.  A file on one
+side only, or a pair whose header or row count differs, is reported as such.
+The exit status is 0 when every CSV is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -52,9 +54,14 @@ def column_changes(a: Path, b: Path) -> list[str]:
             lines.append(f"{name}: text differs")
             continue
         diff = np.abs(y - x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(diff == 0, 0.0, diff / np.abs(x))
-        lines.append(f"{name}: max abs {np.nanmax(diff):.3e}, max rel {np.nanmax(rel):.3e}")
+        base = x != 0  # the relative change of a cell that is 0 on side a is undefined
+        moved = np.count_nonzero(~base & (diff != 0))
+        line = f"{name}: max abs {np.nanmax(diff):.3e}"
+        if moved:
+            line += f" ({moved} changed {'cell' if moved == 1 else 'cells'} with base 0)"
+        rel = diff[base] / np.abs(x[base])
+        line += f", max rel {np.nanmax(rel):.3e}" if rel.size else ", max rel n/a"
+        lines.append(line)
     return lines
 
 
