@@ -41,6 +41,7 @@ _PINV_RTOL = 1e-10  # singular values below this times the largest are zero
 _GRAM_ORTHOGONALITY = 1e-12  # largest normalised Gram off-diagonal _pinv treats as zero
 _SUBSPACE_CAPTURE = 0.9999  # trace fraction isotropic_subspace keeps
 _OMP_BLOCK_ENTRIES = 1 << 19  # columns x atoms of one OMP correlation block
+_SENSING_BLOCK_COLUMNS = 256  # atoms per block of the OMP sensing product, a multiple of 64
 _QR_REFIT_MARGIN = 1e-6  # largest condition bound x lstsq cut-off an OMP refit solves by QR
 
 
@@ -102,6 +103,21 @@ def _freeze(*arrays):
     return arrays
 
 
+def _unitary(m: int, stream: RngStream | None) -> np.ndarray:
+    """The m x m unitary of orthogonal_pilot: the DFT without a stream, else
+    Q^H from the QR of a complex Gaussian m x m drawn from the stream."""
+    if stream is None:
+        n = np.arange(m)
+        return np.exp(-2j * np.pi * np.outer(n, n) / m) / np.sqrt(m)
+    g = stream.generator()
+    G = g.standard_normal((m, m)) + 1j * g.standard_normal((m, m))
+    return np.linalg.qr(G)[0].conj().T
+
+
+# ((m, stream), the read-only unitary _unitary gave for it): the last one only
+_last_unitary: tuple = (None, None)
+
+
 def orthogonal_pilot(m: int, tau: int, power: float, noise_power: float,
                      stream: RngStream | None = None) -> PilotMatrix:
     """Pilot with orthonormal rows (unitary when tau = m): row i is row
@@ -110,16 +126,18 @@ def orthogonal_pilot(m: int, tau: int, power: float, noise_power: float,
     are nested: the leading tau rows of F.  Householder QR forms Q's first
     tau columns from the first tau columns of the Gaussian alone, so those
     rows are Q^H of the thin QR of those columns, bit for bit where LAPACK
-    factors unblocked (checked for m <= 64) and to rounding otherwise."""
+    factors unblocked (checked for m <= 64) and to rounding otherwise.
+
+    F depends on (m, stream) alone, and the last F is kept, read-only: calls
+    in a row with one (m, stream), as sweeps sharing a pilot stream make,
+    draw and factor it once and get the same bits."""
+    global _last_unitary
     if m < 1:
         raise ContractError(f"m must be >= 1, got {m}")
-    if stream is None:
-        n = np.arange(m)
-        F = np.exp(-2j * np.pi * np.outer(n, n) / m) / np.sqrt(m)
-    else:
-        g = stream.generator()
-        G = g.standard_normal((m, m)) + 1j * g.standard_normal((m, m))
-        F = np.linalg.qr(G)[0].conj().T
+    key, F = _last_unitary
+    if key != (m, stream):
+        F = _freeze(_unitary(m, stream))[0]
+        _last_unitary = (m, stream), F
     return PilotMatrix(F[np.arange(tau) % m], power, noise_power)
 
 
@@ -303,20 +321,49 @@ def isotropic_subspace(geom: ArrayGeometry) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Far-field atoms (M x K) on a direction-cosine lattice.
+    """Far-field atoms on a direction-cosine lattice, kept as per-axis tables.
 
-    grid holds the (Psi, Omega) = (sin az cos el, sin el) pair per atom; all
-    pairs satisfy Psi^2 + Omega^2 <= 1 and every atom has norm sqrt(M).
-    build_ff_dictionary returns both arrays read-only, which lets a basis
-    pilot keep the sensing matrix it forms from them (see _omp_operator).
+    Atom k is Ex[:, i_k] * Ey[:, j_k], one multiply per entry, where Ex and
+    Ey (M x (2n + 1)) hold the per-element phases of the 2n + 1 lattice lines
+    of each axis and index (K, 2) holds (i_k, j_k).  grid (K, 2) holds the
+    (Psi, Omega) = (sin az cos el, sin el) pair per atom; all pairs satisfy
+    Psi^2 + Omega^2 <= 1 and every atom has norm sqrt(M).  No M x K atom
+    matrix is stored: `columns` gathers the atoms a caller needs, and `atoms`
+    forms all of them, read-only, each time it is read.  Every table is a
+    read-only copy of the caller's array, so the atoms cannot change, which
+    lets a basis pilot keep the sensing matrix it forms from them (see
+    _omp_operator).
     """
 
-    atoms: np.ndarray
+    Ex: np.ndarray  # (M, 2n + 1)
+    Ey: np.ndarray  # (M, 2n + 1)
+    index: np.ndarray  # (K, 2) columns of Ex and Ey per atom
     grid: np.ndarray  # (K, 2)
+
+    def __post_init__(self):
+        for name in ("Ex", "Ey", "index", "grid"):
+            object.__setattr__(self, name, _freeze(np.array(getattr(self, name)))[0])
 
     @property
     def num_atoms(self) -> int:
-        return self.atoms.shape[1]
+        return len(self.index)
+
+    @property
+    def num_antennas(self) -> int:
+        return len(self.Ex)
+
+    def columns(self, idx) -> np.ndarray:
+        """The atoms at idx, (M, *shape of idx): Ex[:, i] * Ey[:, j] for each
+        (i, j) = index[idx], the same bits as a gather from `atoms`."""
+        out = self.Ex[:, self.index[idx, 0]]
+        out *= self.Ey[:, self.index[idx, 1]]
+        return out
+
+    @property
+    def atoms(self) -> np.ndarray:
+        """All M x K atoms, formed read-only on each read; no library path
+        reads them."""
+        return _freeze(self.columns(slice(None)))[0]
 
 
 def build_ff_dictionary(geom: ArrayGeometry, density: int) -> Dictionary:
@@ -329,7 +376,9 @@ def build_ff_dictionary(geom: ArrayGeometry, density: int) -> Dictionary:
     disk yields 5013 and dropping the +-1 endpoints 5021.  A density that is
     not an integer >= 1 raises DomainError.  Atom (i, j) is Ex[:, i] * Ey[:, j],
     the product of per-axis phase tables exp(-j kappa x i/n) and
-    exp(-j kappa y j/n) over the 2n + 1 lattice lines.
+    exp(-j kappa y j/n) over the 2n + 1 lattice lines; only those tables and
+    the lattice indices are formed, O(M n + K) work and memory, and no M x K
+    atom matrix.
     """
     try:
         n = operator.index(density)
@@ -340,25 +389,28 @@ def build_ff_dictionary(geom: ArrayGeometry, density: int) -> Dictionary:
     idx = np.arange(-n, n + 1)
     I, J = np.meshgrid(idx, idx, indexing="ij")
     keep = I * I + J * J <= n * n
-    grid = np.stack([I[keep], J[keep]], axis=1) / float(n)
+    index = np.stack([I[keep], J[keep]], axis=1)
     # M (2n + 1) exps per axis instead of one per element and atom
     kappa = 2.0 * np.pi / geom.wavelength
     Ex, Ey = (np.exp(-1j * kappa * np.outer(geom.positions[:, axis], idx / float(n)))
               for axis in (0, 1))
-    atoms = Ex[:, I[keep] + n]
-    iy = J[keep] + n
-    for row, ey in zip(atoms, Ey):  # row by row: no second M x K temporary
-        row *= ey[iy]
-    return Dictionary(*_freeze(atoms, grid))
+    return Dictionary(Ex, Ey, index + n, index / float(n))
 
 
 def _sparse_sampler(geom, dictionary, sparsity, on_grid, angle_limit):
     """M x trials channels from one generator, each the sum of `sparsity`
-    equally-strong paths, E||h||^2 = M."""
+    equally-strong paths, E||h||^2 = M.  On the grid, each channel's paths
+    are distinct atoms within the angle limit, gathered by
+    Dictionary.columns; off it, steering vectors at uniform angles.  Fewer
+    atoms within the limit than paths on the grid is a ConfigError."""
     grid = dictionary.grid
     lim = np.sin(angle_limit)
-    atoms = dictionary.atoms
     ok = np.where((np.abs(grid[:, 0]) <= lim) & (np.abs(grid[:, 1]) <= lim))[0]
+    if on_grid and ok.size < sparsity:
+        density = dictionary.Ex.shape[1] // 2
+        raise ConfigError(f"paths = {sparsity} on-grid paths need as many distinct atoms "
+                          f"within the angle limit, but grid_density = {density} puts "
+                          f"{ok.size} there")
 
     def sampler(stream: RngStream, trials: int) -> np.ndarray:
         g = stream.generator()
@@ -367,7 +419,7 @@ def _sparse_sampler(geom, dictionary, sparsity, on_grid, angle_limit):
         if on_grid:
             # the `sparsity` smallest of uniform keys: a subset without replacement
             pick = np.argpartition(g.random((trials, ok.size)), sparsity - 1, axis=1)
-            steer = atoms[:, ok[pick[:, :sparsity]]]
+            steer = dictionary.columns(ok[pick[:, :sparsity]])
         else:
             az, el = g.uniform(-angle_limit, angle_limit, (2, trials * sparsity))
             steer = steering_matrix(geom, az, el).T.reshape(-1, trials, sparsity)
@@ -377,8 +429,25 @@ def _sparse_sampler(geom, dictionary, sparsity, on_grid, angle_limit):
 
 
 def _sensing(pilot: PilotMatrix, dictionary: Dictionary) -> np.ndarray:
-    """sqrt(p) phi atoms, scaled in place."""
-    A = pilot.phi @ dictionary.atoms
+    """sqrt(p) phi atoms: one tau_p x K output, filled in blocks of
+    _SENSING_BLOCK_COLUMNS atoms, each gathered by Dictionary.columns, then
+    scaled in place.  No M x K atom matrix is formed: a block's two M x 256
+    temporaries are a tenth of the M x M basis's sensing matrix at fig11's
+    K = 5025, at any M.  Blocks are counted in columns, not entries, because
+    each block's product packs all of phi again: at M = 1024, 64-column
+    blocks took 500 ms against 420 ms for 256 columns (2-core Xeon, OpenBLAS
+    at 2 threads).
+
+    The blocks give the bits of the one dense product phi @ atoms (checked at
+    8 x 8, 16 x 12 and 32 x 32 arrays, with one and two BLAS threads): each
+    starts at a multiple of 64 columns, which keeps the kernel's grouping of
+    columns, and the last block takes a lone last column, which numpy would
+    hand to gemv."""
+    K = dictionary.num_atoms
+    A = np.empty((pilot.tau, K), dtype=complex)
+    edges = [*range(0, max(K - 1, 1), _SENSING_BLOCK_COLUMNS), K]
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(pilot.phi, dictionary.columns(slice(lo, hi)), out=A[:, lo:hi])
     A *= np.sqrt(pilot.power)
     return A
 
@@ -386,12 +455,13 @@ def _sensing(pilot: PilotMatrix, dictionary: Dictionary) -> np.ndarray:
 def _omp_operator(pilot: PilotMatrix, dictionary: Dictionary):
     """The sensing matrix sqrt(p) phi atoms and its column norms.  A pilot
     with a basis (see PilotMatrix._leading) takes the leading rows of its
-    basis's sensing matrix when the atoms are read-only and so cannot change:
-    the basis keeps that matrix, read-only, in one slot beside the last
-    dictionary it served.  Row i of a matrix product depends on row i of phi
-    alone, and BLAS gives the same bits (checked at fig11's 64 x 5025 shapes)."""
-    basis, atoms = pilot._basis, dictionary.atoms
-    if basis is None or not (isinstance(atoms, np.ndarray) and not atoms.flags.writeable):
+    basis's sensing matrix: a Dictionary's tables are read-only, so its
+    atoms cannot change, and the basis keeps that matrix, read-only, in one
+    slot beside the last dictionary it served.  Row i of a matrix product
+    depends on row i of phi alone, and BLAS gives the same bits (checked at
+    fig11's 64 x 5025 shapes)."""
+    basis = pilot._basis
+    if basis is None:
         A = _sensing(pilot, dictionary)
     else:
         slot = basis._sensing_slot
@@ -473,7 +543,8 @@ def omp_estimate(y: np.ndarray, pilot: PilotMatrix, dictionary: Dictionary,
 
     y is (tau_p,) or a batch (tau_p, T) with one received pilot per column.
     The sensing matrix and its column norms are formed on the call, a
-    _leading pilot's as rows of its basis's (see _omp_operator).  One greedy
+    _leading pilot's as rows of its basis's (see _omp_operator), and the
+    estimates from the selected atoms alone (Dictionary.columns).  One greedy
     loop serves a block of columns: each iteration forms every column's
     correlations in one matrix product and refits every column by one
     batched QR (see _refit).  A batch returns the (M, T) estimates and a
@@ -491,12 +562,12 @@ def omp_estimate(y: np.ndarray, pilot: PilotMatrix, dictionary: Dictionary,
     A, norms = _omp_operator(pilot, dictionary)
     y = np.asarray(y, dtype=complex)
     Y = y.reshape(len(y), -1)
-    estimates = np.empty((dictionary.atoms.shape[0], Y.shape[1]), dtype=complex)
+    estimates = np.empty((dictionary.num_antennas, Y.shape[1]), dtype=complex)
     selections: list[list[int]] = []
     step = max(1, _OMP_BLOCK_ENTRIES // dictionary.num_atoms)
     for s in range(0, Y.shape[1], step):
         selected, coef = _omp_block(A, norms, Y[:, s:s + step], sparsity)
-        estimates[:, s:s + step] = np.einsum("mtk,tk->mt", dictionary.atoms[:, selected], coef)
+        estimates[:, s:s + step] = np.einsum("mtk,tk->mt", dictionary.columns(selected), coef)
         selections.extend(selected.tolist())
     if y.ndim == 1:
         return estimates[:, 0], selections[0]
@@ -537,9 +608,10 @@ def nmse_sweep(estimator: str, tau_values, *, power: float, noise_power: float,
     the estimator's own design (water-filling for MMSE, optimal subspace
     pilots for RS-LS, orthonormal rows otherwise).  The orthonormal pilots
     are orthogonal_pilot's: its unitary M x M pilot is drawn from
-    pilot_stream once per sweep, and each pilot is its leading tau_p rows (see
-    PilotMatrix._leading), so OMP forms one sensing matrix per sweep; the
-    basis is dropped with the sweep.  Deterministic for a fixed master
+    pilot_stream once per sweep (once for sweeps in a row that share the
+    stream, see orthogonal_pilot), and each pilot is its leading tau_p rows
+    (see PilotMatrix._leading), so OMP forms one sensing matrix per sweep;
+    the basis is dropped with the sweep.  Deterministic for a fixed master
     stream: sweep point i draws its channels from stream.split(i).split(0)
     and its tau_p x trials pilot noise from stream.split(i).split(1), each
     as one block, and the estimator then runs once on the whole batch, so

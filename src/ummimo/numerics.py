@@ -160,12 +160,18 @@ class RngStream:
 def complex_gaussian(shape, stream: RngStream) -> np.ndarray:
     """I.i.d. CN(0, 1) draws of the given shape (an int n gives n draws);
     (g[0] + j g[1]) / sqrt(2) of one standard_normal((2, *shape)) block, so
-    deterministic for a fixed stream."""
+    deterministic for a fixed stream.  g[0] and g[1] are written into the
+    real and imaginary views of one complex array, scaled in place by
+    fl(1/sqrt(2)): numpy divides a complex by a real by that multiply, so
+    these are the bits of the quotient, with no complex temporaries."""
     shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     if any(n < 0 for n in shape):
         raise DomainError(f"shape must be nonnegative, got {shape}")
     g = stream.generator().standard_normal((2, *shape))
-    return (g[0] + 1j * g[1]) / np.sqrt(2.0)
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = g
+    z *= 1.0 / np.sqrt(2.0)
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -523,6 +523,21 @@ class TestNumericBeamdepth:
         assert main(["beam", "--F", "1e-10dF", "--out", str(tmp_path)]) == 3
 
 
+def test_estimation_experiments_draw_one_unitary_per_pilot_stream(monkeypatch, tmp_path):
+    """fig9's two LS sweeps share one pilot stream, fig10's four another and
+    fig11's LS and OMP sweeps a third: 8 orthogonal pilots, 3 draws."""
+    from ummimo import estimate
+    monkeypatch.setattr(estimate, "_last_unitary", (None, None))
+    draws, calls = [], []
+    unitary, pilot = estimate._unitary, estimate.orthogonal_pilot
+    monkeypatch.setattr(estimate, "_unitary", lambda m, s: draws.append(m) or unitary(m, s))
+    monkeypatch.setattr(estimate, "orthogonal_pilot",
+                        lambda *args: calls.append(args[0]) or pilot(*args))
+    for exp in ("fig9", "fig10", "fig11"):
+        run(exp, {"trials": 2}, seed=0, out=tmp_path)
+    assert (len(calls), len(draws)) == (8, 3)
+
+
 class TestMainEntry:
     def test_exit_codes(self, tmp_path, capsys):
         assert main(["list-experiments"]) == 0
@@ -535,6 +550,15 @@ class TestMainEntry:
         assert main(["fig9", "--out", str(tmp_path), "--trials", "1", "--n", "2"]) == 2
         # an integer dictionary density below 1
         assert main(["fig11", "--out", str(tmp_path), "--grid_density", "0"]) == 3
+
+    def test_on_grid_paths_beyond_the_atoms_in_the_angle_limit(self, tmp_path, capsys):
+        # density 1 has 1 atom inside the angle limit, and fig11 draws 3 paths
+        argv = ["fig11", "--out", str(tmp_path), "--grid_density", "1", "--on_grid", "true"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert "paths = 3" in err and "grid_density = 1 puts 1 there" in err
+        assert main(argv + ["--paths", "1", "--trials", "2"]) == 0
 
     @pytest.mark.parametrize("argv", [
         ["fig9", "--n", "2.5", "--tau_values", "2", "--trials", "3"],

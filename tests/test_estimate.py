@@ -47,6 +47,10 @@ def _cn(g, *shape):
     return g.standard_normal(shape) + 1j * g.standard_normal(shape)
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _three_branch_pilot(m, tau, stream):
     """Reference builder: a DFT stack, the thin QR for tau <= m, or a stack of
     the full m x m QR for tau > m."""
@@ -135,6 +139,22 @@ class TestPilotMatrix:
     def test_orthogonal_pilot_unitary(self):
         pilot = orthogonal_pilot(8, 8, 1.0, 0.1)
         assert np.allclose(pilot.phi @ pilot.phi.conj().T, np.eye(8), atol=1e-12)
+
+    def test_one_unitary_per_stream(self, monkeypatch):
+        # calls in a row with one (m, stream) draw and factor one unitary;
+        # every pilot keeps the bits of a fresh draw
+        monkeypatch.setattr(estimate, "_last_unitary", (None, None))
+        draws, unitary = [], estimate._unitary
+        monkeypatch.setattr(estimate, "_unitary",
+                            lambda m, s: draws.append((m, s)) or unitary(m, s))
+        a, b = RngStream(56), RngStream(57)
+        calls = [(8, 8, a), (8, 5, a), (8, 12, a), (8, 8, b), (8, 3, a), (6, 6, a),
+                 (6, 6, a), (8, 8, None), (8, 4, None)]
+        pilots = [orthogonal_pilot(m, tau, 2.0, 0.1, s) for m, tau, s in calls]
+        assert draws == [(8, a), (8, b), (8, a), (6, a), (8, None)]
+        for (m, tau, s), pilot in zip(calls, pilots):
+            assert _same_bits(pilot.phi, unitary(m, s)[np.arange(tau) % m])
+        assert not estimate._last_unitary[1].flags.writeable
 
     def test_orthogonal_pilot_tall(self):
         pilot = orthogonal_pilot(4, 10, 1.0, 0.1)
@@ -677,6 +697,29 @@ class TestDictionary:
         assert np.allclose(np.linalg.norm(d.atoms, axis=0), np.sqrt(m))
         assert np.all(d.grid[:, 0] ** 2 + d.grid[:, 1] ** 2 <= 1.0 + 1e-12)
 
+    def test_columns_equal_gathered_atoms(self):
+        geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
+        d = build_ff_dictionary(geom, 40)
+        atoms = d.atoms
+        idx = RngStream(49).generator().integers(0, d.num_atoms, (25, 3))
+        assert np.array_equal(d.columns(idx), atoms[:, idx])
+        assert np.array_equal(d.columns(idx[0]), atoms[:, idx[0]])
+        assert np.array_equal(d.columns(slice(100, 2148)), atoms[:, 100:2148])
+        i, j = d.index[idx].transpose(2, 0, 1)
+        assert np.array_equal(d.columns(idx), d.Ex[:, i] * d.Ey[:, j])
+        assert d.columns(idx).flags.writeable  # a caller's own array
+
+    def test_tables_only(self):
+        # per-axis tables and lattice indices: O(M n + K), no M x K matrix
+        geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
+        d = build_ff_dictionary(geom, 40)
+        assert d.Ex.shape == d.Ey.shape == (64, 81)
+        assert d.index.shape == d.grid.shape == (5025, 2)
+        assert np.array_equal(d.grid, (d.index - 40) / 40.0)
+        assert d.num_antennas == 64
+        held = sum(t.nbytes for t in (d.Ex, d.Ey, d.index, d.grid))
+        assert held < 64 * 5025 * 16 / 10
+
     @pytest.mark.parametrize("n_x, n_y, fx, fy", [(8, 8, 0.25, 0.25), (16, 12, 0.5, 0.4)])
     def test_factored_atoms_equal_direct_phases(self, n_x, n_y, fx, fy):
         geom = build_upa(n_x, n_y, fx * LAM, fy * LAM, LAM)
@@ -972,18 +1015,27 @@ class TestNestedPilotSensing:
                    sampler=sampler, trace_r=64.0, pilot_stream=RngStream(47))
         assert calls == [64]
 
-    def test_writeable_atoms_not_kept(self):
-        # the slot serves read-only atoms only: atoms changed in place reach
-        # the next child's sensing matrix
+    def test_read_only_tables_keep_the_slot(self):
+        # a Dictionary takes read-only copies of its tables, so the caller's
+        # arrays changed in place reach neither its atoms nor the slot, which
+        # serves every dictionary
         geom = build_upa(4, 4, LAM / 4, LAM / 4, LAM)
-        d = build_ff_dictionary(geom, 6)
-        d = Dictionary(np.array(d.atoms), d.grid)  # writeable
+        built = build_ff_dictionary(geom, 6)
+        tables = [np.array(t) for t in (built.Ex, built.Ey, built.index, built.grid)]
+        d = Dictionary(*tables)  # from writeable arrays
+        for t in (d.Ex, d.Ey, d.index, d.grid, d.atoms):
+            assert not t.flags.writeable
+        atoms = d.atoms
+        assert np.array_equal(atoms, built.atoms)
+        for t in tables:
+            t[:] = t[::-1]
+        assert np.array_equal(d.atoms, atoms)
         basis = orthogonal_pilot(16, 16, 2.0, 0.1, RngStream(48))
-        estimate._omp_operator(basis._leading(8), d)
-        d.atoms[:] = d.atoms[::-1]
+        first, _ = estimate._omp_operator(basis._leading(8), d)
         A, _ = estimate._omp_operator(basis._leading(8), d)
-        assert basis._sensing_slot is None
-        assert np.array_equal(A, np.sqrt(2.0) * (basis._leading(8).phi @ d.atoms))
+        assert basis._sensing_slot[0] is d
+        assert np.shares_memory(A, basis._sensing_slot[1]) and np.shares_memory(A, first)
+        assert np.array_equal(A, np.sqrt(2.0) * (basis._leading(8).phi @ atoms))
 
     @pytest.mark.parametrize("est", ["ls", "omp"])
     def test_sweep_equals_fresh_thin_qr_pilots(self, est):
@@ -1005,6 +1057,87 @@ class TestNestedPilotSensing:
             errs = np.linalg.norm(Hh - H, axis=0) ** 2
             assert r.nmse == float(errs.mean() / 64.0)
             assert r.stderr == float(errs.std(ddof=1) / np.sqrt(trials) / 64.0)
+
+
+class TestSensingBlocks:
+    """_sensing fills sqrt(p) phi atoms in column blocks gathered from the
+    per-axis tables: the same bits as the one dense product."""
+
+    @pytest.mark.parametrize("tau", [1, 4, 25, 64])
+    def test_fig11_shape_equals_dense_product(self, tau):
+        geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
+        d = build_ff_dictionary(geom, 40)  # 64 x 5025, three blocks
+        pilot = PilotMatrix(orthogonal_pilot(64, 64, 10.0, 1.0, RngStream(50)).phi[:tau],
+                            10.0, 1.0)
+        assert _same_bits(estimate._sensing(pilot, d), np.sqrt(10.0) * (pilot.phi @ d.atoms))
+
+    @pytest.mark.parametrize("num_atoms", [65, 129, 130, 5025])
+    def test_short_last_block_equals_dense_product(self, num_atoms, monkeypatch):
+        # 64-column blocks: K = 5025 leaves 33 columns, K = 130 two, and
+        # K = 65 and 129 a lone column, which joins the block before it
+        monkeypatch.setattr(estimate, "_SENSING_BLOCK_COLUMNS", 64)
+        geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
+        full = build_ff_dictionary(geom, 40)
+        d = Dictionary(full.Ex, full.Ey, full.index[:num_atoms], full.grid[:num_atoms])
+        for tau in (1, 2, 25, 64):
+            pilot = PilotMatrix(orthogonal_pilot(64, 64, 3.0, 1.0, RngStream(51)).phi[:tau],
+                                3.0, 1.0)
+            assert _same_bits(estimate._sensing(pilot, d), np.sqrt(3.0) * (pilot.phi @ d.atoms))
+
+    def test_large_array_small_density_equals_dense_product(self):
+        # 1024 x 797: three full blocks and one of 29 columns
+        geom = build_upa(32, 32, LAM / 4, LAM / 4, LAM)
+        d = build_ff_dictionary(geom, 16)
+        assert d.num_atoms == 797
+        basis = orthogonal_pilot(1024, 1024, 2.0, 1.0)
+        for pilot in (basis, PilotMatrix(basis.phi[:100], 2.0, 1.0)):
+            assert _same_bits(estimate._sensing(pilot, d), np.sqrt(2.0) * (pilot.phi @ d.atoms))
+
+    def test_omp_sweep_peak_memory(self):
+        # the dictionary keeps per-axis tables only, and an OMP sweep holds the
+        # basis's sensing matrix (M K 16 bytes) and one T x K product and
+        # magnitude buffer (T K 24 bytes), plus 2 MiB: no M x K atom matrix
+        import tracemalloc
+        geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
+        m, trials = 64, 25
+        tracemalloc.start()
+        try:
+            d = build_ff_dictionary(geom, 40)
+            kept = tracemalloc.get_traced_memory()[0]
+            sampler = _sparse_sampler(geom, d, 3, False, 0.45 * np.pi)
+            nmse_sweep("omp", [4, 8, 10, 16, 24, 32, 48, 64], power=10.0, noise_power=1.0,
+                       trials=trials, stream=RngStream(52), dictionary=d, sparsity=3,
+                       sampler=sampler, trace_r=float(m), pilot_stream=RngStream(53))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = d.num_atoms
+        assert kept < 1 << 20
+        assert peak <= m * k * 16 + trials * k * 24 + (2 << 20)
+
+
+class TestSparseSampler:
+    def test_too_few_atoms_on_grid_rejected(self):
+        # density 1 puts 1 of its 5 atoms, the broadside one, inside the box
+        geom = build_upa(4, 4, LAM / 4, LAM / 4, LAM)
+        d = build_ff_dictionary(geom, 1)
+        with pytest.raises(ConfigError, match=r"paths = 3 .*grid_density = 1 puts 1 there"):
+            _sparse_sampler(geom, d, 3, True, 0.45 * np.pi)
+        h = _sparse_sampler(geom, d, 1, True, 0.45 * np.pi)(RngStream(54), 4)
+        assert np.array_equal(h, np.broadcast_to(h[0], h.shape))  # the broadside atom
+        assert _sparse_sampler(geom, d, 3, False, 0.45 * np.pi)(RngStream(54), 4).shape == (16, 4)
+
+    def test_on_grid_paths_are_dictionary_columns(self):
+        geom = build_upa(4, 4, LAM / 4, LAM / 4, LAM)
+        d = build_ff_dictionary(geom, 6)
+        lim = np.sin(0.45 * np.pi)
+        ok = np.where((np.abs(d.grid[:, 0]) <= lim) & (np.abs(d.grid[:, 1]) <= lim))[0]
+        H = _sparse_sampler(geom, d, 3, True, 0.45 * np.pi)(RngStream(55), 6)
+        g = RngStream(55).generator()
+        gains = (g.standard_normal((6, 3)) + 1j * g.standard_normal((6, 3))) / np.sqrt(6.0)
+        pick = np.argpartition(g.random((6, ok.size)), 2, axis=1)[:, :3]
+        want = np.einsum("mts,ts->mt", d.atoms[:, ok[pick]], gains)
+        assert _same_bits(H, want)
 
 
 class TestNmseSweep:

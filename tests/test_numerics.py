@@ -139,6 +139,16 @@ class TestRng:
         g = s.generator().standard_normal((2, 37))
         assert np.array_equal(complex_gaussian(37, s), (g[0] + 1j * g[1]) / np.sqrt(2))
 
+    @pytest.mark.parametrize("shape", [37, (5, 3), (64, 1000), (2, 3, 4), (4, 0)])
+    def test_bits_of_the_quotient(self, shape):
+        # in-place assembly and the multiply by fl(1/sqrt(2)) give the bits of
+        # (g[0] + j g[1]) / sqrt(2), signed zeros and all
+        s = RngStream(12, 5)
+        g = s.generator().standard_normal((2, *np.atleast_1d(shape)))
+        want = (g[0] + 1j * g[1]) / np.sqrt(2.0)
+        z = complex_gaussian(shape, s)
+        assert z.shape == want.shape and z.tobytes() == want.tobytes()
+
     def test_shape_is_one_standard_normal_block(self):
         s = RngStream(11, 4)
         g = s.generator().standard_normal((2, 5, 3))
