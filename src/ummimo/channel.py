@@ -323,21 +323,12 @@ def _cluster_mass(ca: float, ce: float, std: float) -> float:
 
 def steering_matrix(geom: ArrayGeometry, azimuth: np.ndarray,
                     elevation: np.ndarray) -> np.ndarray:
-    """Array responses for many directions at once, shape (Q, M).
-
-    On a builder array whose phases u . p repeat exactly along each lattice
-    column (every direction on the horizon, u_y == 0), only the n_x distinct
-    columns are exponentiated and repeated n_y times, with the same bits.
-    """
+    """Array responses for many directions at once, shape (Q, M)."""
     u = unit_directions(azimuth, elevation)
     kappa = 2.0 * np.pi / geom.wavelength
-    P = u @ geom.positions.T
-    n_y = 1 if geom.lattice is None else geom.lattice.n_y
-    cols = P.reshape(*P.shape[:-1], P.shape[-1] // n_y, n_y).view(np.uint64)
-    repeat = n_y > 1 and not np.any(u[..., 1]) and np.all(cols == cols[..., :1])
-    S = -1j * kappa * (P[..., ::n_y] if repeat else P)
+    S = -1j * kappa * (u @ geom.positions.T)
     np.exp(S, out=S)
-    return np.repeat(S, n_y, axis=-1) if repeat else S
+    return S
 
 
 def _is_planar_in_z(geom: ArrayGeometry) -> bool:
@@ -368,11 +359,7 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
     On a builder array whose positions are exactly per-axis coordinates
     (geometry._lattice_axes) each offset is squared per axis, as (K, n_x, 1),
     (K, 1, n_y) and (K, 1, 1) tables, and only their sum is formed at full
-    size.  When the (K, n_y) table of dy^2 reads the same at j and
-    n_y - 1 - j (every source on y = 0), so does every distance: only the
-    first (n_y + 1) // 2 rows of each lattice column are computed and
-    exponentiated, and mirrored into the rest with the same bits.  Any other
-    array takes the pairwise offsets, as (K, M, 1) tables.
+    size.  Any other array takes the pairwise offsets, as (K, M, 1) tables.
     """
     if mode not in ("exact", "fresnel"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -389,11 +376,6 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
     dx2, dy2, dz2 = (np.subtract(t[:, a, None, None], c) for a, c in enumerate(axes))
     for d in (dx2, dy2, dz2):
         d *= d
-    n_y = dy2.shape[2]
-    half = (n_y + 1) // 2
-    mirror = n_y > 1 and np.array_equal(dy2, dy2[..., ::-1])
-    if mirror:  # element (i, j) has the distance of (i, n_y - 1 - j): compute half
-        dy2 = dy2[..., :half]
     trans2 = np.add(dx2, dy2, out=dx2 if dy2.shape[2] == 1 else None)  # dx^2 + dy^2
     dist = np.add(trans2, dz2, out=dz2 if dz2.shape == trans2.shape else None)
     dist = np.sqrt(dist, out=dist)
@@ -416,8 +398,6 @@ def los_channel(geom: ArrayGeometry, tx, mode: str = "exact",
     h = -2j * np.pi / lam * path  # the phase, then the wave, then times the amplitude
     np.exp(h, out=h)
     h *= lam / (4.0 * np.pi * r)
-    if mirror:
-        h = np.concatenate([h, h[..., n_y - half - 1::-1]], axis=-1)
     h = h.reshape(len(t), geom.num_elements)
     return h.T if tx.ndim == 2 else h[0]
 

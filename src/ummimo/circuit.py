@@ -49,7 +49,7 @@ def _psd_within(A: np.ndarray, rtol: float) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImpedanceSet:
     """Partitioned impedance blocks of a unilateral tx/rx antenna system.
 

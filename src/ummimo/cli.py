@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ContractError, DomainError
 from .numerics import RngStream
-from .geometry import ArrayGeometry, build_ula, build_upa, fraunhofer_square
+from .geometry import ArrayGeometry, Lattice, build_ula, build_upa, fraunhofer_square
 from .fields import aperture_gain, aperture_gain_subdivided, isotropic_area, near_field_factor
 from .channel import (correlation_matrix, gaussian_cluster_profile,
                       isotropic_profile, los_channel, steering_matrix)
@@ -298,32 +298,39 @@ def _fig4_drop(geom: ArrayGeometry, line: ArrayGeometry, phis: np.ndarray,
     MMSE identity reads only H^H H; for H = Q Q^H H each equals its value
     for the smaller Q^H H.
 
-    * Exact SE, the mirror-even half: with the UEs at y = 0, row j of each
-      lattice column equals row n_y - 1 - j bit for bit (los_channel mirrors
-      them), so Q holds (e_j + e_{n_y-1-j}) / sqrt 2 for j < n_y // 2 and,
-      for odd n_y, the middle row; Q^H H = [sqrt 2 H[rows j < n_y // 2],
-      H[middle row]] has the Gram of H at half the rows.
+    Only the rows j < ceil(n_y / 2) of each lattice column are formed, by
+    los_channel on the half-row lattice, whose channels are the full
+    lattice's rows bit for bit: with the UEs at y = 0 and the builder's
+    y coordinates mirrored exactly, row j has the channel of row n_y - 1 - j.
+
+    * Exact SE, the mirror-even half: Q holds (e_j + e_{n_y-1-j}) / sqrt 2
+      for j < n_y // 2 and, for odd n_y, the middle row; Q^H H =
+      [sqrt 2 H[rows j < n_y // 2], H[middle row]] has the Gram of H at half
+      the rows.
     * Far-field mismatch, the n_x column sums: a plane wave from the horizon
       is constant along each lattice column, so the far-field channels and
       their LMMSE combiners lie in span{e_i (x) 1 / sqrt n_y}.  There the
-      channels are the column sums of H over sqrt n_y, and the far-field
-      channels sqrt n_y amp e^{-j kappa d} conj(a), with a the line's
-      steering: n_x x K each, no M x K far-field matrix or combiner.
+      channels are the column sums of H over sqrt n_y, each row j < n_y // 2
+      counted twice, and the far-field channels sqrt n_y amp e^{-j kappa d}
+      conj(a), with a the line's steering: n_x x K each, no M x K
+      far-field matrix or combiner.
     """
-    n_x, n_y = geom.lattice.n_x, geom.lattice.n_y
+    n_x, n_y, dx, dy = geom.lattice
     lam, k = geom.wavelength, len(phis)
-    tx = np.stack([np.sin(phis) * dists, np.zeros(k), np.cos(phis) * dists], axis=1)
-    H = los_channel(geom, tx, mode="exact").reshape(n_x, n_y, k)
     half = n_y - n_y // 2  # the rows j < n_y // 2, and the middle row for odd n_y
-    weight = np.where(np.arange(half) < n_y // 2, np.sqrt(2.0), 1.0)[:, None]
-    even = (H[:, :half] * weight).reshape(n_x * half, k)
+    rows = ArrayGeometry(geom.positions.reshape(n_x, n_y, 3)[:, :half].reshape(-1, 3), lam,
+                         Lattice(n_x, half, dx, dy))
+    tx = np.stack([np.sin(phis) * dists, np.zeros(k), np.cos(phis) * dists], axis=1)
+    H = los_channel(rows, tx, mode="exact").reshape(n_x, half, k)
+    count = np.where(np.arange(half) < n_y // 2, 2.0, 1.0)[:, None]  # rows j and n_y - 1 - j
+    even = (H * np.sqrt(count)).reshape(n_x * half, k)
     se_exact = uplink_se_bound(UplinkScenario(even, powers, noise_power))
     amp = lam / (4 * np.pi * tx[:, 2])
     sv = steering_matrix(line, phis, np.zeros(k))
     # plane-wave phase about the centroid: dist - u.p, so the response
     # conjugate carries the +u.p correction
     Hff = np.sqrt(n_y) * amp * np.exp(-2j * np.pi / lam * dists) * np.conj(sv).T
-    columns = UplinkScenario(H.sum(axis=1) / np.sqrt(n_y), powers, noise_power)
+    columns = UplinkScenario((H * count).sum(axis=1) / np.sqrt(n_y), powers, noise_power)
     se_mismatch = uplink_se(columns, lmmse_combiners(UplinkScenario(Hff, powers, noise_power)))
     return se_exact, se_mismatch
 
@@ -333,7 +340,12 @@ def run_fig4(cfg, seed):
     nx, ny = cfg["nx"], cfg["ny"]
     geom = build_upa(nx, ny, lam / 2, lam / 2, lam)
     line = build_ula(nx, lam / 2, lam)  # geom's x coordinates, bit for bit
-    drops = cfg["drops"]
+    drops, r_min, r_max = cfg["drops"], cfg["r_min"], cfg["r_max"]
+    for key, bad, rule in (("k_values", min(cfg["k_values"]) < 1, "all >= 1"),
+                           ("drops", drops < 1, ">= 1"), ("r_min", r_min <= 0, "> 0"),
+                           ("r_max", r_max < r_min, f">= r_min = {r_min!r}")):
+        if bad:  # no UE or drop to average, UEs on or behind the array plane, an empty range
+            raise ConfigError(f"config key {key!r} must be {rule}, got {cfg[key]!r}")
     sigma2 = cfg["noise_power"]
     p_ue = cfg["ue_power"]
     rng_master = RngStream(seed)
@@ -344,11 +356,12 @@ def run_fig4(cfg, seed):
         for d in range(drops):
             g = rng_master.split(K * 1000 + d).generator()
             phis = g.uniform(-np.pi / 3, np.pi / 3, K)
-            dists = g.uniform(cfg["r_min"], cfg["r_max"], K)
-            # the exact SE is the MMSE identity's on the mirror-even half of
-            # the channels, the mismatch SE the far-field combiners' on the
-            # lattice column sums; both subspaces hold what each SE reads,
-            # so both equal the full-array values to rounding (_fig4_drop)
+            dists = g.uniform(r_min, r_max, K)
+            # the channels of the half-row lattice only: the exact SE is the
+            # MMSE identity's on their mirror-even half, the mismatch SE the
+            # far-field combiners' on the lattice column sums; both subspaces
+            # hold what each SE reads, so both equal the full-array values
+            # to rounding (_fig4_drop)
             exact, mismatch = _fig4_drop(geom, line, phis, dists, powers, sigma2)
             se_ex.append(exact.sum())
             se_ff.append(mismatch.sum())

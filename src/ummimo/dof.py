@@ -66,7 +66,7 @@ def effective_rank(spectrum, capture_fraction: float = 0.99) -> int:
     return int(np.searchsorted(cum, capture_fraction * cum[-1] - 1e-15 * cum[-1]) + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DofReport:
     """Eigen-spectrum summary of a spatial correlation matrix, with the
     effective rank at the default 0.99 trace capture of effective_rank."""

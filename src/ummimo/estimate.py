@@ -45,7 +45,7 @@ _SENSING_BLOCK_COLUMNS = 256  # atoms per block of the OMP sensing product, a mu
 _QR_REFIT_MARGIN = 1e-6  # largest condition bound x lstsq cut-off an OMP refit solves by QR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PilotMatrix:
     """Pilot sequence matrix (tau_p x M), pilot power, and noise power.
 
@@ -59,8 +59,8 @@ class PilotMatrix:
     phi: np.ndarray
     power: float
     noise_power: float
-    _basis: PilotMatrix | None = field(default=None, init=False, repr=False, compare=False)
-    _sensing_slot: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _basis: PilotMatrix | None = field(default=None, init=False, repr=False)
+    _sensing_slot: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         phi = np.array(self.phi, dtype=complex)
@@ -319,7 +319,7 @@ def isotropic_subspace(geom: ArrayGeometry) -> np.ndarray:
 # Compressed sensing over a far-field dictionary
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """Far-field atoms on a direction-cosine lattice, kept as per-axis tables.
 

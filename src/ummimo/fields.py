@@ -35,7 +35,7 @@ speed_of_light = 299792458.0  # m/s
 epsilon_0 = 8.8541878188e-12  # F/m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DipoleSegment:
     """A Hertzian-dipole segment: position (m) and moment vector (A m)."""
 
@@ -53,7 +53,7 @@ class DipoleSegment:
         object.__setattr__(self, "moment", mom)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldSample:
     """Electric field (V/m) in the global spherical basis at the observation point."""
 

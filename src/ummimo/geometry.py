@@ -83,7 +83,7 @@ def _lattice_axes(geom: ArrayGeometry):
     return xs[:, None], ys[None, :], pos[:1, 2:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayGeometry:
     """Element positions (meters) and wavelength.
 

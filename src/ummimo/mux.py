@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UplinkScenario:
     """Per-UE channels (columns of H), transmit powers, and noise power.
 

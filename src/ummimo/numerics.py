@@ -44,7 +44,7 @@ __all__ = [
 # Quadrature grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Tensor product quadrature over (azimuth, elevation) direction angles.
 

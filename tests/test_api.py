@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.constants
 
@@ -78,3 +79,37 @@ def test_epsilon_0_is_codata_2022(layer):
     eps = importlib.import_module(f"ummimo.{layer}").epsilon_0
     assert eps == 8.8541878188e-12
     assert abs(eps - scipy.constants.epsilon_0) <= 1e-9 * scipy.constants.epsilon_0
+
+
+def _geometry():
+    return ummimo.build_upa(2, 2, 0.005, 0.005, 0.01)
+
+
+def _scenario():
+    return ummimo.UplinkScenario(np.ones((4, 2), complex), np.ones(2), 1.0)
+
+
+# each builds a new instance of one array-holding dataclass, equal in content
+# to the last one it built
+ARRAY_HOLDERS = {
+    "PilotMatrix": lambda: ummimo.orthogonal_pilot(4, 4, 1.0, 0.1),
+    "Dictionary": lambda: ummimo.build_ff_dictionary(_geometry(), 1),
+    "ArrayGeometry": _geometry,
+    "QuadratureGrid": lambda: ummimo.QuadratureGrid(np.zeros(3), np.zeros(3), np.ones(3)),
+    "UplinkScenario": _scenario,
+    "ImpedanceSet": lambda: ummimo.ImpedanceSet(np.eye(2), np.eye(2), np.zeros((2, 2)), 50.0),
+    "DipoleSegment": lambda: ummimo.DipoleSegment(np.zeros(3), [0.0, 0.0, 1.0]),
+    "FieldSample": lambda: ummimo.FieldSample(np.zeros(3, complex)),
+    "DofReport": lambda: ummimo.dof_report(np.eye(4), 4.0),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_by_identity(name):
+    # a value __eq__ would compare arrays elementwise and raise, and a value
+    # __hash__ would hash them and raise; identity does neither
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert type(a).__name__ == name
+    assert a == a and (a != b) and not (a == b)
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2

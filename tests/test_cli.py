@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ummimo
-from ummimo import numerics
+from ummimo import cli, numerics
 from ummimo.beam import beamdepth_3db, depth_gain
 from ummimo.errors import ConfigError, ContractError
 from ummimo.geometry import fraunhofer_square
@@ -441,7 +441,7 @@ class TestFig4Subspaces:
 
     LAM = 0.01
 
-    @pytest.mark.parametrize("nx, ny", [(8, 4), (7, 5), (32, 16)])
+    @pytest.mark.parametrize("nx, ny", [(8, 4), (7, 5), (32, 16), (1, 6), (8, 1)])
     @pytest.mark.parametrize("k", [4, 10])
     def test_projected_route_equals_full_array(self, nx, ny, k):
         lam = self.LAM
@@ -465,14 +465,40 @@ class TestFig4Subspaces:
 
     @pytest.mark.parametrize("nx, ny", [(32, 16), (100, 50), (8, 4), (7, 5)])
     def test_line_has_the_lattice_x_coordinates(self, nx, ny):
-        # the far-field channels of _fig4_drop come from the line's steering,
-        # which the lattice's repeats along each column, bit for bit
+        # the far-field channels of _fig4_drop come from the line's steering:
+        # a direction on the horizon has the same phase, bit for bit, at
+        # every element of a lattice column and at the line's element
         lam = self.LAM
         geom, line = build_upa(nx, ny, lam / 2, lam / 2, lam), build_ula(nx, lam / 2, lam)
         assert np.array_equal(line.positions[:, 0], geom.positions[::ny, 0])
         phis = np.linspace(-np.pi / 3, np.pi / 3, 7)
         assert np.array_equal(np.repeat(steering_matrix(line, phis, np.zeros(7)), ny, axis=1),
                               steering_matrix(geom, phis, np.zeros(7)))
+
+    @pytest.mark.parametrize("nx, ny", [(32, 16), (7, 5), (1, 6), (8, 1)])
+    def test_channels_only_on_the_half_rows(self, nx, ny, monkeypatch):
+        # _fig4_drop forms the channels of the rows j < ceil(ny / 2) only,
+        # and they are the full lattice's rows, bit for bit
+        lam, k = self.LAM, 6
+        geom = build_upa(nx, ny, lam / 2, lam / 2, lam)
+        g = numerics.RngStream(3).split(k * 1000).generator()
+        phis, dists = g.uniform(-np.pi / 3, np.pi / 3, k), g.uniform(3.0, 60.0, k)
+        calls, los = [], cli.los_channel
+
+        def recorded(array, tx, *args, **kwargs):
+            h = los(array, tx, *args, **kwargs)
+            calls.append((array, tx, h))
+            return h
+
+        monkeypatch.setattr(cli, "los_channel", recorded)
+        _fig4_drop(geom, build_ula(nx, lam / 2, lam), phis, dists, np.full(k, 1e-2), 1e-9)
+        monkeypatch.undo()
+        half = (ny + 1) // 2
+        [(rows, tx, h)] = calls
+        assert rows.num_elements == nx * half and rows.lattice == (nx, half, lam / 2, lam / 2)
+        full = los_channel(geom, tx, mode="exact").reshape(nx, ny, k)[:, :half]
+        bits = [np.ascontiguousarray(a).view(np.uint64) for a in (h, full.reshape(-1, k))]
+        assert np.array_equal(*bits)
 
 
 class TestNumericBeamdepth:
@@ -559,6 +585,19 @@ class TestMainEntry:
         assert "config error" in err and "Traceback" not in err
         assert "paths = 3" in err and "grid_density = 1 puts 1 there" in err
         assert main(argv + ["--paths", "1", "--trials", "2"]) == 0
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--drops", "0"], "'drops'"), (["--drops", "-1"], "'drops'"),
+        (["--r_min", "-5", "--r_max", "-3"], "'r_min'"), (["--r_min", "0"], "'r_min'"),
+        (["--r_min", "10", "--r_max", "5"], "'r_max'"),
+        (["--k_values", "10,0"], "'k_values'"), (["--k_values", "-3"], "'k_values'")])
+    def test_fig4_ranges(self, flags, key, tmp_path, capsys):
+        # no drop to take the minimum over, UEs on or behind the array plane,
+        # an empty range of distances, or a drop without UEs
+        assert main(["fig4-mu", "--out", str(tmp_path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "Traceback" not in err
+        assert not (tmp_path / "fig4-mu").exists()
 
     @pytest.mark.parametrize("argv", [
         ["fig9", "--n", "2.5", "--tau_values", "2", "--trials", "3"],
