@@ -80,16 +80,18 @@ _NUMBER = (int, float, np.integer, np.floating)
 _TYPES = {bool: (bool, np.bool_), int: (int, np.integer), float: _NUMBER, str: (str, *_NUMBER)}
 
 
-def _admit(key: str, value, default):
-    """`value` converted to the type of the schema default, or ConfigError.
-    A non-finite number (nan, inf) is admitted by no key."""
+def _admit(key: str, value, default, bound=None):
+    """`value` converted to the type of the schema default, or ConfigError;
+    no key admits nan or inf, nor a number at or below its `bound`."""
     kind = type(default)
     if kind is list:
         values = list(value) if isinstance(value, (list, tuple)) else [value]
         if values:
-            return [_admit(key, v, default[0]) for v in values]
+            return [_admit(key, v, default[0], bound) for v in values]
     elif (isinstance(value, _TYPES[kind]) and (kind is bool) == isinstance(value, _TYPES[bool])
           and (not isinstance(value, _NUMBER) or math.isfinite(value))):
+        if bound is not None and not value > bound:
+            raise ConfigError(f"config key {key!r} must be > {bound!r}, got {value!r}")
         return kind(value)
     raise ConfigError(f"config key {key!r} does not admit {value!r} (default {default!r})")
 
@@ -99,13 +101,14 @@ def resolve_config(schema: dict, overrides: dict) -> dict:
     a bool takes true/false, an int integers, a float finite integers or
     floats, a str strings or finite numbers (kept as text).  A list takes a
     nonempty list or a scalar (one element), each element in the type of the
-    default's first.  An unknown key or any other value raises ConfigError."""
-    cfg = {k: v for k, (v, _desc) in schema.items()}
+    default's first, and above the bound of an entry (default, description,
+    bound).  An unknown key or any other value raises ConfigError."""
+    cfg = {k: entry[0] for k, entry in schema.items()}
     for key, value in overrides.items():
         if key not in schema:
             known = ", ".join(sorted(schema))
             raise ConfigError(f"unknown config key {key!r}; known keys: {known}")
-        cfg[key] = _admit(key, value, cfg[key])
+        cfg[key] = _admit(key, value, cfg[key], *schema[key][2:])
     return cfg
 
 
@@ -284,12 +287,12 @@ def run_beam(cfg, seed):
     return tables, notes, plots
 
 
-def _fig4_drop(geom: ArrayGeometry, line: ArrayGeometry, phis: np.ndarray,
+def _fig4_drop(rows: ArrayGeometry, n_y: int, line: ArrayGeometry, phis: np.ndarray,
                dists: np.ndarray, powers: np.ndarray, noise_power: float):
     """Per-UE uplink SEs (exact, far-field mismatch) of one fig4 drop: UEs on
-    the horizon (y = 0) at azimuths phis and ranges dists in front of the
-    builder lattice geom, with line = build_ula(n_x, dx, lambda), whose x
-    coordinates are geom's bit for bit.
+    the horizon (y = 0) at azimuths phis and ranges dists in front of a
+    builder lattice geom of n_y rows, rows holding its rows j < ceil(n_y / 2)
+    and line = build_ula(n_x, dx, lambda) its x coordinates, bit for bit.
 
     Each SE is computed in an orthonormal basis Q of a subspace that holds
     the channels it reads, which is exact in exact arithmetic: a combiner's
@@ -315,11 +318,8 @@ def _fig4_drop(geom: ArrayGeometry, line: ArrayGeometry, phis: np.ndarray,
       conj(a), with a the line's steering: n_x x K each, no M x K
       far-field matrix or combiner.
     """
-    n_x, n_y, dx, dy = geom.lattice
-    lam, k = geom.wavelength, len(phis)
-    half = n_y - n_y // 2  # the rows j < n_y // 2, and the middle row for odd n_y
-    rows = ArrayGeometry(geom.positions.reshape(n_x, n_y, 3)[:, :half].reshape(-1, 3), lam,
-                         Lattice(n_x, half, dx, dy))
+    n_x, half = rows.lattice[:2]
+    lam, k = rows.wavelength, len(phis)
     tx = np.stack([np.sin(phis) * dists, np.zeros(k), np.cos(phis) * dists], axis=1)
     H = los_channel(rows, tx, mode="exact").reshape(n_x, half, k)
     count = np.where(np.arange(half) < n_y // 2, 2.0, 1.0)[:, None]  # rows j and n_y - 1 - j
@@ -340,12 +340,12 @@ def run_fig4(cfg, seed):
     nx, ny = cfg["nx"], cfg["ny"]
     geom = build_upa(nx, ny, lam / 2, lam / 2, lam)
     line = build_ula(nx, lam / 2, lam)  # geom's x coordinates, bit for bit
+    half = ny - ny // 2  # the rows j < ny // 2, and the middle row for odd ny
+    half_rows = ArrayGeometry(geom.positions.reshape(nx, ny, 3)[:, :half].reshape(-1, 3), lam,
+                              Lattice(nx, half, lam / 2, lam / 2))
     drops, r_min, r_max = cfg["drops"], cfg["r_min"], cfg["r_max"]
-    for key, bad, rule in (("k_values", min(cfg["k_values"]) < 1, "all >= 1"),
-                           ("drops", drops < 1, ">= 1"), ("r_min", r_min <= 0, "> 0"),
-                           ("r_max", r_max < r_min, f">= r_min = {r_min!r}")):
-        if bad:  # no UE or drop to average, UEs on or behind the array plane, an empty range
-            raise ConfigError(f"config key {key!r} must be {rule}, got {cfg[key]!r}")
+    if r_max < r_min:  # an empty range of distances
+        raise ConfigError(f"config key 'r_max' must be >= r_min = {r_min!r}, got {r_max!r}")
     sigma2 = cfg["noise_power"]
     p_ue = cfg["ue_power"]
     rng_master = RngStream(seed)
@@ -362,7 +362,7 @@ def run_fig4(cfg, seed):
             # far-field combiners' on the lattice column sums; both subspaces
             # hold what each SE reads, so both equal the full-array values
             # to rounding (_fig4_drop)
-            exact, mismatch = _fig4_drop(geom, line, phis, dists, powers, sigma2)
+            exact, mismatch = _fig4_drop(half_rows, ny, line, phis, dists, powers, sigma2)
             se_ex.append(exact.sum())
             se_ff.append(mismatch.sum())
         rows.append((K, float(np.mean(se_ex)), float(np.mean(se_ff)),
@@ -456,6 +456,18 @@ def _three_clusters(std_deg: float):
                                     np.deg2rad(std_deg))
 
 
+def _run_sweeps(seed: int, pilot: int, sweeps, block: int = 0, **common):
+    """(label, nmse_sweep's results) of each (label, estimator, tau list,
+    stream id, extras) row of `sweeps` with a tau, in table order.  Its
+    streams are RngStream(seed).split(id + 10 * block), block numbering
+    fig10's spacings, and the split by `pilot` for its orthonormal pilot."""
+    stream = RngStream(seed)
+    for label, est, taus, sid, extras in sweeps:
+        if taus:
+            yield label, nmse_sweep(est, taus, stream=stream.split(sid + 10 * block),
+                                    pilot_stream=stream.split(pilot), **common, **extras)
+
+
 def run_fig9(cfg, seed):
     lam = cfg["wavelength"]
     n = cfg["n"]
@@ -464,25 +476,21 @@ def run_fig9(cfg, seed):
     snr = cfg["effective_snr"]
     p = 1.0
     taus = cfg["tau_values"]
-    trials = cfg["trials"]
-    stream = RngStream(seed)
-    profiles = {"isotropic": isotropic_profile(),
-                "clustered": _three_clusters(cfg["cluster_std_deg"])}
     rows, notes, series = [], [], {}
-    for pi, (name, profile) in enumerate(profiles.items()):
+    for name, profile, ids in (("isotropic", isotropic_profile(), (100, 101, 105)),
+                               ("clustered", _three_clusters(cfg["cluster_std_deg"]),
+                                (110, 111, 115))):
         corr = correlation_matrix(geom, profile)
         sigma2 = p * float(np.trace(corr.R).real) / (m * snr)
-        for ei, est in enumerate(("ls", "mmse")):
-            res = nmse_sweep(est, taus, power=p, noise_power=sigma2, trials=trials,
-                             stream=stream.split(100 + 10 * pi + ei),
-                             corr=corr, pilot_stream=stream.split(7))
-            rows.extend((r.tau, est, r.nmse, r.stderr, name) for r in res)
-            series[f"{name}/{est}"] = ([r.tau for r in res], [r.nmse for r in res])
         w = corr.eig[0]
         rank = int(np.sum(w > 1e-6 * w[0]))
-        res = nmse_sweep("mmse", [rank], power=p, noise_power=sigma2, trials=trials,
-                         stream=stream.split(100 + 10 * pi + 5), corr=corr)
-        rows.append((rank, "mmse-at-rank", res[0].nmse, res[0].stderr, name))
+        sweeps = [("ls", "ls", taus, ids[0], {}), ("mmse", "mmse", taus, ids[1], {}),
+                  ("mmse-at-rank", "mmse", [rank], ids[2], {})]
+        for label, res in _run_sweeps(seed, 7, sweeps, power=p, noise_power=sigma2,
+                                      trials=cfg["trials"], corr=corr):
+            rows.extend((r.tau, label, r.nmse, r.stderr, name) for r in res)
+            if label != "mmse-at-rank":
+                series[f"{name}/{label}"] = ([r.tau for r in res], [r.nmse for r in res])
         notes.append(f"{name}: numerical rank (eig > 1e-6 max) = {rank}")
     tables = {"nmse_vs_tau.csv": (["tau_p", "estimator", "nmse", "stderr", "profile"],
                                   list(zip(*rows)))}
@@ -496,8 +504,6 @@ def run_fig10(cfg, seed):
     m = n * n
     snr = cfg["effective_snr"]
     p = 1.0
-    trials = cfg["trials"]
-    stream = RngStream(seed)
     profile = _three_clusters(cfg["cluster_std_deg"])
     rows, series = [], {}
     for fi, frac in enumerate(cfg["spacing_fracs"]):
@@ -506,19 +512,17 @@ def run_fig10(cfg, seed):
         sigma2 = p * float(np.trace(corr.R).real) / (m * snr)
         subspace = isotropic_subspace(geom)
         rbar = subspace.shape[1]
-        runs = [("ls", m, {}), ("mmse", m, {}),
-                ("rs-ls", m, {"subspace": subspace}),
-                ("rs-ls", rbar, {"subspace": subspace}),
-                ("mmse", rbar, {})]
-        for ri, (est, tau, extra) in enumerate(runs):
-            res = nmse_sweep(est, [tau], power=p, noise_power=sigma2, trials=trials,
-                             stream=stream.split(1000 + 10 * fi + ri),
-                             corr=corr, pilot_stream=stream.split(11), **extra)
-            label = est if tau == m else f"{est}-rbar"
-            rows.append((frac, label, tau, res[0].nmse, res[0].stderr))
+        sweeps = [("ls", "ls", [m], 1000, {}), ("mmse", "mmse", [m], 1001, {}),
+                  ("rs-ls", "rs-ls", [m], 1002, {"subspace": subspace}),
+                  ("rs-ls", "rs-ls", [rbar], 1003, {"subspace": subspace}),
+                  ("mmse", "mmse", [rbar], 1004, {})]
+        for est, [r] in _run_sweeps(seed, 11, sweeps, block=fi, power=p, noise_power=sigma2,
+                                    trials=cfg["trials"], corr=corr):
+            label = est if r.tau == m else f"{est}-rbar"
+            rows.append((frac, label, r.tau, r.nmse, r.stderr))
             xs, ys = series.setdefault(label, ([], []))
             xs.append(frac)
-            ys.append(res[0].nmse)
+            ys.append(r.nmse)
     tables = {"nmse_vs_spacing.csv": (
         ["spacing_frac", "estimator", "tau_p", "nmse", "stderr"], list(zip(*rows)))}
     plots = {"nmse_vs_spacing.svg": ("NMSE vs spacing", "spacing/lambda", "NMSE",
@@ -537,22 +541,16 @@ def run_fig11(cfg, seed):
     sigma2 = 1.0
     p = cfg["pilot_snr"] * sigma2
     taus = cfg["tau_values"]
-    trials = cfg["trials"]
-    stream = RngStream(seed)
     angle_limit = 0.9 * np.pi / 2
     sampler = _sparse_sampler(geom, dictionary, sparsity, cfg["on_grid"], angle_limit)
     subspace = isotropic_subspace(geom)
     rbar = subspace.shape[1]
+    sweeps = [("ls", "ls", taus, 100, {}),
+              ("omp", "omp", taus, 101, {"dictionary": dictionary, "sparsity": sparsity}),
+              ("rs-ls", "rs-ls", [t for t in taus if t >= rbar], 102, {"subspace": subspace})]
     rows, series = [], {}
-    run_list = [("ls", taus, {}), ("omp", taus, {"dictionary": dictionary, "sparsity": sparsity})]
-    run_list.append(("rs-ls", [t for t in taus if t >= rbar], {"subspace": subspace}))
-    for j, (est, tvals, extra) in enumerate(run_list):
-        if not tvals:
-            continue
-        res = nmse_sweep(est, tvals, power=p, noise_power=sigma2, trials=trials,
-                         stream=stream.split(100 + j),
-                         sampler=sampler, trace_r=float(m),
-                         pilot_stream=stream.split(13), **extra)
+    for est, res in _run_sweeps(seed, 13, sweeps, power=p, noise_power=sigma2,
+                                trials=cfg["trials"], sampler=sampler, trace_r=float(m)):
         rows.extend((est, r.tau, r.nmse, r.stderr) for r in res)
         series[est] = ([r.tau for r in res], [r.nmse for r in res])
     tables = {"nmse_omp.csv": (["estimator", "tau_p", "nmse", "stderr"], list(zip(*rows)))}
@@ -634,9 +632,9 @@ _EXPERIMENTS: dict[str, tuple] = {
         "wavelength": (0.01, "carrier wavelength, m"),
         "nx": (32, "array elements in x"),
         "ny": (16, "array elements in y"),
-        "k_values": ([10, 25, 50, 100], "numbers of UEs"),
-        "drops": (3, "random drops per K"),
-        "r_min": (3.0, "minimum UE range, m"),
+        "k_values": ([10, 25, 50, 100], "numbers of UEs", 0),
+        "drops": (3, "random drops per K", 0),
+        "r_min": (3.0, "minimum UE range, m", 0),
         "r_max": (60.0, "maximum UE range, m"),
         "ue_power": (1e-2, "per-UE transmit power, W"),
         "noise_power": (1e-9, "receiver noise power, W"),
@@ -664,7 +662,7 @@ _EXPERIMENTS: dict[str, tuple] = {
         "wavelength": (0.01, "carrier wavelength, m"),
         "n": (8, "UPA elements per side"),
         "spacing_frac": (0.25, "spacing, wavelengths"),
-        "effective_snr": (10.0, "linear effective SNR (10 dB)"),
+        "effective_snr": (10.0, "linear effective SNR (10 dB)", 0),
         "cluster_std_deg": (10.0, "cluster angular std, degrees"),
         "tau_values": ([4, 8, 16, 24, 32, 48, 64], "pilot lengths"),
         "trials": (500, "Monte-Carlo trials per point"),
@@ -673,7 +671,7 @@ _EXPERIMENTS: dict[str, tuple] = {
         "wavelength": (0.01, "carrier wavelength, m"),
         "n": (8, "UPA elements per side"),
         "spacing_fracs": ([0.5, 0.375, 0.25, 0.125], "spacings, wavelengths"),
-        "effective_snr": (10.0, "linear effective SNR (10 dB)"),
+        "effective_snr": (10.0, "linear effective SNR (10 dB)", 0),
         "cluster_std_deg": (10.0, "cluster angular std, degrees"),
         "trials": (500, "Monte-Carlo trials per point"),
     }),
@@ -682,7 +680,7 @@ _EXPERIMENTS: dict[str, tuple] = {
         "n": (8, "UPA elements per side"),
         "spacing_frac": (0.25, "spacing, wavelengths"),
         "grid_density": (40, "dictionary lattice density (atoms at step 1/density)"),
-        "paths": (3, "sparse path count"),
+        "paths": (3, "sparse path count", 0),
         "pilot_snr": (10.0, "linear pilot SNR (10 dB)"),
         "on_grid": (False, "draw path angles on the dictionary grid"),
         "tau_values": ([4, 8, 10, 16, 24, 32, 48, 64], "pilot lengths"),

@@ -18,7 +18,8 @@ from ummimo.beam import _HALF_POWER_X, _numeric_beamdepth
 from ummimo.cli import (list_experiments, main, parse_config_file, resolve_config,
                         run, run_beam, run_fig5, run_nf_factor, write_csv, _EXPERIMENTS,
                         _column_formatter, _fig4_drop, _fmt)
-from ummimo.geometry import build_ula, build_upa
+from ummimo.estimate import isotropic_subspace
+from ummimo.geometry import ArrayGeometry, Lattice, build_ula, build_upa
 from ummimo.mux import (UplinkScenario, lmmse_combiners, optimal_spacing, su_capacity,
                         uplink_se, uplink_se_bound)
 
@@ -82,6 +83,16 @@ class TestConfig:
                          ("ks", [1, 2.5]), ("fs", [True])]:
             with pytest.raises(ConfigError, match=repr(key)):
                 resolve_config(schema, {key: bad})
+
+    def test_lower_bound_checks_each_list_element(self, tmp_path):
+        schema = {"ks": ([1, 2], "counts", 0), "x": (0.5, "power")}
+        assert resolve_config(schema, {"ks": [3, 1], "x": 0}) == {"ks": [3, 1], "x": 0.0}
+        with pytest.raises(ConfigError, match="config key 'ks' must be > 0, got 0"):
+            resolve_config(schema, {"ks": [3, 0, 2]})
+        # a key without a bound still admits 0
+        argv = ["fig4-mu", "--ue_power", "0", "--k_values", "4", "--drops", "1",
+                "--nx", "8", "--ny", "4", "--out", str(tmp_path)]
+        assert main(argv) == 0
 
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -446,11 +457,14 @@ class TestFig4Subspaces:
     def test_projected_route_equals_full_array(self, nx, ny, k):
         lam = self.LAM
         geom = build_upa(nx, ny, lam / 2, lam / 2, lam)
+        half = ny - ny // 2  # the rows j < ceil(ny / 2) of each column
+        rows = ArrayGeometry(geom.positions.reshape(nx, ny, 3)[:, :half].reshape(-1, 3), lam,
+                             Lattice(nx, half, lam / 2, lam / 2))
         powers, sigma2 = np.full(k, 1e-2), 1e-9
         for drop in range(2):  # fig4's own drops at seed 3
             g = numerics.RngStream(3).split(k * 1000 + drop).generator()
             phis, dists = g.uniform(-np.pi / 3, np.pi / 3, k), g.uniform(3.0, 60.0, k)
-            exact, mismatch = _fig4_drop(geom, build_ula(nx, lam / 2, lam), phis, dists,
+            exact, mismatch = _fig4_drop(rows, ny, build_ula(nx, lam / 2, lam), phis, dists,
                                          powers, sigma2)
             tx = np.stack([np.sin(phis) * dists, np.zeros(k), np.cos(phis) * dists], axis=1)
             scen = UplinkScenario(los_channel(geom, tx, mode="exact"), powers, sigma2)
@@ -476,13 +490,12 @@ class TestFig4Subspaces:
                               steering_matrix(geom, phis, np.zeros(7)))
 
     @pytest.mark.parametrize("nx, ny", [(32, 16), (7, 5), (1, 6), (8, 1)])
-    def test_channels_only_on_the_half_rows(self, nx, ny, monkeypatch):
-        # _fig4_drop forms the channels of the rows j < ceil(ny / 2) only,
-        # and they are the full lattice's rows, bit for bit
+    def test_channels_only_on_the_half_rows(self, nx, ny, monkeypatch, tmp_path):
+        # fig4-mu forms the channels of the rows j < ceil(ny / 2) only, on
+        # the half-row lattice it builds once per run, and they are the full
+        # lattice's rows, bit for bit
         lam, k = self.LAM, 6
         geom = build_upa(nx, ny, lam / 2, lam / 2, lam)
-        g = numerics.RngStream(3).split(k * 1000).generator()
-        phis, dists = g.uniform(-np.pi / 3, np.pi / 3, k), g.uniform(3.0, 60.0, k)
         calls, los = [], cli.los_channel
 
         def recorded(array, tx, *args, **kwargs):
@@ -491,7 +504,7 @@ class TestFig4Subspaces:
             return h
 
         monkeypatch.setattr(cli, "los_channel", recorded)
-        _fig4_drop(geom, build_ula(nx, lam / 2, lam), phis, dists, np.full(k, 1e-2), 1e-9)
+        run("fig4-mu", {"nx": nx, "ny": ny, "k_values": [k], "drops": 1}, seed=3, out=tmp_path)
         monkeypatch.undo()
         half = (ny + 1) // 2
         [(rows, tx, h)] = calls
@@ -564,6 +577,53 @@ def test_estimation_experiments_draw_one_unitary_per_pilot_stream(monkeypatch, t
     assert (len(calls), len(draws)) == (8, 3)
 
 
+def test_estimation_sweeps_keep_their_stream_ids(monkeypatch, tmp_path):
+    """fig9-11's nmse_sweep calls in order: estimator, tau list, the stream
+    id of the sweep and, for LS and OMP, of its pilot, against the seed's
+    splits by the ids of fig9 (100 + 10 profile + estimator, the rank sweep
+    at + 5, pilot 7), fig10 (1000 + 10 spacing + run, pilot 11) and fig11
+    (100 + run, pilot 13).  The second fig11 run, with every tau below the
+    isotropic subspace dimension 15, has no rs-ls sweep."""
+    calls, sweep = [], cli.nmse_sweep
+
+    def recorded(est, taus, **kwargs):
+        pilot = kwargs["pilot_stream"].stream if est in ("ls", "omp") else None
+        calls.append((est, [int(t) for t in taus], kwargs["stream"].stream, pilot))
+        return sweep(est, taus, **kwargs)
+
+    monkeypatch.setattr(cli, "nmse_sweep", recorded)
+    seed, lam, n, m = 5, 0.01, 4, 16
+    small = {"n": n, "trials": 2}
+    fig9 = run("fig9", {**small, "tau_values": [4, 8]}, seed=seed, out=tmp_path)
+    fracs = [0.5, 0.25, 0.125]
+    run("fig10", {**small, "spacing_fracs": fracs}, seed=seed, out=tmp_path)
+    fig11 = {**small, "grid_density": 10}
+    run("fig11", {**fig11, "tau_values": [8, 16]}, seed=seed, out=tmp_path / "a")
+    run("fig11", {**fig11, "tau_values": [4, 8]}, seed=seed, out=tmp_path / "b")
+
+    s = numerics.RngStream(seed)
+
+    def split(i):
+        return s.split(i).stream
+
+    notes = json.loads((fig9 / "manifest.json").read_text())["notes"]
+    ranks = [int(note.rsplit("= ", 1)[1]) for note in notes]
+    want = []
+    for pi, rank in enumerate(ranks):
+        want += [("ls", [4, 8], split(100 + 10 * pi), split(7)),
+                 ("mmse", [4, 8], split(101 + 10 * pi), None),
+                 ("mmse", [rank], split(105 + 10 * pi), None)]
+    for fi, frac in enumerate(fracs):
+        rbar = isotropic_subspace(build_upa(n, n, frac * lam, frac * lam, lam)).shape[1]
+        runs = [("ls", m), ("mmse", m), ("rs-ls", m), ("rs-ls", rbar), ("mmse", rbar)]
+        want += [(est, [tau], split(1000 + 10 * fi + ri), split(11) if est == "ls" else None)
+                 for ri, (est, tau) in enumerate(runs)]
+    for taus, rs_ls in (([8, 16], [16]), ([4, 8], [])):
+        want += [("ls", taus, split(100), split(13)), ("omp", taus, split(101), split(13))]
+        want += [("rs-ls", rs_ls, split(102), None)] if rs_ls else []
+    assert len(ranks) == 2 and calls == want
+
+
 class TestMainEntry:
     def test_exit_codes(self, tmp_path, capsys):
         assert main(["list-experiments"]) == 0
@@ -598,6 +658,22 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "config error" in err and key in err and "Traceback" not in err
         assert not (tmp_path / "fig4-mu").exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["fig9", "--effective_snr", "0"], "'effective_snr'"),
+        (["fig10", "--effective_snr", "0"], "'effective_snr'"),
+        (["fig9", "--effective_snr", "-2"], "'effective_snr'"),
+        (["fig11", "--paths", "0"], "'paths'"), (["fig11", "--paths", "-1"], "'paths'"),
+        (["fig11", "--paths", "0", "--on_grid", "true"], "'paths'")],
+        ids=["fig9-snr-0", "fig10-snr-0", "fig9-snr-negative", "fig11-paths-0",
+             "fig11-paths-negative", "fig11-on-grid-paths-0"])
+    def test_lower_bounds(self, argv, key, tmp_path, capsys):
+        # an SNR at or below 0 has no finite positive noise power, and a
+        # sparse channel needs a path: each key's bound is a config error
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "must be > 0" in err
+        assert "Traceback" not in err and not (tmp_path / argv[0]).exists()
 
     @pytest.mark.parametrize("argv", [
         ["fig9", "--n", "2.5", "--tau_values", "2", "--trials", "3"],

@@ -71,6 +71,23 @@ class TestCsvDiff:
         lines, same = csv_diff.compare(a, b)
         assert not same and "  bytes differ, every cell equal" in lines
 
+    def test_other_files_compared_by_bytes(self, runs, capsys):
+        # manifests and SVGs are matched like CSVs, and any difference in
+        # them makes the exit status 1
+        a, b = runs
+        for root in (a, b):
+            _write(root, "fig/seed-1/plot.svg", "<svg/>\n")
+        _write(a, "fig/seed-1/manifest.json", '{"seed": 1}\n')
+        _write(b, "fig/seed-1/manifest.json", '{"seed": 2}\n')
+        _write(b, "fig/seed-1/extra.svg", "<svg/>\n")
+        assert csv_diff.main([str(a), str(b)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"fig/seed-1/extra.svg: only in {b}", "fig/seed-1/manifest.json: differs",
+            "fig/seed-1/plot.svg: identical", "fig/seed-1/same.csv: identical"]
+        (b / "fig/seed-1/extra.svg").unlink()
+        _write(b, "fig/seed-1/manifest.json", '{"seed": 1}\n')
+        assert csv_diff.main([str(a), str(b)]) == 0
+
     def test_usage_error(self, tmp_path, capsys):
         assert csv_diff.main([str(tmp_path)]) == 2
         assert "usage" in capsys.readouterr().err

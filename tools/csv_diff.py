@@ -1,16 +1,17 @@
-"""Compare the CSVs of two run directories, cell by cell.
+"""Compare two run directories file by file, and their CSVs cell by cell.
 
     python3 tools/csv_diff.py RUN_A RUN_B
 
-Every CSV under either directory is matched by its path relative to it.  For
-each one this prints "identical" when the files are byte-identical, and
-otherwise, per column, the largest absolute change |b - a| and the largest
-relative change |b - a| / |a| of a numeric column, or "text differs" for a
-column that is not numeric.  The relative change runs over the cells whose
-value in RUN_A is nonzero ("n/a" when there are none); the cells that are 0
-in RUN_A and changed are counted beside the absolute change.  A file on one
-side only, or a pair whose header or row count differs, is reported as such.
-The exit status is 0 when every CSV is identical and 1 otherwise.
+Every file under either directory is matched by its path relative to it.  For
+each one this prints "identical" when the files are byte-identical.  A CSV
+that differs gets, per column, the largest absolute change |b - a| and the
+largest relative change |b - a| / |a| of a numeric column, or "text differs"
+for a column that is not numeric.  The relative change runs over the cells
+whose value in RUN_A is nonzero ("n/a" when there are none); the cells that
+are 0 in RUN_A and changed are counted beside the absolute change.  Any other
+file that differs (a manifest.json, an SVG) prints "differs".  A file on one
+side only, or a CSV pair whose header or row count differs, is reported as
+such.  The exit status is 0 when every file is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ def column_changes(a: Path, b: Path) -> list[str]:
 
 
 def compare(run_a: Path, run_b: Path) -> tuple[list[str], bool]:
-    """The report lines for two run directories, and whether every CSV is
+    """The report lines for two run directories, and whether every file is
     identical."""
     names = sorted({p.relative_to(root) for root in (run_a, run_b)
-                    for p in root.rglob("*.csv")})
+                    for p in root.rglob("*") if p.is_file()})
     lines, same = [], True
     for name in names:
         a, b = run_a / name, run_b / name
@@ -78,6 +79,9 @@ def compare(run_a: Path, run_b: Path) -> tuple[list[str], bool]:
             same = False
         elif a.read_bytes() == b.read_bytes():
             lines.append(f"{name}: identical")
+        elif name.suffix != ".csv":
+            lines.append(f"{name}: differs")
+            same = False
         else:
             changes = column_changes(a, b) or ["bytes differ, every cell equal"]
             lines.append(f"{name}:")
