@@ -63,26 +63,32 @@ class ScatteringProfile:
 class SpatialCorrelation:
     """Hermitian PSD spatial correlation matrix R with its average gain beta.
 
-    SpatialCorrelation(R, beta) wraps a formed matrix.  correlation_matrix on
-    a builder array keeps the (2 N_x - 1) x (2 N_y - 1) lag table T and the
-    lattice instead, and gathers R[m, n] = T at the index lag of elements m
-    and n on the first read of R; num_antennas and, for a real table even in
-    each axis, spectrum never read it.  R is read-only, so every later caller
-    can share it.
+    SpatialCorrelation(R, beta) keeps a read-only copy of a formed R, checked
+    once here: one square M x M matrix, M >= 1 (else ContractError naming its
+    shape), finite (DomainError) and Hermitian within 1e-10 ||R||_F
+    (ContractError).  correlation_matrix on a builder array keeps the
+    (2 N_x - 1) x (2 N_y - 1) lag table T and the lattice instead, and
+    gathers R[m, n] = T at the index lag of elements m and n on the first
+    read of R; num_antennas and, for a real table even in each axis,
+    spectrum never read it.  R is read-only, so every later caller can share it.
     """
 
     def __init__(self, R: np.ndarray, beta: float):
-        self._R = R
-        self._lags = None
-        self.beta = beta
+        R = np.array(R)
+        if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] < 1:
+            raise ContractError("R must be a square M x M matrix with M >= 1, "
+                                f"got shape {R.shape}")
+        _check_hermitian(R, "R")
+        R.flags.writeable = False
+        self._R, self._lags, self.beta = R, None, beta
 
     @classmethod
     def _from_lags(cls, T: np.ndarray, lattice: Lattice, beta: float) -> SpatialCorrelation:
         """The correlation of a builder array with lattice `lattice`, from its
-        lag table T (see geometry._gather), with R gathered on first access."""
+        lag table T (geometry._gather); R, exactly Hermitian, is gathered on first read."""
         T.flags.writeable = False
-        corr = cls(None, beta)
-        corr._lags = (T, lattice)
+        corr = cls.__new__(cls)
+        corr._R, corr._lags, corr.beta = None, (T, lattice), beta
         return corr
 
     @property
@@ -107,16 +113,18 @@ class SpatialCorrelation:
         with the reflection of either lattice axis, so the spectrum is that of
         the parity blocks gathered from T, about M/4 on a side, split once more
         on a square lattice with dx == dy (see _parity_spectrum); R is never
-        formed.  Any other correlation takes one eigvalsh of R (_full_spectrum).
+        formed.  Any other correlation reads the eigenvalues of its one eig.
         """
         T = None if self._lags is None else _real_even(self._lags[0])
-        w = _full_spectrum(self.R) if T is None else _parity_spectrum(T, self._lags[1])
+        if T is None:
+            return self.eig[0]
+        w = _parity_spectrum(T, self._lags[1])
         w.flags.writeable = False
         return w
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues descending, eigenvectors) of R, computed once.
+        """(eigenvalues descending, eigenvectors) of R, from one hermitian_eig.
 
         Read-only, because every later caller shares the same arrays.
         """
@@ -134,18 +142,6 @@ class SpatialCorrelation:
         root, Uh = U * np.sqrt(np.clip(w, 0.0, None)), U.conj().T
         root.flags.writeable = Uh.flags.writeable = False
         return root, Uh
-
-
-def _full_spectrum(R) -> np.ndarray:
-    """Eigenvalues of a Hermitian R, descending, from one eigvalsh.  A complex
-    R whose imaginary part is all zero goes to the real symmetric solver,
-    which gives the same spectrum at a fraction of the cost.  eigvalsh reads
-    one triangle, so R is checked as hermitian_eig checks its matrix."""
-    R = np.asarray(R)
-    _check_hermitian(R, "R")
-    if np.iscomplexobj(R) and not np.any(R.imag):
-        R = R.real
-    return np.linalg.eigvalsh(R)[::-1]
 
 
 def _real_even(T: np.ndarray) -> np.ndarray | None:
@@ -228,17 +224,13 @@ def _swap_split(B: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _as_correlation(corr: SpatialCorrelation | np.ndarray) -> SpatialCorrelation:
-    """Wrap a bare matrix R, giving it the average gain trace(R) / M.  An R
-    that is not one square M x M matrix, M >= 1, raises ContractError naming
-    its shape; a non-finite entry raises DomainError."""
+    """A SpatialCorrelation as it is; a bare matrix R wrapped, with the checks
+    of SpatialCorrelation(R, beta), at the average gain trace(R) / M."""
     if isinstance(corr, SpatialCorrelation):
         return corr
-    R = np.asarray(corr)
-    if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] < 1:
-        raise ContractError(f"R must be a square M x M matrix with M >= 1, got shape {R.shape}")
-    if not np.all(np.isfinite(R)):
-        raise DomainError("R must be finite: it holds NaN or inf")
-    return SpatialCorrelation(R, float(np.trace(R).real) / R.shape[0])
+    corr = SpatialCorrelation(corr, 0.0)
+    corr.beta = float(np.trace(corr.R).real) / corr.num_antennas  # of the checked copy
+    return corr
 
 
 def _isotropic_density(az, el) -> np.ndarray:
@@ -550,7 +542,6 @@ def correlation_matrix(geom: ArrayGeometry, profile: ScatteringProfile,
             S = steering_matrix(geom, grid.azimuth[s], grid.elevation[s])
             R += (S.T * g[s]) @ S.conj()
         R = 0.5 * (R + R.conj().T)
-    R.flags.writeable = False
     return SpatialCorrelation(R, beta)
 
 

@@ -610,7 +610,7 @@ _EXPERIMENTS: dict[str, tuple] = {
         "wavelength": (0.01, "carrier wavelength, m"),
         "z_min_lam": (0.5, "sweep start, wavelengths"),
         "z_max_lam": (20.0, "sweep end, wavelengths"),
-        "points": (100, "sweep points"),
+        "points": (100, "sweep points", 0),
     }),
     "aperture-gain": (run_aperture_gain, "aperture gain loss and subdivision recovery", {
         "wavelength": (0.01, "carrier wavelength, m"),
@@ -626,7 +626,7 @@ _EXPERIMENTS: dict[str, tuple] = {
         "spacing_lam": (0.5, "element spacing, wavelengths"),
         "F": (["0.02dF", "0.05dF", "0.0667dF", "0.2dF"], "focus distances (m or xdF)"),
         "phi_max_rad": (0.1, "taper sweep half-range, rad"),
-        "points": (201, "taper sweep points"),
+        "points": (201, "taper sweep points", 0),
     }),
     "fig4-mu": (run_fig4, "multi-user uplink SE: exact vs far-field mismatch", {
         "wavelength": (0.01, "carrier wavelength, m"),
@@ -664,7 +664,7 @@ _EXPERIMENTS: dict[str, tuple] = {
         "spacing_frac": (0.25, "spacing, wavelengths"),
         "effective_snr": (10.0, "linear effective SNR (10 dB)", 0),
         "cluster_std_deg": (10.0, "cluster angular std, degrees"),
-        "tau_values": ([4, 8, 16, 24, 32, 48, 64], "pilot lengths"),
+        "tau_values": ([4, 8, 16, 24, 32, 48, 64], "pilot lengths", 0),
         "trials": (500, "Monte-Carlo trials per point"),
     }),
     "fig10": (run_fig10, "estimator NMSE vs antenna spacing", {
@@ -683,7 +683,7 @@ _EXPERIMENTS: dict[str, tuple] = {
         "paths": (3, "sparse path count", 0),
         "pilot_snr": (10.0, "linear pilot SNR (10 dB)"),
         "on_grid": (False, "draw path angles on the dictionary grid"),
-        "tau_values": ([4, 8, 10, 16, 24, 32, 48, 64], "pilot lengths"),
+        "tau_values": ([4, 8, 10, 16, 24, 32, 48, 64], "pilot lengths", 0),
         "trials": (200, "Monte-Carlo trials per point"),
     }),
     "bbu": (run_bbu, "baseband aggregation rate and active-chain arithmetic", {

@@ -53,10 +53,13 @@ def dof_2d(length_x: float, length_y: float, wavelength: float) -> Dof2d:
 
 
 def effective_rank(spectrum, capture_fraction: float = 0.99) -> int:
-    """Smallest k whose top-k eigenvalues capture the configured trace fraction."""
+    """Smallest k whose top-k eigenvalues capture the configured trace
+    fraction; a NaN or inf eigenvalue is a DomainError."""
     spectrum = np.asarray(spectrum, dtype=float)
     if spectrum.size == 0:
         raise ContractError("spectrum must be nonempty")
+    if not np.all(np.isfinite(spectrum)):
+        raise DomainError(f"spectrum must be finite, got {spectrum}")
     if np.any(spectrum < 0):
         raise ContractError("spectrum must be nonnegative")
     if not 0.0 < capture_fraction <= 1.0:
@@ -82,10 +85,10 @@ def dof_report(corr: SpatialCorrelation | np.ndarray, eta: float) -> DofReport:
     The spectrum is SpatialCorrelation.spectrum, a bare matrix wrapped as the
     MMSE functions and sample_rayleigh wrap one: for the isotropic
     correlation of a builder array it comes from quarter-size parity blocks
-    of the lag table, and the M x M matrix is never formed.  A bare matrix
-    takes one eigvalsh, on the real part when its imaginary part is all zero;
-    a NaN or inf entry raises DomainError, a non-Hermitian R ContractError.
-    Eigenvalues are clipped at zero and normalized to a maximum of 1.
+    of the lag table, and the M x M matrix is never formed.  Any other, a
+    bare matrix too, reads the eigenvalues of its one eig, which its later
+    draws reuse; a bare R must be finite (DomainError) and Hermitian
+    (ContractError).  Eigenvalues are clipped at 0 and normalized to max 1.
     """
     w = np.clip(_as_correlation(corr).spectrum, 0.0, None)
     rank = effective_rank(w)

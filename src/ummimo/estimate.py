@@ -52,8 +52,8 @@ class PilotMatrix:
     The average pilot power is normalized to one: trace(phi^H phi) = tau_p >= 1
     (ContractError); power must be finite and positive, noise_power finite and
     nonnegative (DomainError).  phi is a read-only copy of the caller's matrix.
-    A pilot made by `_leading` keeps the pilot whose rows it took as its basis,
-    and a basis keeps the OMP sensing matrix of one dictionary (see _omp_operator).
+    A pilot made by `_leading` keeps the pilot whose leading rows it took as
+    its basis, and a basis keeps the OMP sensing matrix of one dictionary.
     """
 
     phi: np.ndarray
@@ -82,13 +82,13 @@ class PilotMatrix:
         return self.phi.shape[0]
 
     def _leading(self, tau: int) -> PilotMatrix:
-        """The pilot of rows i mod self.tau, i < tau, of this one, at the same
-        powers.  For tau <= self.tau those are the leading rows, and this
-        pilot becomes the new one's basis: its OMP sensing matrix is then the
-        leading rows of the basis's one (see _omp_operator)."""
-        child = PilotMatrix(self.phi[np.arange(tau) % self.tau], self.power, self.noise_power)
-        if tau <= self.tau:
-            object.__setattr__(child, "_basis", self)
+        """The pilot of the leading tau rows of this one, 1 <= tau <= self.tau
+        (else ContractError), at the same powers and with this pilot as its
+        basis, whose OMP sensing matrix then serves it (see _omp_operator)."""
+        if not 1 <= tau <= self.tau:
+            raise ContractError(f"tau_p >= 1 and <= {self.tau} basis rows, got {tau}")
+        child = PilotMatrix(self.phi[:tau], self.power, self.noise_power)
+        object.__setattr__(child, "_basis", self)
         return child
 
     @property
@@ -325,24 +325,25 @@ class Dictionary:
 
     Atom k is Ex[:, i_k] * Ey[:, j_k], one multiply per entry, where Ex and
     Ey (M x (2n + 1)) hold the per-element phases of the 2n + 1 lattice lines
-    of each axis and index (K, 2) holds (i_k, j_k).  grid (K, 2) holds the
-    (Psi, Omega) = (sin az cos el, sin el) pair per atom; all pairs satisfy
-    Psi^2 + Omega^2 <= 1 and every atom has norm sqrt(M).  No M x K atom
+    of each axis and index (K, 2) holds (i_k, j_k) in 0 .. 2n.  grid (K, 2) is
+    derived from index as (index - n) / n, the (Psi, Omega) = (sin az cos el,
+    sin el) pair per atom.  Every atom has norm sqrt(M).  No M x K atom
     matrix is stored: `columns` gathers the atoms a caller needs, and `atoms`
     forms all of them, read-only, each time it is read.  Every table is a
-    read-only copy of the caller's array, so the atoms cannot change, which
-    lets a basis pilot keep the sensing matrix it forms from them (see
-    _omp_operator).
+    read-only copy of the caller's array (grid is read-only too), so the
+    atoms cannot change, which lets a basis pilot keep the sensing matrix it
+    forms from them (see _omp_operator).
     """
 
     Ex: np.ndarray  # (M, 2n + 1)
     Ey: np.ndarray  # (M, 2n + 1)
     index: np.ndarray  # (K, 2) columns of Ex and Ey per atom
-    grid: np.ndarray  # (K, 2)
 
     def __post_init__(self):
-        for name in ("Ex", "Ey", "index", "grid"):
+        for name in ("Ex", "Ey", "index"):
             object.__setattr__(self, name, _freeze(np.array(getattr(self, name)))[0])
+        n = self.Ex.shape[1] // 2
+        object.__setattr__(self, "grid", _freeze((self.index - n) / float(n))[0])
 
     @property
     def num_atoms(self) -> int:
@@ -377,8 +378,8 @@ def build_ff_dictionary(geom: ArrayGeometry, density: int) -> Dictionary:
     not an integer >= 1 raises DomainError.  Atom (i, j) is Ex[:, i] * Ey[:, j],
     the product of per-axis phase tables exp(-j kappa x i/n) and
     exp(-j kappa y j/n) over the 2n + 1 lattice lines; only those tables and
-    the lattice indices are formed, O(M n + K) work and memory, and no M x K
-    atom matrix.
+    the lattice indices i + n, j + n are formed (Dictionary.grid reads Psi,
+    Omega back from them), O(M n + K) work and memory, and no M x K atoms.
     """
     try:
         n = operator.index(density)
@@ -394,7 +395,7 @@ def build_ff_dictionary(geom: ArrayGeometry, density: int) -> Dictionary:
     kappa = 2.0 * np.pi / geom.wavelength
     Ex, Ey = (np.exp(-1j * kappa * np.outer(geom.positions[:, axis], idx / float(n)))
               for axis in (0, 1))
-    return Dictionary(Ex, Ey, index + n, index / float(n))
+    return Dictionary(Ex, Ey, index + n)
 
 
 def _sparse_sampler(geom, dictionary, sparsity, on_grid, angle_limit):
@@ -455,11 +456,11 @@ def _sensing(pilot: PilotMatrix, dictionary: Dictionary) -> np.ndarray:
 def _omp_operator(pilot: PilotMatrix, dictionary: Dictionary):
     """The sensing matrix sqrt(p) phi atoms and its column norms.  A pilot
     with a basis (see PilotMatrix._leading) takes the leading rows of its
-    basis's sensing matrix: a Dictionary's tables are read-only, so its
-    atoms cannot change, and the basis keeps that matrix, read-only, in one
-    slot beside the last dictionary it served.  Row i of a matrix product
-    depends on row i of phi alone, and BLAS gives the same bits (checked at
-    fig11's 64 x 5025 shapes)."""
+    basis's sensing matrix, of the basis's rows only: a Dictionary's tables
+    are read-only, so its atoms cannot change, and the basis keeps that
+    matrix, read-only, in one slot beside the last dictionary it served.
+    Row i of a matrix product depends on row i of phi alone, and BLAS gives
+    the same bits (checked at fig11's 64 x 5025 shapes, and past M rows)."""
     basis = pilot._basis
     if basis is None:
         A = _sensing(pilot, dictionary)
@@ -607,11 +608,10 @@ def nmse_sweep(estimator: str, tau_values, *, power: float, noise_power: float,
     M x trials batch (default: correlated Rayleigh from `corr`); pilots are
     the estimator's own design (water-filling for MMSE, optimal subspace
     pilots for RS-LS, orthonormal rows otherwise).  The orthonormal pilots
-    are orthogonal_pilot's: its unitary M x M pilot is drawn from
-    pilot_stream once per sweep (once for sweeps in a row that share the
-    stream, see orthogonal_pilot), and each pilot is its leading tau_p rows
-    (see PilotMatrix._leading), so OMP forms one sensing matrix per sweep;
-    the basis is dropped with the sweep.  Deterministic for a fixed master
+    are the leading rows (see PilotMatrix._leading) of one basis per sweep,
+    orthogonal_pilot(M, widest tau_p) from pilot_stream (one unitary for
+    sweeps in a row that share the stream), so OMP forms one sensing matrix
+    of the widest tau_p rows per sweep.  Deterministic for a fixed master
     stream: sweep point i draws its channels from stream.split(i).split(0)
     and its tau_p x trials pilot noise from stream.split(i).split(1), each
     as one block, and the estimator then runs once on the whole batch, so
@@ -637,8 +637,8 @@ def nmse_sweep(estimator: str, tau_values, *, power: float, noise_power: float,
 
     results = []
     basis = None
-    for i, tau in enumerate(tau_values):
-        tau = int(tau)
+    taus = [int(tau) for tau in tau_values]
+    for i, tau in enumerate(taus):
         point = stream.split(i)
         H = sampler(point.split(0), trials)
         if estimator == "mmse":
@@ -647,8 +647,7 @@ def nmse_sweep(estimator: str, tau_values, *, power: float, noise_power: float,
             pilot = rsls_pilot(subspace, tau, power, noise_power)
         else:
             if basis is None:
-                m = H.shape[0]
-                basis = orthogonal_pilot(m, m, power, noise_power, pilot_stream)
+                basis = orthogonal_pilot(H.shape[0], max(taus), power, noise_power, pilot_stream)
             pilot = basis._leading(tau)
         Y = received_pilot(pilot, H, point.split(1))
         if estimator == "ls":

@@ -159,7 +159,8 @@ def parallel_capacity(gains: np.ndarray, total_power: float,
     total_power / L on each of the L layers.  All-zero gains have capacity
     0.  gains of shape (..., L) give the (...) array of capacities, each
     computed as for its own row, the whole stack water-filled at once; a
-    1-d gains gives the float.
+    1-d gains gives the float.  A NaN or negative gain raises DomainError
+    under either allocation; +inf is admitted.
     """
     if allocation not in ("waterfilling", "equal"):
         raise DomainError(f"unknown allocation {allocation!r}")
@@ -167,6 +168,8 @@ def parallel_capacity(gains: np.ndarray, total_power: float,
     g = np.asarray(gains, dtype=float)
     if g.ndim < 1:
         raise ContractError("gains must have a layer axis")
+    if not np.all(g >= 0):  # a NaN gain fails too
+        raise DomainError(f"gains must be >= 0 and not NaN, got {g}")
     if allocation == "equal":
         p = np.full_like(g, total_power) / g.shape[-1]
     else:

@@ -6,7 +6,7 @@ import pytest
 
 from ummimo import channel, numerics
 from ummimo.errors import ContractError, DomainError, SingularityError
-from ummimo.channel import (correlation_matrix, gaussian_cluster_profile,
+from ummimo.channel import (SpatialCorrelation, correlation_matrix, gaussian_cluster_profile,
                             isotropic_profile, los_channel, sample_rayleigh,
                             steering_matrix)
 from ummimo.geometry import ArrayGeometry, _lattice_axes, build_ula, build_upa, region_bounds
@@ -661,3 +661,56 @@ class TestBareCorrelationShape:
         R = np.eye(3) + 0.1
         for consume in self._consumers().values():
             consume(R)
+
+    def test_non_hermitian_rejected(self):
+        # R = I with R[0, 1] = 0.5: mmse_estimate returned an MSE of 0.343
+        # from it without a check
+        R = np.eye(3)
+        R[0, 1] = 0.5
+        for consume in self._consumers().values():
+            with pytest.raises(ContractError, match="^R is not Hermitian"):
+                consume(R)
+
+
+class TestFormedCorrelation:
+    """SpatialCorrelation(R, beta) checks a formed R once and keeps a
+    read-only copy of it; its spectrum is the eigenvalues of its one eig."""
+
+    def test_wrong_shape_names_it(self):
+        with pytest.raises(ContractError, match=re.escape("got shape (3,)")):
+            SpatialCorrelation(np.ones(3), 1.0)
+
+    def test_nonfinite_and_non_hermitian_rejected(self):
+        R = np.eye(3)
+        R[0, 1] = np.nan
+        with pytest.raises(DomainError, match="^R must be finite"):
+            SpatialCorrelation(R, 1.0)
+        R[0, 1] = 0.5
+        with pytest.raises(ContractError, match="^R is not Hermitian"):
+            SpatialCorrelation(R, 1.0)
+
+    def test_caller_array_changed_in_place_reaches_nothing(self):
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        R = A @ A.conj().T
+        corr = SpatialCorrelation(R, 1.0)
+        kept, spectrum = corr.R.copy(), corr.spectrum.copy()
+        R[:] = np.eye(5)
+        assert np.array_equal(corr.R, kept) and not corr.R.flags.writeable
+        assert np.array_equal(corr.spectrum, spectrum)
+        w, U = corr.eig
+        assert np.allclose((U * w) @ U.conj().T, kept, rtol=0.0, atol=1e-12 * np.abs(kept).max())
+
+    def test_one_eigh_serves_the_report_and_the_draws(self, monkeypatch):
+        # one clustered correlation: its report and its draws decompose R once
+        from ummimo.dof import dof_report
+        profile = gaussian_cluster_profile([(0.3, 0.1)], np.deg2rad(10))
+        corr = correlation_matrix(build_upa(4, 4, LAM / 4, LAM / 4, LAM), profile)
+        calls = []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh") or eigh(*a, **k))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda *a, **k: calls.append("eigvalsh") or eigvalsh(*a, **k))
+        dof_report(corr, 1.0)
+        sample_rayleigh(corr, RngStream(3), 4)
+        assert calls == ["eigh"]

@@ -664,9 +664,16 @@ class TestMainEntry:
         (["fig10", "--effective_snr", "0"], "'effective_snr'"),
         (["fig9", "--effective_snr", "-2"], "'effective_snr'"),
         (["fig11", "--paths", "0"], "'paths'"), (["fig11", "--paths", "-1"], "'paths'"),
-        (["fig11", "--paths", "0", "--on_grid", "true"], "'paths'")],
+        (["fig11", "--paths", "0", "--on_grid", "true"], "'paths'"),
+        (["nf-factor", "--points", "-1"], "'points'"), (["beam", "--points", "-1"], "'points'"),
+        (["beamdepth", "--points", "-1"], "'points'"),
+        (["fig9", "--tau_values", "-1"], "'tau_values'"),
+        (["fig11", "--tau_values", "0"], "'tau_values'"),
+        (["fig11", "--tau_values", "4,0,8"], "'tau_values'")],
         ids=["fig9-snr-0", "fig10-snr-0", "fig9-snr-negative", "fig11-paths-0",
-             "fig11-paths-negative", "fig11-on-grid-paths-0"])
+             "fig11-paths-negative", "fig11-on-grid-paths-0", "nf-factor-points-negative",
+             "beam-points-negative", "beamdepth-points-negative", "fig9-tau-negative",
+             "fig11-tau-0", "fig11-tau-element-0"])
     def test_lower_bounds(self, argv, key, tmp_path, capsys):
         # an SNR at or below 0 has no finite positive noise power, and a
         # sparse channel needs a path: each key's bound is a config error

@@ -69,6 +69,13 @@ class TestEffectiveRank:
         with pytest.raises(ContractError):
             effective_rank([1.0, -0.1])
 
+    @pytest.mark.parametrize("spectrum", [[np.inf, 1.0], [1.0, np.nan], [-np.inf, 1.0]],
+                             ids=["inf", "nan", "minus-inf"])
+    def test_nonfinite_rejected(self, spectrum):
+        # [inf, 1] gave rank 3 of 2 eigenvalues, [1, nan] rank 1 and a warning
+        with pytest.raises(DomainError, match="^spectrum must be finite"):
+            effective_rank(spectrum)
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(DomainError):
             effective_rank([1.0], 0.0)
@@ -127,7 +134,7 @@ class TestDofReport:
 
 
 class TestFullSpectrumContracts:
-    """eigvalsh reads one triangle, so the full solver checks what it is given."""
+    """eigh reads one triangle, so a bare R is checked when it is wrapped."""
 
     @staticmethod
     def _upa_r():
@@ -164,11 +171,21 @@ def _full(R):
     return w / w[0]
 
 
+def _eig_normalized(corr):
+    """dof_report's normalized spectrum from the eigenvalues of corr.eig."""
+    w = np.clip(corr.eig[0], 0.0, None)
+    return w / w[0]
+
+
+def _near_eigvalsh(w, R):
+    return np.max(np.abs(w - np.linalg.eigvalsh(R)[::-1])) <= 1e-13 * np.abs(w).max()
+
+
 class TestCentrosymmetricSplit:
     """The spectrum of a builder array's isotropic correlation from the four
     parity blocks of its lag table (each lattice axis folded into halves by
-    its reflection), against one eigvalsh of R; everything else takes the
-    full solver."""
+    its reflection), against one eigvalsh of R; everything else reads the
+    eigenvalues of its one eig."""
 
     @pytest.mark.parametrize("shape, fx, fy", [
         ((5, 5), 1 / 2, 1 / 2), ((8, 7), 1 / 3, 1 / 2), ((16, 16), 1 / 2, 1 / 2),
@@ -239,11 +256,11 @@ class TestCentrosymmetricSplit:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
 
     def test_quadrature_lag_table_uses_full_solver(self):
-        # a clustered profile's lag table is complex: one eigvalsh of R
+        # a clustered profile's lag table is complex: the eigenvalues of its eig
         profile = gaussian_cluster_profile([(0.3, 0.1), (-0.5, 0.2)], np.deg2rad(12))
         corr = correlation_matrix(build_upa(6, 5, LAM / 2, LAM / 3, LAM), profile)
-        assert np.array_equal(corr.spectrum, np.linalg.eigvalsh(corr.R)[::-1])
-        assert np.array_equal(dof_report(corr, 1.0).eigen_spectrum, _full(corr.R))
+        assert corr.spectrum is corr.eig[0] and _near_eigvalsh(corr.spectrum, corr.R)
+        assert np.array_equal(dof_report(corr, 1.0).eigen_spectrum, _eig_normalized(corr))
 
     def test_general_symmetric_matrix_uses_full_solver(self):
         # a bare matrix, and a SpatialCorrelation wrapping one, have no lag table
@@ -251,15 +268,18 @@ class TestCentrosymmetricSplit:
         A = rng.standard_normal((9, 9))
         R = A @ A.T
         assert not np.array_equal(R, R[::-1, ::-1])
-        assert np.array_equal(dof_report(R, 1.0).eigen_spectrum, _full(R))
-        assert np.array_equal(SpatialCorrelation(R, 1.0).spectrum, np.linalg.eigvalsh(R)[::-1])
+        corr = SpatialCorrelation(R, 1.0)
+        assert np.array_equal(dof_report(R, 1.0).eigen_spectrum, _eig_normalized(corr))
+        assert corr.spectrum is corr.eig[0] and _near_eigvalsh(corr.spectrum, R)
 
     def test_one_ulp_off_centrosymmetric_uses_full_solver(self):
         R = correlation_matrix(build_upa(4, 3, LAM / 2, LAM / 2, LAM), isotropic_profile()).R
         R = R.real.copy()
         R[0, 1] = R[1, 0] = np.nextafter(R[0, 1], 1.0)
         assert not np.array_equal(R, R[::-1, ::-1])
-        assert np.array_equal(dof_report(R, 1.0).eigen_spectrum, _full(R))
+        corr = SpatialCorrelation(R, 1.0)
+        assert np.array_equal(dof_report(R, 1.0).eigen_spectrum, _eig_normalized(corr))
+        assert _near_eigvalsh(corr.spectrum, R)
 
     def test_num_antennas_does_not_gather(self):
         corr = correlation_matrix(build_upa(6, 4, LAM / 2, LAM / 2, LAM), isotropic_profile())

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -114,13 +115,14 @@ class TestPilotMatrix:
 
     def test_leading_child_takes_rows_of_its_basis(self):
         basis = orthogonal_pilot(8, 8, 2.0, 0.3, RngStream(42))
-        for tau, rows in ((3, [0, 1, 2]), (8, list(range(8))), (11, [*range(8), 0, 1, 2])):
+        for tau, rows in ((3, [0, 1, 2]), (8, list(range(8)))):
             child = basis._leading(tau)
             assert np.array_equal(child.phi, basis.phi[rows])
             assert (child.power, child.noise_power) == (2.0, 0.3)
-            assert child._basis is (basis if tau <= 8 else None)
-        with pytest.raises(ContractError):
-            basis._leading(0)
+            assert child._basis is basis
+        for tau in (0, 9):
+            with pytest.raises(ContractError, match=f"<= 8 basis rows, got {tau}"):
+                basis._leading(tau)
 
     def test_empty_pilot_rejected(self):
         # tau_p = 0 passes the energy check (0 = tau_p), and the estimators
@@ -732,6 +734,17 @@ class TestDictionary:
         assert np.allclose(norms, np.sqrt(geom.num_elements), rtol=1e-14, atol=0)
         assert not d.atoms.flags.writeable and not d.grid.flags.writeable
 
+    def test_grid_is_derived_from_the_index(self):
+        # the lattice position is stated once: Dictionary(Ex, Ey, index)
+        geom = build_upa(4, 4, LAM / 4, LAM / 4, LAM)
+        for n in (1, 6):
+            built = build_ff_dictionary(geom, n)
+            d = Dictionary(built.Ex, built.Ey, np.array(built.index))
+            for grid in (built.grid, d.grid):
+                assert np.array_equal(grid, (d.index - n) / n) and not grid.flags.writeable
+            assert d.grid is d.grid
+        assert [f.name for f in dataclasses.fields(Dictionary)] == ["Ex", "Ey", "index"]
+
 
 def _find_atom(d: Dictionary, psi, omega):
     return int(np.argmin((d.grid[:, 0] - psi) ** 2 + (d.grid[:, 1] - omega) ** 2))
@@ -1015,13 +1028,34 @@ class TestNestedPilotSensing:
                    sampler=sampler, trace_r=64.0, pilot_stream=RngStream(47))
         assert calls == [64]
 
+    @pytest.mark.parametrize("taus", [[4, 10, 16], [4, 64, 100, 80]], ids=["below-m", "above-m"])
+    def test_omp_sweep_senses_only_its_widest_pilot(self, taus, monkeypatch):
+        # the basis has the widest tau_p rows (rows i mod M past M), so the
+        # one sensing matrix has those rows only; each point equals a fresh
+        # pilot of its own rows with its own sensing matrix
+        calls, sensing = [], estimate._sensing
+        monkeypatch.setattr(estimate, "_sensing",
+                            lambda pilot, d: calls.append(pilot.tau) or sensing(pilot, d))
+        sampler = _sparse_sampler(self.geom, self.dict, 3, False, 0.45 * np.pi)
+        stream, pilot_stream, p, trials = RngStream(52), RngStream(53), 10.0, 3
+        res = nmse_sweep("omp", taus, power=p, noise_power=1.0, trials=trials, stream=stream,
+                         dictionary=self.dict, sparsity=3, sampler=sampler, trace_r=64.0,
+                         pilot_stream=pilot_stream)
+        assert calls == [max(taus)]
+        for i, (tau, r) in enumerate(zip(taus, res)):
+            pilot = PilotMatrix(orthogonal_pilot(64, tau, p, 1.0, pilot_stream).phi, p, 1.0)
+            H = sampler(stream.split(i).split(0), trials)
+            Y = received_pilot(pilot, H, stream.split(i).split(1))
+            errs = np.linalg.norm(omp_estimate(Y, pilot, self.dict, 3)[0] - H, axis=0) ** 2
+            assert r.nmse == float(errs.mean() / 64.0)
+
     def test_read_only_tables_keep_the_slot(self):
         # a Dictionary takes read-only copies of its tables, so the caller's
         # arrays changed in place reach neither its atoms nor the slot, which
         # serves every dictionary
         geom = build_upa(4, 4, LAM / 4, LAM / 4, LAM)
         built = build_ff_dictionary(geom, 6)
-        tables = [np.array(t) for t in (built.Ex, built.Ey, built.index, built.grid)]
+        tables = [np.array(t) for t in (built.Ex, built.Ey, built.index)]
         d = Dictionary(*tables)  # from writeable arrays
         for t in (d.Ex, d.Ey, d.index, d.grid, d.atoms):
             assert not t.flags.writeable
@@ -1078,7 +1112,7 @@ class TestSensingBlocks:
         monkeypatch.setattr(estimate, "_SENSING_BLOCK_COLUMNS", 64)
         geom = build_upa(8, 8, LAM / 4, LAM / 4, LAM)
         full = build_ff_dictionary(geom, 40)
-        d = Dictionary(full.Ex, full.Ey, full.index[:num_atoms], full.grid[:num_atoms])
+        d = Dictionary(full.Ex, full.Ey, full.index[:num_atoms])
         for tau in (1, 2, 25, 64):
             pilot = PilotMatrix(orthogonal_pilot(64, 64, 3.0, 1.0, RngStream(51)).phi[:tau],
                                 3.0, 1.0)

@@ -298,6 +298,20 @@ class TestSuCapacity:
         with pytest.raises(DomainError, match="NaN"):
             waterfill_powers(np.array([1.0, np.nan]), 1.0)
 
+    @pytest.mark.parametrize("allocation", ["equal", "waterfilling"])
+    @pytest.mark.parametrize("gains", [[-1.0, 1.0], [-3.0, 1.0], [np.nan, 1.0], [1.0, -1e-300]],
+                             ids=["minus-1", "minus-3", "nan", "tiny-negative"])
+    def test_parallel_capacity_rejects_negative_and_nan_gains(self, gains, allocation):
+        # "equal" gave -0.415 bit/s/Hz for [-1, 1] and NaN for [-3, 1];
+        # "waterfilling" idled a negative layer
+        with pytest.raises(DomainError, match="^gains must be >= 0 and not NaN"):
+            parallel_capacity(np.array(gains), 1.0, allocation)
+
+    @pytest.mark.parametrize("allocation", ["equal", "waterfilling"])
+    def test_parallel_capacity_admits_infinite_and_zero_gains(self, allocation):
+        assert parallel_capacity(np.array([np.inf, 1.0]), 1.0, allocation) == np.inf
+        assert parallel_capacity(np.array([0.0, -0.0, 3.0]), 2.0, allocation) > 0
+
     def test_waterfill_budget(self):
         g = np.array([3.0, 1.0, 0.2, 0.0])
         p = waterfill_powers(g, 5.0)

@@ -148,3 +148,32 @@ class TestReach:
         monkeypatch.setattr(cli, "_EXPERIMENTS", {"bbu": cli._EXPERIMENTS["bbu"]})
         listed = reach.unreached()
         assert "impedance_set" in listed["circuit"] and "bbu_rate" not in listed["dof"]
+
+
+_OUTPUTS = Path(__file__).resolve().parents[1] / "tools" / "outputs.py"
+_spec = importlib.util.spec_from_file_location("outputs", _OUTPUTS)
+outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(outputs)
+
+
+class TestOutputs:
+    def test_every_experiment_has_a_row(self):
+        from ummimo import cli
+        assert {experiment for _label, experiment, _seed, _cfg in outputs.RUNS} == set(
+            cli._EXPERIMENTS)
+        assert len(set(row[:3] + (repr(row[3]),) for row in outputs.RUNS)) == len(outputs.RUNS)
+
+    def test_two_cheap_rows_run_twice_are_identical(self, tmp_path, capsys):
+        rows = [row for row in outputs.RUNS
+                if row[:3] in {("defaults", "nf-factor", 3), ("defaults", "bbu", 4)}]
+        assert len(rows) == 2
+        for side in ("a", "b"):
+            assert outputs.write(tmp_path / side, rows) > 2
+        assert (tmp_path / "a" / "defaults" / "bbu" / "seed-4" / "manifest.json").is_file()
+        assert csv_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+
+    def test_usage_error(self, tmp_path, capsys):
+        (tmp_path / "stale").write_text("")
+        assert outputs.main([str(tmp_path)]) == 2
+        assert outputs.main([]) == 2
+        assert "usage" in capsys.readouterr().err
